@@ -2,7 +2,7 @@
 character splits, sign patterns, and the trace functional separating the
 identity from finite-rank operators."""
 
-from .characters import CharacterTable, Group, build_group, character_value, verify_orthogonality
+from .characters import CharacterTable, Group, build_group, verify_orthogonality
 from .discrepancy import (
     CharacterSplit,
     ConstructionData,
@@ -18,7 +18,6 @@ from .mixed_norm import (
     MixedNormVector,
     compactness_sequence,
     flatness_index,
-    p_value,
     z_norm,
 )
 
@@ -35,10 +34,8 @@ __all__ = [
     "SignPattern",
     "build_group",
     "certify_constants",
-    "character_value",
     "compactness_sequence",
     "flatness_index",
-    "p_value",
     "search_character_split",
     "search_signs",
     "split_discrepancy",

@@ -167,11 +167,6 @@ class CharacterTable:
         return (np.outer(idx, idx)) % k
 
 
-def character_value(table: CharacterTable, c: int, g: int) -> complex:
-    """Value chi_c(g) of one character at one element."""
-    return table.value(c, g)
-
-
 @dataclass(frozen=True)
 class OrthogonalityReport:
     level: int

@@ -12,15 +12,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import obstruction
 from .characters import CharacterTable, build_group, verify_orthogonality
 from .discrepancy import (
+    CertifiedConstants,
     CharacterSplit,
     ConstructionData,
     LevelData,
@@ -29,7 +30,7 @@ from .discrepancy import (
     search_character_split,
     search_signs,
     sign_objective,
-    split_discrepancy,
+    split_discrepancy,  # unused here; kept so profilers can wrap it by this name
 )
 from .errors import (
     AplabError,
@@ -56,6 +57,11 @@ OUT_ENV_VAR = "APLAB_OUT"
 
 DEFAULT_M_SAMPLES = (2**10, 2**20, 2**40, 2**64)
 
+# What a build records in config.json, with the defaults build uses.  The
+# derived commands (verify, ap, moduli) take these from the store they read;
+# a flag given explicitly must agree with the stored value.
+BUILD_DEFAULTS = {"schedule": "power", "max_level": 6, "seed": 7, "budget": 2048, "sign_budget": 64}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -80,24 +86,8 @@ class RunConfig:
             raise BadParameter("c1 and c2 must be >= 1")
 
     def to_payload(self) -> Dict:
-        return {
-            "schedule": self.schedule.to_config(),
-            "max_level": self.max_level,
-            "seed": self.seed,
-            "budget": self.budget,
-            "sign_budget": self.sign_budget,
-            "tol": self.tol,
-            "c1": self.c1,
-            "c2": self.c2,
-        }
-
-
-def split_strategy_for(level: int) -> str:
-    return "exhaustive" if level <= 2 else "random-restart"
-
-
-def sign_strategy_for(level: int) -> str:
-    return "exhaustive" if level <= 3 else "random-restart"
+        payload = {k: v for k, v in asdict(self).items() if k != "out"}
+        return {**payload, "schedule": self.schedule.to_config()}
 
 
 def build_levels(
@@ -107,19 +97,21 @@ def build_levels(
     data = ConstructionData()
     for n in range(max_level + 1):
         table = CharacterTable(build_group(n, max_level=max(24, max_level)))
-        split = search_character_split(
-            table, strategy=split_strategy_for(n), budget=budget, seed=seed
-        )
+        strategy = "exhaustive" if n <= 2 else "random-restart"
+        split = search_character_split(table, strategy=strategy, budget=budget, seed=seed)
         data.put(LevelData(table=table, split=split))
     for n in range(max_level + 1):
-        pattern = search_signs(
-            n, data, strategy=sign_strategy_for(n), budget=sign_budget, seed=seed
-        )
-        data.set_signs(pattern)
+        strategy = "exhaustive" if n <= 3 else "random-restart"
+        data.set_signs(search_signs(n, data, strategy=strategy, budget=sign_budget, seed=seed))
     return data
 
 
 EXPONENT_EXPORT_MAX_ORDER = 48  # dense exponent matrices stored up to this order
+VERIFY_REPORT = "verify_report.json"
+
+
+def _level_path(n: int) -> str:
+    return f"levels/level_{n:02d}.json"
 
 
 def _level_payload(item: LevelData) -> Dict:
@@ -128,77 +120,30 @@ def _level_payload(item: LevelData) -> Dict:
         "level": item.level,
         "order": item.table.order,
         "split": {
-            "anchors": list(item.split.anchors),
-            "carriers": list(item.split.carriers),
+            "anchors": item.split.anchors,
+            "carriers": item.split.carriers,
             "discrepancy": item.split.discrepancy,
         },
-        "signs": {"signs": list(signs.signs), "objective": signs.objective},
+        "signs": {"signs": signs.signs, "objective": signs.objective},
     }
     if item.table.order <= EXPONENT_EXPORT_MAX_ORDER:
-        payload["exponents"] = [[int(e) for e in row] for row in item.table.exponent_matrix()]
+        payload["exponents"] = item.table.exponent_matrix().tolist()
     return payload
-
-
-def _load_config(store: ArtifactStore) -> Dict:
-    return store.read_json("config.json")  # type: ignore[return-value]
 
 
 def load_data(store: ArtifactStore, max_level: int) -> ConstructionData:
     """Rebuild construction data from stored level payloads."""
     data = ConstructionData()
     for n in range(max_level + 1):
-        payload = store.read_json(f"levels/level_{n:02d}.json")
+        payload = store.read_json(_level_path(n))
         assert isinstance(payload, dict)
+        s, e = payload["split"], payload["signs"]
         table = CharacterTable(build_group(n, max_level=max(24, max_level)))
-        split = CharacterSplit(
-            level=n,
-            anchors=tuple(payload["split"]["anchors"]),
-            carriers=tuple(payload["split"]["carriers"]),
-            discrepancy=float(payload["split"]["discrepancy"]),
-        )
-        data.put(LevelData(table=table, split=split))
-    for n in range(max_level + 1):
-        payload = store.read_json(f"levels/level_{n:02d}.json")
-        assert isinstance(payload, dict)
-        data.set_signs(
-            SignPattern(
-                level=n,
-                signs=tuple(payload["signs"]["signs"]),
-                objective=float(payload["signs"]["objective"]),
-            )
-        )
+        anchors, carriers = tuple(s["anchors"]), tuple(s["carriers"])
+        split = CharacterSplit(n, anchors, carriers, float(s["discrepancy"]))
+        signs = SignPattern(n, tuple(e["signs"]), float(e["objective"]))
+        data.put(LevelData(table=table, split=split, signs=signs))
     return data
-
-
-def _constants_payload(constants) -> Dict:
-    return {
-        "split_constant": constants.split_constant,
-        "cross_constant": constants.cross_constant,
-        "threshold": ACCEPT_CONSTANT,
-        "split_rows": [
-            {
-                "level": r.level,
-                "stored": r.stored,
-                "recomputed": r.recomputed,
-                "scale": r.scale,
-                "ratio": r.ratio,
-            }
-            for r in constants.split_rows
-        ],
-        "cross_rows": [
-            {
-                "level": r.level,
-                "max_lower": r.max_lower,
-                "max_middle": r.max_middle,
-                "max_upper": r.max_upper,
-                "overall": r.overall,
-                "scale": r.scale,
-                "ratio": r.ratio,
-                "middle_identity_residual": r.middle_identity_residual,
-            }
-            for r in constants.cross_rows
-        ],
-    }
 
 
 def cmd_build(config: RunConfig) -> int:
@@ -208,26 +153,20 @@ def cmd_build(config: RunConfig) -> int:
 
     store.write_json("config.json", config.to_payload())
     for n in data.levels():
-        store.write_json(f"levels/level_{n:02d}.json", _level_payload(data.require(n)))
-    store.write_json("constants.json", _constants_payload(constants))
+        store.write_json(_level_path(n), _level_payload(data.require(n)))
+    store.write_json("constants.json", {**asdict(constants), "threshold": ACCEPT_CONSTANT})
     store.update_manifest()
 
-    for row in constants.split_rows:
-        if row.ratio > ACCEPT_CONSTANT:
-            print(
-                f"build: level {row.level} balance discrepancy ratio {row.ratio:.3f} "
-                f"exceeds {ACCEPT_CONSTANT}",
-                file=sys.stderr,
-            )
-            return EXIT_CHECK_FAILED
-    for row in constants.cross_rows:
-        if row.ratio > ACCEPT_CONSTANT:
-            print(
-                f"build: level {row.level} cross-block ratio {row.ratio:.3f} "
-                f"exceeds {ACCEPT_CONSTANT}",
-                file=sys.stderr,
-            )
-            return EXIT_CHECK_FAILED
+    bounds = (("balance discrepancy", constants.split_rows), ("cross-block", constants.cross_rows))
+    for name, rows in bounds:
+        for row in rows:
+            if row.ratio > ACCEPT_CONSTANT:
+                print(
+                    f"build: level {row.level} {name} ratio {row.ratio:.3f} "
+                    f"exceeds {ACCEPT_CONSTANT}",
+                    file=sys.stderr,
+                )
+                return EXIT_CHECK_FAILED
     print(
         f"build: levels 0..{config.max_level} stored; "
         f"balance constant {constants.split_constant:.4f}, "
@@ -236,233 +175,156 @@ def cmd_build(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verify_rows(
-    config: RunConfig,
-    schedule: ExponentSchedule,
-    data: ConstructionData,
-    stored_constants: Dict,
-) -> List[Dict]:
-    rows: List[Dict] = []
-    top = data.max_level
-    tol = config.tol
+@dataclass(frozen=True)
+class _Audit:
+    """What the verify checks read: the stored build and a fresh certification.
 
-    for n in range(top + 1):
-        report = verify_orthogonality(data.require(n).table, tol)
-        rows.append(
-            {
-                "check": "character-orthogonality",
-                "level": n,
-                "measured": report.max_deviation,
-                "limit": tol,
-                "passed": report.passed,
-            }
-        )
+    A check yields ``(check, level, measured, limit[, passed])``; without an
+    explicit verdict a row passes when measured <= limit.
+    """
 
-    stored_split = {r["level"]: r for r in stored_constants["split_rows"]}
-    for n in range(top + 1):
-        item = data.require(n)
-        recomputed = split_discrepancy(item.split, item.table)
-        drift = abs(recomputed - item.split.discrepancy)
-        rows.append(
-            {
-                "check": "balance-discrepancy-drift",
-                "level": n,
-                "measured": drift,
-                "limit": tol,
-                "passed": drift <= tol,
-            }
-        )
-        stored_row = stored_split.get(n)
-        if stored_row is not None:
-            drift_stored = abs(recomputed - stored_row["recomputed"])
-            rows.append(
-                {
-                    "check": "balance-discrepancy-bound",
-                    "level": n,
-                    "measured": recomputed / stored_row["scale"],
-                    "limit": ACCEPT_CONSTANT,
-                    "passed": recomputed / stored_row["scale"] <= ACCEPT_CONSTANT
-                    and drift_stored <= tol,
-                }
-            )
+    config: RunConfig
+    store: ArtifactStore
+    data: ConstructionData
+    stored: Dict  # constants.json
+    fresh: CertifiedConstants
+    stale: List[str]  # files whose bytes no longer match the manifest
 
-    fresh = certify_constants(range(top + 1), data)
-    stored_cross = {r["level"]: r for r in stored_constants["cross_rows"]}
-    for row in fresh.cross_rows:
-        stored_row = stored_cross.get(row.level)
-        drift = abs(row.overall - stored_row["overall"]) if stored_row else math.inf
-        rows.append(
-            {
-                "check": "cross-block-bound",
-                "level": row.level,
-                "measured": row.ratio,
-                "limit": ACCEPT_CONSTANT,
-                "passed": row.ratio <= ACCEPT_CONSTANT and drift <= tol,
-            }
-        )
-        rows.append(
-            {
-                "check": "cross-middle-identity",
-                "level": row.level,
-                "measured": row.middle_identity_residual,
-                "limit": tol,
-                "passed": row.middle_identity_residual <= tol,
-            }
-        )
-    for n in range(1, top + 1):
-        item = data.require(n)
-        recomputed_obj = sign_objective(n, data, item.require_signs().signs)
-        drift = abs(recomputed_obj - item.require_signs().objective)
-        rows.append(
-            {
-                "check": "sign-objective-drift",
-                "level": n,
-                "measured": drift,
-                "limit": tol,
-                "passed": drift <= tol,
-            }
-        )
+    @property
+    def top(self) -> int:
+        return self.config.max_level
 
-    frame = obstruction.BasisFrame(data, schedule, top)
-    dev = obstruction.biorthogonality_deviation(frame)
-    rows.append(
-        {
-            "check": "biorthogonality",
-            "level": top,
-            "measured": dev,
-            "limit": tol,
-            "passed": dev <= tol,
-        }
-    )
-    for n in range(1, top):
-        dev = obstruction.form_agreement_deviation(frame, n)
-        rows.append(
-            {
-                "check": "functional-form-agreement",
-                "level": n,
-                "measured": dev,
-                "limit": tol,
-                "passed": dev <= tol,
-            }
-        )
 
-    t_top = min(top, 4)
+def _integrity(a: _Audit) -> Iterator[tuple]:
+    yield "manifest-integrity", a.top, float(len(a.stale)), 0.0
+    for n in range(a.top + 1):
+        payload = a.store.read_json(_level_path(n))
+        assert isinstance(payload, dict)
+        if "exponents" in payload:
+            stored = np.asarray(payload["exponents"], dtype=np.int64)
+            mismatches = int((stored != a.data.require(n).table.exponent_matrix()).sum())
+            yield "character-table-integrity", n, float(mismatches), 0.0
+
+
+def _orthogonality(a: _Audit) -> Iterator[tuple]:
+    for n in range(a.top + 1):
+        report = verify_orthogonality(a.data.require(n).table, a.config.tol)
+        yield "character-orthogonality", n, report.max_deviation, a.config.tol, report.passed
+
+
+def _balance(a: _Audit) -> Iterator[tuple]:
+    stored = {r["level"]: r for r in a.stored["split_rows"]}
+    for row in a.fresh.split_rows:
+        yield "balance-discrepancy-drift", row.level, row.drift, a.config.tol
+        if row.level in stored:
+            ratio = row.recomputed / stored[row.level]["scale"]
+            drift = abs(row.recomputed - stored[row.level]["recomputed"])
+            passed = ratio <= ACCEPT_CONSTANT and drift <= a.config.tol
+            yield "balance-discrepancy-bound", row.level, ratio, ACCEPT_CONSTANT, passed
+
+
+def _cross_blocks(a: _Audit) -> Iterator[tuple]:
+    stored = {r["level"]: r for r in a.stored["cross_rows"]}
+    for row in a.fresh.cross_rows:
+        drift = abs(row.overall - stored[row.level]["overall"]) if row.level in stored else math.inf
+        passed = row.ratio <= ACCEPT_CONSTANT and drift <= a.config.tol
+        yield "cross-block-bound", row.level, row.ratio, ACCEPT_CONSTANT, passed
+        yield "cross-middle-identity", row.level, row.middle_identity_residual, a.config.tol
+
+
+def _sign_objectives(a: _Audit) -> Iterator[tuple]:
+    for n in range(1, a.top + 1):
+        signs = a.data.require(n).require_signs()
+        drift = abs(sign_objective(n, a.data, signs.signs) - signs.objective)
+        yield "sign-objective-drift", n, drift, a.config.tol
+
+
+def _functionals(a: _Audit) -> Iterator[tuple]:
+    frame = obstruction.BasisFrame(a.data, a.config.schedule, a.top)
+    yield "biorthogonality", a.top, obstruction.biorthogonality_deviation(frame), a.config.tol
+    for n in range(1, a.top):
+        deviation = obstruction.form_agreement_deviation(frame, n)
+        yield "functional-form-agreement", n, deviation, a.config.tol
+
+
+def _telescoping(a: _Audit) -> Iterator[tuple]:
+    t_top = min(a.top, 4)
     ops = [obstruction.OperatorMatrix.identity(t_top)]
-    ops.extend(obstruction.OperatorMatrix.gaussian(t_top, seed=config.seed + i) for i in range(3))
-    t_frame = obstruction.BasisFrame(data, schedule, t_top)
-    worst = 0.0
-    for op in ops:
-        for n in range(t_top):
-            worst = max(worst, obstruction.telescope_residual(op, n, t_frame))
-    rows.append(
-        {
-            "check": "telescoping-identity",
-            "level": t_top,
-            "measured": worst,
-            "limit": tol,
-            "passed": worst <= tol,
-        }
-    )
+    seed = a.config.seed
+    ops.extend(obstruction.OperatorMatrix.gaussian(t_top, seed=seed + i) for i in range(3))
+    frame = obstruction.BasisFrame(a.data, a.config.schedule, t_top)
+    residuals = (obstruction.telescope_residual(op, n, frame) for op in ops for n in range(t_top))
+    yield "telescoping-identity", t_top, max(residuals, default=0.0), a.config.tol
 
-    cross_const = float(stored_constants["cross_constant"])
-    for n in range(1, top):
-        report = obstruction.check_norm_bound(n, data, schedule, cross_const)
-        rows.append(
-            {
-                "check": "telescope-norm-envelope",
-                "level": n,
-                "measured": report.max_norm,
-                "limit": report.bound,
-                "passed": report.passed,
-            }
-        )
 
-    if schedule.kind == "power":
-        horizon_value = compactness_sequence(schedule, 5000)
-        rows.append(
-            {
-                "check": "compactness-decay",
-                "level": 5000,
-                "measured": horizon_value,
-                "limit": 1e-3,
-                "passed": horizon_value < 1e-3,
-            }
-        )
-    elif schedule.kind == "log":
-        horizon_value = compactness_sequence(schedule, 10**6)
-        rows.append(
-            {
-                "check": "compactness-decay",
-                "level": 10**6,
-                "measured": horizon_value,
-                "limit": 1e-3,
-                "passed": horizon_value < 1e-3,
-            }
-        )
-    return rows
+def _compact_family(a: _Audit) -> Iterator[tuple]:
+    cross_constant = float(a.stored["cross_constant"])
+    for n in range(1, a.top):
+        report = obstruction.check_norm_bound(n, a.data, a.config.schedule, cross_constant)
+        yield "telescope-norm-envelope", n, report.max_norm, report.bound, report.passed
+    horizon = {"power": 5000, "log": 10**6}.get(a.config.schedule.kind)
+    if horizon is not None:
+        value = compactness_sequence(a.config.schedule, horizon)
+        yield "compactness-decay", horizon, value, 1e-3, value < 1e-3
+
+
+VERIFY_CHECKS: Tuple[Callable[[_Audit], Iterator[tuple]], ...] = (
+    _integrity,
+    _orthogonality,
+    _balance,
+    _cross_blocks,
+    _sign_objectives,
+    _functionals,
+    _telescoping,
+    _compact_family,
+)
+
+
+def _row(
+    check: str, level: int, measured: float, limit: float, passed: Optional[bool] = None
+) -> Dict:
+    if passed is None:
+        passed = measured <= limit
+    return {"check": check, "level": level, "measured": measured, "limit": limit, "passed": passed}
 
 
 def cmd_verify(config: RunConfig) -> int:
     store = ArtifactStore(config.out)
-    stored_config = _load_config(store)
-    assert isinstance(stored_config, dict)
-    max_level = int(stored_config["max_level"])
-    data = load_data(store, max_level)
-    constants = store.read_json("constants.json")
-    assert isinstance(constants, dict)
+    # verify rewrites its own report, so only the other listed files must match
+    stale = [f for f in store.manifest_mismatches() if f != VERIFY_REPORT]
+    data = load_data(store, config.max_level)
+    stored = store.read_json("constants.json")
+    fresh = certify_constants(range(config.max_level + 1), data)
+    audit = _Audit(config, store, data, stored, fresh, stale)  # type: ignore[arg-type]
+    rows = [_row(*row) for check in VERIFY_CHECKS for row in check(audit)]
+    store.write_json(VERIFY_REPORT, {"rows": rows})
 
-    # artifacts are verified under the schedule they were built with
-    schedule = ExponentSchedule.from_config(stored_config["schedule"])
-    rows: List[Dict] = []
-    for n in range(max_level + 1):
-        payload = store.read_json(f"levels/level_{n:02d}.json")
-        assert isinstance(payload, dict)
-        if "exponents" not in payload:
-            continue
-        stored = np.asarray(payload["exponents"], dtype=np.int64)
-        mismatches = int((stored != data.require(n).table.exponent_matrix()).sum())
-        rows.append(
-            {
-                "check": "character-table-integrity",
-                "level": n,
-                "measured": float(mismatches),
-                "limit": 0.0,
-                "passed": mismatches == 0,
-            }
-        )
-    rows.extend(_verify_rows(config, schedule, data, constants))
-
-    store.write_json("verify_report.json", {"rows": rows})
-    store.update_manifest()
-
-    failing = [r for r in rows if not r["passed"]]
     for row in rows:
         status = "pass" if row["passed"] else "FAIL"
         print(
             f"verify: {row['check']:<28} level {row['level']:>7} "
             f"measured {row['measured']:.6g} limit {row['limit']:.6g} {status}"
         )
-    if failing:
-        first = failing[0]
+    if stale:
+        print(f"verify: files differ from manifest.json: {', '.join(stale)}", file=sys.stderr)
+    first = next((r for r in rows if not r["passed"]), None)
+    if first is not None:
         print(
             f"verify: first failure {first['check']} at level {first['level']}",
             file=sys.stderr,
         )
         return EXIT_CHECK_FAILED
+    store.update_manifest()
     return EXIT_OK
 
 
 def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
     store = ArtifactStore(config.out)
-    stored_config = _load_config(store)
-    assert isinstance(stored_config, dict)
-    max_level = int(stored_config["max_level"])
-    data = load_data(store, max_level)
+    data = load_data(store, config.max_level)
     constants = store.read_json("constants.json")
     assert isinstance(constants, dict)
 
-    schedule = ExponentSchedule.from_config(stored_config["schedule"])
-    frame = obstruction.BasisFrame(data, schedule, max_level)
+    frame = obstruction.BasisFrame(data, config.schedule, config.max_level)
     report = obstruction.ap_experiment(
         frame,
         cross_constant=float(constants["cross_constant"]),
@@ -470,27 +332,22 @@ def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
         max_rank=max_rank,
         seed=config.seed,
         provenance={
-            "seed": config.seed,
-            "budget": config.budget,
-            "sign_budget": config.sign_budget,
-            "schedule": schedule.to_config(),
+            k: v for k, v in config.to_payload().items()
+            if k in ("seed", "budget", "sign_budget", "schedule")
         },
     )
-    store.write_json("ap/obstruction.json", report.to_payload())
+    store.write_json("ap/obstruction.json", report)
     store.write_csv(
         "ap/identity_trace.csv",
         ["level", "trace_real", "trace_imag", "deviation"],
-        [
-            [r.level, r.value_matrix.real, r.value_matrix.imag, r.deviation]
-            for r in report.identity_rows
-        ],
+        [[r.level, r.matrix.real, r.matrix.imag, r.deviation] for r in report.identity_trace],
     )
     store.write_csv(
         "ap/finite_rank.csv",
         ["operator", "rank", "support_level", "max_trace_beyond_support", "tail_bound"],
         [
-            [r.operator_index, r.rank, r.support_level, r.max_beyond_support, r.tail_bound]
-            for r in report.finite_rank_rows
+            [r.operator, r.rank, r.support_level, r.max_beyond_support, r.tail_bound]
+            for r in report.finite_rank
         ],
     )
     store.write_csv(
@@ -498,13 +355,13 @@ def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
         ["level", "max_scaled_norm", "envelope", "rate_reference"],
         [
             [r.level, r.max_scaled_norm, r.envelope, r.rate_reference]
-            for r in report.compact_rows
+            for r in report.compact_family
         ],
     )
     store.update_manifest()
     print(
-        f"ap: identity trace holds at 1 through level {max_level}; "
-        f"{len(report.finite_rank_rows)} finite-rank operators tabulated"
+        f"ap: identity trace holds at 1 through level {config.max_level}; "
+        f"{len(report.finite_rank)} finite-rank operators tabulated"
     )
     return EXIT_OK
 
@@ -512,67 +369,23 @@ def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
 def cmd_moduli(config: RunConfig, m_samples: Sequence[int], depth: int) -> int:
     store = ArtifactStore(config.out)
     constants = TypeCotypeConstants(c1=config.c1, c2=config.c2)
-
-    witness_rows = []
-    for m in m_samples:
-        point = witness_point(config.schedule, m, constants)
-        witness_rows.append(
-            {
-                "m": m,
-                "head_level": point.head_level,
-                "codimension": str(point.codimension),
-                "iso_constant": point.iso_constant,
-                "gap_after_head": point.gap_after_head,
-                "threshold": point.threshold,
-            }
-        )
+    points = [witness_point(config.schedule, m, constants) for m in m_samples]
     envelope = growth_envelope_check(config.schedule, m_samples)
-    envelope_rows = [
-        {
-            "m": r.m,
-            "skipped": r.skipped,
-            "head_level": r.head_level,
-            "codimension": None if r.codimension is None else str(r.codimension),
-            "codimension_log2": r.codimension_log2,
-            "envelope_log2": r.envelope_log2,
-            "passed": r.passed,
-        }
-        for r in envelope.rows
-    ]
     split = split_sequence(config.schedule, depth)
-    split_payload = {
-        "indices": list(split.indices),
-        "margins": list(split.margins),
-        "thresholds": [
-            {
-                "step": t.step,
-                "five_exponent": None if t.five_exponent is None else str(t.five_exponent),
-                "exact": None if t.exact is None else str(t.exact),
-                "log2_value": None if not math.isfinite(t.log2_value) else t.log2_value,
-                "log2_log2_value": t.log2_log2_value,
-                "display": t.display,
-            }
-            for t in split.thresholds
-        ],
-        "first_ranges": [[a, b] for a, b in split.first_ranges],
-        "second_ranges": [[a, b] for a, b in split.second_ranges],
-    }
 
     store.write_json(
-        "moduli/witness.json",
-        {"schedule": config.schedule.to_config(), "rows": witness_rows},
+        "moduli/witness.json", {"schedule": config.schedule.to_config(), "rows": points}
     )
     store.write_csv(
         "moduli/witness.csv",
         ["m", "head_level", "codimension", "envelope_log2"],
         [
-            [r["m"], r["head_level"], r["codimension"],
-             next((e["envelope_log2"] for e in envelope_rows if e["m"] == r["m"] and e["envelope_log2"] is not None), "")]
-            for r in witness_rows
+            [p.m, p.head_level, p.codimension, "" if e.envelope_log2 is None else e.envelope_log2]
+            for p, e in zip(points, envelope.rows)
         ],
     )
-    store.write_json("moduli/envelope.json", {"rows": envelope_rows, "passed": envelope.passed})
-    store.write_json("moduli/split.json", split_payload)
+    store.write_json("moduli/envelope.json", {"rows": envelope.rows, "passed": envelope.passed})
+    store.write_json("moduli/split.json", split)
     store.write_csv(
         "moduli/split.csv",
         ["step", "index", "threshold"],
@@ -582,9 +395,9 @@ def cmd_moduli(config: RunConfig, m_samples: Sequence[int], depth: int) -> int:
         ],
     )
     store.update_manifest()
-    for row in envelope_rows:
-        mark = "skipped" if row["skipped"] else ("pass" if row["passed"] else "FAIL")
-        print(f"moduli: envelope m={row['m']} {mark}")
+    for row in envelope.rows:
+        mark = "skipped" if row.skipped else ("pass" if row.passed else "FAIL")
+        print(f"moduli: envelope m={row.m} {mark}")
     print(f"moduli: split indices {list(split.indices)}")
     return EXIT_OK
 
@@ -626,12 +439,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--schedule", default="power", help="power | log | JSON spec")
+        p.add_argument("--schedule", help="power | log | JSON spec (default power)")
         p.add_argument("--alpha", type=float, default=0.5)
-        p.add_argument("--max-level", type=int, default=6)
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--budget", type=int, default=2048, help="split search budget")
-        p.add_argument("--sign-budget", type=int, default=64)
+        p.add_argument("--max-level", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--budget", type=int, help="split search budget")
+        p.add_argument("--sign-budget", type=int)
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--c1", type=float, default=1.0)
         p.add_argument("--c2", type=float, default=1.0)
@@ -652,12 +465,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    given = {k: getattr(args, k) for k in BUILD_DEFAULTS if getattr(args, k) is not None}
+    values = {**BUILD_DEFAULTS, **given}
+    values["schedule"] = _parse_schedule(values["schedule"], args.alpha)
+    config_path = Path(args.out) / "config.json"
+    if args.command in ("verify", "ap") or (args.command == "moduli" and config_path.exists()):
+        raw = ArtifactStore(args.out).read_json("config.json")
+        assert isinstance(raw, dict)
+        stored = {k: raw[k] for k in BUILD_DEFAULTS}
+        stored["schedule"] = ExponentSchedule.from_config(raw["schedule"])
+        clashes = [k for k in given if values[k] != stored[k]]
+        if clashes:
+            raise BadParameter("; ".join(
+                f"--{k.replace('_', '-')} {given[k]} conflicts with {k} {raw[k]} in {config_path}"
+                for k in clashes
+            ))
+        values = stored
     return RunConfig(
-        schedule=_parse_schedule(args.schedule, args.alpha),
-        max_level=args.max_level,
-        seed=args.seed,
-        budget=args.budget,
-        sign_budget=args.sign_budget,
+        **values,
         tol=args.tol,
         c1=args.c1,
         c2=args.c2,
@@ -680,19 +505,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_moduli(config, _parse_m_samples(args.m_samples), args.depth)
         if args.command == "split":
             return cmd_split(config, args.depth)
-        raise BadParameter(f"unknown command {args.command!r}")
-    except MissingArtifact as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except BadParameter as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CheckFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
     except AplabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, MissingArtifact):
+            return EXIT_MISSING
+        return EXIT_CHECK_FAILED if isinstance(exc, CheckFailed) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

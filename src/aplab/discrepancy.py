@@ -551,6 +551,7 @@ def certify_constants(levels: Iterable[int], data: ConstructionData) -> Certifie
             )
         )
 
+    balance = {r.level: r.recomputed for r in split_rows}
     cross_rows: List[CrossBoundRow] = []
     for n in level_list:
         if n < 1 or not data.has(n + 1):
@@ -563,8 +564,7 @@ def certify_constants(levels: Iterable[int], data: ConstructionData) -> Certifie
         max_upper = float(np.abs(blocks.upper).max())
         overall = max(max_lower, max_middle, max_upper)
         scale = cross_bound_scale(n)
-        item = data.require(n)
-        expected_mid = 2.0 ** (-n - 1) * split_discrepancy(item.split, item.table)
+        expected_mid = 2.0 ** (-n - 1) * balance[n]
         cross_rows.append(
             CrossBoundRow(
                 level=n,

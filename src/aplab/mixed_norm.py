@@ -133,11 +133,6 @@ class ExponentSchedule:
         return n * self.gap(n + 1)
 
 
-def p_value(schedule: ExponentSchedule, n: int) -> float:
-    """Block exponent p_n in (2, 3]."""
-    return schedule.p(n)
-
-
 def flatness_index(schedule: ExponentSchedule, n: int) -> float:
     """Distortion index (3*2^n)^{1/2 - 1/p_n} of the level-n block."""
     gap = schedule.gap(n)

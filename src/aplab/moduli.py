@@ -29,7 +29,7 @@ logarithms) and are flagged as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,6 +43,7 @@ from .errors import (
     NoWitness,
 )
 from .mixed_norm import ExponentSchedule, MixedNormVector, z_norms_rows
+from .store import EXACT_INT
 
 _SEARCH_LIMIT = 1 << 200  # witness searches refuse to pass this level
 _EXACT_EXPONENT_BITS = 1_000_000  # largest exact power-of-five exponent kept
@@ -127,7 +128,7 @@ def witness_point(
 class WitnessPoint:
     m: int
     head_level: int
-    codimension: int
+    codimension: int = field(metadata=EXACT_INT)
     iso_constant: float
     gap_after_head: float
     threshold: float
@@ -164,7 +165,7 @@ class EnvelopeRow:
     m: int
     skipped: bool
     head_level: Optional[int]
-    codimension: Optional[int]
+    codimension: Optional[int] = field(metadata=EXACT_INT)
     codimension_log2: Optional[float]
     envelope_log2: Optional[float]
     passed: Optional[bool]
@@ -237,8 +238,8 @@ class SplitThreshold:
     """
 
     step: int
-    five_exponent: Optional[int]
-    exact: Optional[int]
+    five_exponent: Optional[int] = field(metadata=EXACT_INT)
+    exact: Optional[int] = field(metadata=EXACT_INT)
     log2_value: float
     log2_log2_value: float
     display: str

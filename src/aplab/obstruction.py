@@ -578,17 +578,14 @@ def trace_limit(op: OperatorMatrix, frame: BasisFrame) -> TraceLimit:
 @dataclass(frozen=True)
 class IdentityTraceRow:
     level: int
-    value_matrix: complex
-    value_coords: complex
-
-    @property
-    def deviation(self) -> float:
-        return max(abs(self.value_matrix - 1.0), abs(self.value_coords - 1.0))
+    matrix: complex
+    coordinates: complex
+    deviation: float
 
 
 @dataclass(frozen=True)
 class FiniteRankRow:
-    operator_index: int
+    operator: int
     rank: int
     support_level: int
     traces: Tuple[complex, ...]
@@ -607,53 +604,16 @@ class CompactFamilyRow:
 
 @dataclass(frozen=True)
 class ObstructionReport:
+    """The ``ap`` evidence; its fields are the keys of ``ap/obstruction.json``."""
+
     max_level: int
-    identity_rows: Tuple[IdentityTraceRow, ...]
+    identity_trace: Tuple[IdentityTraceRow, ...]
     identity_telescope_residuals: Tuple[float, ...]
-    finite_rank_rows: Tuple[FiniteRankRow, ...]
+    finite_rank: Tuple[FiniteRankRow, ...]
     base_vector_norm: float
-    compact_rows: Tuple[CompactFamilyRow, ...]
+    compact_family: Tuple[CompactFamilyRow, ...]
     cross_constant: float
     provenance: Dict[str, object] = field(default_factory=dict)
-
-    def to_payload(self) -> Dict:
-        return {
-            "max_level": self.max_level,
-            "identity_trace": [
-                {
-                    "level": r.level,
-                    "matrix": [r.value_matrix.real, r.value_matrix.imag],
-                    "coordinates": [r.value_coords.real, r.value_coords.imag],
-                    "deviation": r.deviation,
-                }
-                for r in self.identity_rows
-            ],
-            "identity_telescope_residuals": list(self.identity_telescope_residuals),
-            "finite_rank": [
-                {
-                    "operator": r.operator_index,
-                    "rank": r.rank,
-                    "support_level": r.support_level,
-                    "traces": [[t.real, t.imag] for t in r.traces],
-                    "max_beyond_support": r.max_beyond_support,
-                    "limit_estimate": [r.limit_estimate.real, r.limit_estimate.imag],
-                    "tail_bound": r.tail_bound,
-                }
-                for r in self.finite_rank_rows
-            ],
-            "base_vector_norm": self.base_vector_norm,
-            "compact_family": [
-                {
-                    "level": r.level,
-                    "max_scaled_norm": r.max_scaled_norm,
-                    "envelope": r.envelope,
-                    "rate_reference": r.rate_reference,
-                }
-                for r in self.compact_rows
-            ],
-            "cross_constant": self.cross_constant,
-            "provenance": dict(self.provenance),
-        }
 
 
 def random_finite_rank_operator(
@@ -702,14 +662,12 @@ def ap_experiment(
         raise BadParameter("the support cap must stay below the truncation level")
 
     ident = OperatorMatrix.identity(top)
-    identity_rows = tuple(
-        IdentityTraceRow(
-            level=n,
-            value_matrix=level_trace(ident, n),
-            value_coords=level_trace(ident, n, frame=frame, via="coordinates"),
-        )
-        for n in range(top + 1)
-    )
+    identity_rows = []
+    for n in range(top + 1):
+        matrix = level_trace(ident, n)
+        coordinates = level_trace(ident, n, frame=frame, via="coordinates")
+        deviation = max(abs(matrix - 1.0), abs(coordinates - 1.0))
+        identity_rows.append(IdentityTraceRow(n, matrix, coordinates, deviation))
     identity_residuals = tuple(
         telescope_residual(ident, n, frame) for n in range(top)
     )
@@ -725,7 +683,7 @@ def ap_experiment(
         limit = trace_limit(op, frame)
         rank_rows.append(
             FiniteRankRow(
-                operator_index=i,
+                operator=i,
                 rank=rank,
                 support_level=support,
                 traces=traces,
@@ -758,11 +716,11 @@ def ap_experiment(
 
     return ObstructionReport(
         max_level=top,
-        identity_rows=identity_rows,
+        identity_trace=tuple(identity_rows),
         identity_telescope_residuals=identity_residuals,
-        finite_rank_rows=tuple(rank_rows),
+        finite_rank=tuple(rank_rows),
         base_vector_norm=base_norm,
-        compact_rows=tuple(compact_rows),
+        compact_family=tuple(compact_rows),
         cross_constant=cross_constant,
         provenance=dict(provenance or {}),
     )

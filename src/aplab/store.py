@@ -9,19 +9,48 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Sequence, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
 from .errors import MissingArtifact
 
 MANIFEST_NAME = "manifest.json"
 
+# Field metadata: the field holds an exact integer, written as a decimal string
+# because it may exceed what a JSON reader keeps exactly.
+EXACT_INT = {"exact_int": True}
+
 Cell = Union[str, int, float]
+
+
+def _jsonable(value: object) -> object:
+    """JSON form of a result: dataclasses by field name, complex numbers as
+    ``[re, im]``, tuples as lists, non-finite floats as null and
+    ``EXACT_INT`` fields as decimal strings."""
+    if is_dataclass(value) and not isinstance(value, type):
+        out = {}
+        for f in fields(value):
+            item = getattr(value, f.name)
+            exact = f.metadata.get("exact_int") and item is not None
+            out[f.name] = str(item) if exact else _jsonable(item)
+        return out
+    if isinstance(value, complex):
+        return _jsonable([value.real, value.imag])
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
 
 
 def canonical_json(payload: object) -> str:
     return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+        _jsonable(payload),
+        sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False,
     )
 
 
@@ -65,6 +94,16 @@ class ArtifactStore:
 
     def exists(self, relpath: str) -> bool:
         return (self.root / relpath).exists()
+
+    def manifest_mismatches(self) -> List[str]:
+        """Files the manifest lists that are missing or whose sha256 differs."""
+        listed = self.read_json(MANIFEST_NAME)["files"]  # type: ignore[index]
+        return [
+            rel
+            for rel, sha in sorted(listed.items())
+            if not (self.root / rel).is_file()
+            or self._hash_bytes((self.root / rel).read_bytes()) != sha
+        ]
 
     def update_manifest(self) -> Dict[str, str]:
         """Rehash every stored file and rewrite the manifest."""

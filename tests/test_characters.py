@@ -7,7 +7,6 @@ from aplab.characters import (
     CharacterTable,
     Group,
     build_group,
-    character_value,
     verify_orthogonality,
 )
 from aplab.errors import BadParameter, IndexOutOfRange, LevelTooLarge
@@ -39,10 +38,10 @@ def test_group_arithmetic():
 
 def test_character_values_order_six():
     table = CharacterTable(build_group(1))
-    assert cmath.isclose(character_value(table, 1, 1), cmath.exp(2j * cmath.pi / 6))
+    assert cmath.isclose(table.value(1, 1), cmath.exp(2j * cmath.pi / 6))
     for g in range(6):
-        assert character_value(table, 0, g) == 1
-    assert cmath.isclose(character_value(table, 3, 1), -1)
+        assert table.value(0, g) == 1
+    assert cmath.isclose(table.value(3, 1), -1)
 
 
 def test_character_index_validation():

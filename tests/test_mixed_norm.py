@@ -9,16 +9,15 @@ from aplab.mixed_norm import (
     MixedNormVector,
     compactness_sequence,
     flatness_index,
-    p_value,
     z_norm,
     z_norms_rows,
 )
 
 
 def test_power_schedule_clamp_region(power_schedule):
-    assert p_value(power_schedule, 0) == 3.0
-    assert p_value(power_schedule, 35) == 3.0  # raw gap hits 1/6 exactly here
-    assert 2.0 < p_value(power_schedule, 36) < 3.0
+    assert power_schedule.p(0) == 3.0
+    assert power_schedule.p(35) == 3.0  # raw gap hits 1/6 exactly here
+    assert 2.0 < power_schedule.p(36) < 3.0
 
 
 def test_power_alpha_validation():
@@ -29,9 +28,9 @@ def test_power_alpha_validation():
 
 
 def test_log_schedule_clamp_region(log_schedule):
-    assert p_value(log_schedule, 0) == 3.0
-    assert p_value(log_schedule, 126) == 3.0
-    assert 2.0 < p_value(log_schedule, 127) < 3.0
+    assert log_schedule.p(0) == 3.0
+    assert log_schedule.p(126) == 3.0
+    assert 2.0 < log_schedule.p(127) < 3.0
 
 
 def test_schedules_monotone_in_admissible_range(power_schedule, log_schedule):
@@ -50,15 +49,15 @@ def test_schedules_monotone_in_admissible_range(power_schedule, log_schedule):
     assert np.all(np.diff(p_log) <= 0.0)
 
     for k in (0, 1, 2, 35, 36, 126, 127, 4096, 10**6):
-        assert p_value(power_schedule, k) == p_pow[k]
-        assert p_value(log_schedule, k) == p_log[k]
+        assert power_schedule.p(k) == p_pow[k]
+        assert log_schedule.p(k) == p_log[k]
 
 
 def test_explicit_schedule():
     sched = ExponentSchedule.explicit([3.0, 2.8, 2.5])
-    assert p_value(sched, 1) == pytest.approx(2.8)
+    assert sched.p(1) == pytest.approx(2.8)
     with pytest.raises(BadParameter):
-        p_value(sched, 3)
+        sched.p(3)
     with pytest.raises(BadParameter):
         ExponentSchedule.explicit([3.0, 3.1])
     with pytest.raises(BadParameter):

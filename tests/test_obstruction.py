@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from aplab.errors import (
     TruncationTooSmall,
 )
 from aplab.mixed_norm import z_norm
+from aplab.store import canonical_json
 
 
 @pytest.fixture(scope="module")
@@ -261,25 +263,25 @@ def test_trace_limit_identity(frame5):
 
 def test_experiment_report(small_data, frame5, log_schedule):
     report = ob.ap_experiment(frame5, cross_constant=2.0, operator_count=4, max_rank=3, seed=9)
-    assert max(r.deviation for r in report.identity_rows) <= 1e-10
+    assert max(r.deviation for r in report.identity_trace) <= 1e-10
     assert max(report.identity_telescope_residuals) <= 1e-9
-    for row in report.finite_rank_rows:
+    for row in report.finite_rank:
         assert row.max_beyond_support <= 1e-12
-    for row in report.compact_rows:
+    for row in report.compact_family:
         assert row.max_scaled_norm <= row.envelope
     # the log-rate rate reference collapses to a inverse square root profile
-    for row in report.compact_rows:
-        expected = report.compact_rows[0].rate_reference * math.sqrt(2.0) / math.sqrt(row.level + 1.0)
+    for row in report.compact_family:
+        expected = report.compact_family[0].rate_reference * math.sqrt(2.0) / math.sqrt(row.level + 1.0)
         assert row.rate_reference == pytest.approx(expected, rel=1e-9)
-    payload = report.to_payload()
+    payload = json.loads(canonical_json(report))
     assert payload["max_level"] == 5
     assert len(payload["finite_rank"]) == 4
 
 
 def test_experiment_empty_family(frame5):
     report = ob.ap_experiment(frame5, cross_constant=2.0, operator_count=0, seed=9)
-    assert report.finite_rank_rows == ()
-    assert len(report.identity_rows) == 6
+    assert report.finite_rank == ()
+    assert len(report.identity_trace) == 6
 
 
 def test_operator_validation():

@@ -1,4 +1,7 @@
+import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +191,106 @@ def test_cli_table_tamper_detection(tmp_path):
     rows = json.loads((out / "verify_report.json").read_text())["rows"]
     integrity = [r for r in rows if r["check"] == "character-table-integrity"]
     assert any(not r["passed"] for r in integrity)
+
+
+@pytest.mark.parametrize("tamper", ["config-budget", "level-reformat"])
+def test_cli_verify_checks_manifest(tmp_path, capsys, tamper):
+    out = tmp_path / tamper
+    assert _run("build", *BUILD_ARGS, "--out", str(out)) == 0
+    if tamper == "config-budget":
+        target = out / "config.json"
+        payload = json.loads(target.read_text())
+        payload["budget"] += 1
+    else:  # same content, different bytes
+        target = out / "levels" / "level_02.json"
+        payload = json.loads(target.read_text())
+    target.write_text(json.dumps(payload, indent=1))
+    capsys.readouterr()
+
+    for _ in range(2):  # a failed verify must not re-bless the tampered file
+        assert _run("verify", "--out", str(out)) == 1
+        assert target.relative_to(out).as_posix() in capsys.readouterr().err
+        first = json.loads((out / "verify_report.json").read_text())["rows"][0]
+        assert first["check"] == "manifest-integrity"
+        assert first["measured"] == 1.0 and first["passed"] is False
+
+
+def test_cli_derived_commands_follow_stored_config(tmp_path, capsys):
+    out = tmp_path / "cfg"
+    assert _run(
+        "build", "--schedule", "log", "--max-level", "2", "--seed", "3",
+        "--budget", "64", "--sign-budget", "16", "--out", str(out),
+    ) == 0
+    assert _run("ap", "--out", str(out), "--operators", "1") == 0
+    provenance = json.loads((out / "ap" / "obstruction.json").read_text())["provenance"]
+    expected = {"seed": 3, "budget": 64, "sign_budget": 16, "schedule": {"kind": "log"}}
+    assert provenance == expected
+    assert _run("moduli", "--out", str(out), "--m-samples", "32", "--depth", "2") == 0
+    witness = json.loads((out / "moduli" / "witness.json").read_text())
+    assert witness["schedule"] == {"kind": "log"}
+    assert _run("verify", "--out", str(out), "--seed", "3", "--schedule", "log") == 0
+    capsys.readouterr()
+
+    for flag, value in [("--seed", "4"), ("--budget", "2048"), ("--schedule", "power")]:
+        assert _run("verify", "--out", str(out), flag, value) == 2
+        assert flag in capsys.readouterr().err
+    assert _run("ap", "--out", str(out), "--sign-budget", "64") == 2
+    assert _run("moduli", "--out", str(out), "--schedule", "power") == 2
+    assert "--schedule" in capsys.readouterr().err
+
+
+# sha256 of every file a BUILD_ARGS run of build/verify/ap/moduli writes
+GOLDEN_SHA256 = {
+    "ap/compact_family.csv": "8e44754ceea9e24e5f93b501296edd08dddc30f0ed4219b7bedfba4b634007a2",
+    "ap/finite_rank.csv": "2dab412454a7e3f4190239f4c6e04d1f7f02a544504da0c3cbe61b82322a02da",
+    "ap/identity_trace.csv": "e9f8d42b92721d990037fd9d83e82f0a62da88faee27a12cb040495319397337",
+    "ap/obstruction.json": "a505f023f3edf7cec8d26b9c72689f9d92c452ce0c3ff53a81d46fe9eb153739",
+    "config.json": "06f5511f78b42f869929e02990ddbaf25442fdfeb5ab4acbf478473fccb6e5b4",
+    "constants.json": "4de763ea5edb7236f16ef9e1fc90ed16913d2a5a45c05c64173f5c639cedc683",
+    "levels/level_00.json": "f5aef6945eb9f217cb826d34463a2962bcd5667df1bdecdfddc7e57d2fcc2ef2",
+    "levels/level_01.json": "93a16bff346c64cdba12eb86529281fa5cd85f4be1682f65e8df809c80d37ad8",
+    "levels/level_02.json": "6a37d7b36c8cdb9d90d1ad2ee3f357e34efaffd3823dfbbf9d7288b74f8d82fe",
+    "levels/level_03.json": "8d67e74c1bbea0aa2c6904cc95217463edf1b0df5402bb51af44542bd7087036",
+    "manifest.json": "5a3eda354991f6de5867f1a636dae0b08a6b1b872db58f4329c73bd95c951efc",
+    "moduli/envelope.json": "5177e769440daa1954a92043fe60ab2019ec6961ccfc4fb6ff2913361b0d4660",
+    "moduli/split.csv": "9e16f25507d1bcdff3b6e747593e33ae5deffc94ca59ca766341b99fc8a560c0",
+    "moduli/split.json": "248a8981596b60173faed3dce65fb1796013d0860d3056c3da18321a7336a417",
+    "moduli/witness.csv": "56964e2227cca3631b37952561b678d3632ec1e543cf0fddd0092d0648bd04a0",
+    "moduli/witness.json": "8109acc2a73535457367e590782417037d3158a31975e00b24ff066d84080195",
+    "verify_report.json": "14dd257162d7523eaa02a42d4e544250b1ed59425d5f62f5221742931864197b",
+}
+
+
+def test_golden_artifacts(tmp_path):
+    """Every artifact keeps its bytes.
+
+    Recorded under numpy 2.4.6 with scipy-openblas (OpenBLAS 0.3.31,
+    DYNAMIC_ARCH, Haswell kernels); the hashes are the same with 1, 2 and 4
+    BLAS threads.  Before verify gained its manifest-integrity row, the CLI
+    wrote the same bytes for every file except verify_report.json and
+    manifest.json.
+    """
+    out = tmp_path / "golden"
+    for command in ("build", "verify", "ap"):
+        assert _run(command, *BUILD_ARGS, "--out", str(out)) == 0
+    assert _run(
+        "moduli", *BUILD_ARGS, "--out", str(out),
+        "--m-samples", "32,1024,1048576", "--depth", "2",
+    ) == 0
+    digests = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+    assert digests == GOLDEN_SHA256
+
+
+def test_tracer_targets_resolve():
+    """perfbench/tracer.py wraps each target in its owner's namespace, so a
+    renamed function or a dropped import in aplab breaks ``--trace 1``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for owner, attr, _ in tracer._TARGETS:
+        assert attr in tracer._resolve(owner).__dict__, f"{owner}.{attr}"
