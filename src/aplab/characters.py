@@ -44,15 +44,6 @@ class Group:
         if self.order != block_size(self.level):
             raise BadParameter(f"group order {self.order} != 3*2^{self.level}")
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.order
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.order
-
 
 def build_group(n: int, max_level: int = DEFAULT_MAX_LEVEL) -> Group:
     """Return the level-n group; levels above ``max_level`` are refused."""

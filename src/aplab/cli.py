@@ -45,7 +45,7 @@ from .moduli import (
     split_sequence,
     witness_point,
 )
-from .store import ArtifactStore
+from .store import MANIFEST_NAME, ArtifactStore
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,7 +60,10 @@ DEFAULT_M_SAMPLES = (2**10, 2**20, 2**40, 2**64)
 # What a build records in config.json, with the defaults build uses.  The
 # derived commands (verify, ap, moduli) take these from the store they read;
 # a flag given explicitly must agree with the stored value.
-BUILD_DEFAULTS = {"schedule": "power", "max_level": 6, "seed": 7, "budget": 2048, "sign_budget": 64}
+BUILD_DEFAULTS = {
+    "schedule": "power", "max_level": 6, "seed": 7, "budget": 2048, "sign_budget": 64,
+    "tol": 1e-9, "c1": 1.0, "c2": 1.0,
+}
 
 
 @dataclass(frozen=True)
@@ -318,8 +321,20 @@ def cmd_verify(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _require_intact(store: ArtifactStore, own: str) -> None:
+    """Refuse a store whose files differ from manifest.json, if it has one.
+
+    ``own`` prefixes the files the command rewrites itself; those are exempt.
+    """
+    if store.exists(MANIFEST_NAME):
+        stale = [f for f in store.manifest_mismatches() if not f.startswith(own)]
+        if stale:
+            raise CheckFailed(f"files differ from manifest.json: {', '.join(stale)}")
+
+
 def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
     store = ArtifactStore(config.out)
+    _require_intact(store, "ap/")
     data = load_data(store, config.max_level)
     constants = store.read_json("constants.json")
     assert isinstance(constants, dict)
@@ -368,6 +383,7 @@ def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
 
 def cmd_moduli(config: RunConfig, m_samples: Sequence[int], depth: int) -> int:
     store = ArtifactStore(config.out)
+    _require_intact(store, "moduli/")
     constants = TypeCotypeConstants(c1=config.c1, c2=config.c2)
     points = [witness_point(config.schedule, m, constants) for m in m_samples]
     envelope = growth_envelope_check(config.schedule, m_samples)
@@ -445,9 +461,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--budget", type=int, help="split search budget")
         p.add_argument("--sign-budget", type=int)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--c1", type=float, default=1.0)
-        p.add_argument("--c2", type=float, default=1.0)
+        p.add_argument("--tol", type=float)
+        p.add_argument("--c1", type=float)
+        p.add_argument("--c2", type=float)
         p.add_argument("--out", default=os.environ.get(OUT_ENV_VAR, "aplab-out"))
 
     for name in ("build", "verify", "ap", "moduli", "split"):
@@ -481,13 +497,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 for k in clashes
             ))
         values = stored
-    return RunConfig(
-        **values,
-        tol=args.tol,
-        c1=args.c1,
-        c2=args.c2,
-        out=Path(args.out),
-    )
+    return RunConfig(**values, out=Path(args.out))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

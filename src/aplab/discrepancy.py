@@ -208,8 +208,7 @@ def search_character_split(
     Deterministic for fixed (strategy, budget, seed); score ties resolve to
     the lexicographically smallest anchor list.  ``exhaustive`` enumerates
     every split and is only allowed for levels <= 4; ``random-restart``
-    scores ``budget`` uniform draws; ``greedy-swap`` hill-climbs single
-    anchor/carrier swaps from random starts within the same budget.
+    scores ``budget`` uniform draws.
     """
     if budget < 1:
         raise BadParameter(f"budget must be >= 1, got {budget}")
@@ -244,42 +243,6 @@ def search_character_split(
             ]
             scores = _score_indicator_batch(_indicator(k, chunk))
             consider(*_best_of_chunk(scores, chunk))
-    elif strategy == "greedy-swap":
-        evals = 0
-        restart = 0
-        while evals < budget:
-            rng = _candidate_rng(seed, _SPLIT_STREAM, restart)
-            restart += 1
-            current = tuple(int(x) for x in np.sort(rng.choice(k, size=cnt, replace=False)))
-            score = float(_score_indicator_batch(_indicator(k, [current]))[0])
-            evals += 1
-            consider(score, current)
-            improved = True
-            while improved and evals < budget:
-                improved = False
-                comp = _complement(k, current)
-                base = np.zeros(k, dtype=np.float64)
-                base[list(current)] = 1.0
-                for i, old in enumerate(current):
-                    room = budget - evals
-                    if room <= 0:
-                        break
-                    outs = comp[:room]
-                    if not outs:
-                        break
-                    batch = np.tile(base, (len(outs), 1))
-                    batch[:, old] = 0.0
-                    batch[np.arange(len(outs)), list(outs)] = 1.0
-                    scores = _score_indicator_batch(batch)
-                    evals += len(outs)
-                    j = int(np.argmin(scores))
-                    cand_score = float(scores[j])
-                    if cand_score < score:
-                        current = tuple(sorted(set(current) - {old} | {outs[j]}))
-                        score = cand_score
-                        consider(score, current)
-                        improved = True
-                        break
     else:
         raise BadParameter(f"unknown split search strategy {strategy!r}")
 
@@ -296,19 +259,6 @@ def search_character_split(
 # ----------------------------------------------------------------------
 # cross blocks
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrossBlocks:
-    """Coupling blocks of the level-n telescoping vectors.
-
-    ``lower[g, h]`` is the value at h one level down (None at level 0);
-    ``upper[g, h]`` the value at h one level up.
-    """
-
-    level: int
-    lower: Optional[np.ndarray]
-    upper: Optional[np.ndarray]
 
 
 def cross_matrix_from_values(
@@ -342,13 +292,6 @@ def cross_upper_matrix(n: int, data: ConstructionData) -> np.ndarray:
     left = here.table.rows_at_inverse(here.split.carriers)
     right = above.table.rows(above.split.anchors)
     return cross_matrix_from_values(left, right, above.require_signs().signs, 2.0 ** (-n - 1))
-
-
-def cross_blocks(n: int, data: ConstructionData) -> CrossBlocks:
-    """Both coupling blocks of level n (lower needs n >= 1, upper needs n+1)."""
-    lower = cross_lower_matrix(n, data) if n >= 1 else None
-    upper = cross_upper_matrix(n, data)
-    return CrossBlocks(level=n, lower=lower, upper=upper)
 
 
 def middle_block(n: int, data: ConstructionData) -> np.ndarray:
@@ -556,12 +499,9 @@ def certify_constants(levels: Iterable[int], data: ConstructionData) -> Certifie
     for n in level_list:
         if n < 1 or not data.has(n + 1):
             continue
-        blocks = cross_blocks(n, data)
-        mid = middle_block(n, data)
-        assert blocks.lower is not None
-        max_lower = float(np.abs(blocks.lower).max())
-        max_middle = float(np.abs(mid).max())
-        max_upper = float(np.abs(blocks.upper).max())
+        max_lower = float(np.abs(cross_lower_matrix(n, data)).max())
+        max_middle = float(np.abs(middle_block(n, data)).max())
+        max_upper = float(np.abs(cross_upper_matrix(n, data)).max())
         overall = max(max_lower, max_middle, max_upper)
         scale = cross_bound_scale(n)
         expected_mid = 2.0 ** (-n - 1) * balance[n]

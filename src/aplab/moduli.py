@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .characters import block_size
 from .errors import (
+    AplabError,
     BadParameter,
     DegenerateBasis,
     DepthUnreachable,
@@ -72,6 +73,38 @@ def _gap_safe(schedule: ExponentSchedule, n: int) -> Optional[float]:
         return None  # explicit list exhausted
 
 
+def _first_level(
+    schedule: ExponentSchedule, start: int, ok: Callable[[int], bool], error: AplabError
+) -> int:
+    """Smallest level n >= start with ok(n); ok must stay true once true.
+
+    An explicit list is scanned, since doubling could jump past the feasible
+    window; otherwise the level is bracketed by doubling and then bisected.
+    Raises ``error`` when no level qualifies.
+    """
+    if schedule.kind == "explicit":
+        assert schedule.p_list is not None
+        found = next((n for n in range(start, len(schedule.p_list)) if ok(n)), None)
+        if found is None:
+            raise error
+        return found
+    if ok(start):
+        return start
+    hi = max(2 * start, 1)
+    while not ok(hi):
+        hi *= 2
+        if hi > _SEARCH_LIMIT:
+            raise error
+    lo = max(start, hi // 2)  # ok(lo) is False
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def witness_point(
     schedule: ExponentSchedule,
     m: int,
@@ -90,30 +123,8 @@ def witness_point(
         g = _gap_safe(schedule, n + 1)
         return g is not None and 0.0 < g < threshold
 
-    if schedule.kind == "explicit":
-        # finite list: scan it; doubling could jump past the feasible window
-        assert schedule.p_list is not None
-        head = next((n for n in range(len(schedule.p_list)) if ok(n)), None)
-        if head is None:
-            raise NoWitness(f"no listed gap drops below 1/log2({m})")
-    elif ok(0):
-        head = 0
-    else:
-        hi = 1
-        while not ok(hi):
-            hi *= 2
-            if hi > _SEARCH_LIMIT:
-                raise NoWitness(
-                    f"gap never drops below 1/log2({m}) within the search limit"
-                )
-        lo = hi // 2  # ok(lo) is False
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        head = hi
+    missing = NoWitness(f"no level within the search range has gap(n+1) below 1/log2({m})")
+    head = _first_level(schedule, 0, ok, missing)
     return WitnessPoint(
         m=m,
         head_level=head,
@@ -254,39 +265,6 @@ class SplitResult:
     margins: Tuple[float, ...]
 
 
-def _next_split_index(schedule: ExponentSchedule, after: int, bound: float) -> int:
-    """Smallest index > after with gap(index) <= bound."""
-
-    def ok(n: int) -> bool:
-        g = _gap_safe(schedule, n)
-        return g is not None and g <= bound
-
-    lo = after + 1
-    if schedule.kind == "explicit":
-        assert schedule.p_list is not None
-        found = next((n for n in range(lo, len(schedule.p_list)) if ok(n)), None)
-        if found is None:
-            raise DepthUnreachable(f"no listed level has gap <= {bound}")
-        return found
-    if ok(lo):
-        return lo
-    hi = max(2 * lo, 2)
-    while not ok(hi):
-        hi *= 2
-        if hi > _SEARCH_LIMIT:
-            raise DepthUnreachable(
-                f"no level with gap <= {bound} within the search limit"
-            )
-    low = max(lo, hi // 2)
-    while hi - low > 1:
-        mid = (low + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            low = mid
-    return hi
-
-
 def split_sequence(schedule: ExponentSchedule, depth: int) -> SplitResult:
     """Select split levels n_1 < ... < n_depth and the alternating ranges.
 
@@ -340,7 +318,14 @@ def split_sequence(schedule: ExponentSchedule, depth: int) -> SplitResult:
                 f"threshold {j} is only representable as an iterated logarithm; "
                 f"the next split index cannot be computed exactly"
             )
-        nxt = _next_split_index(schedule, indices[-1], 1.0 / log2_m)
+        bound = 1.0 / log2_m
+
+        def ok(n: int) -> bool:
+            g = _gap_safe(schedule, n)
+            return g is not None and g <= bound
+
+        missing = DepthUnreachable(f"no level within the search range has gap <= {bound}")
+        nxt = _first_level(schedule, indices[-1] + 1, ok, missing)
         margins.append(schedule.gap(nxt) * log2_m)
         indices.append(nxt)
         if nxt <= _EXACT_EXPONENT_BITS and exponent is not None:

@@ -39,7 +39,7 @@ from .discrepancy import (
     cross_lower_matrix,
     cross_upper_matrix,
     middle_block,
-    split_discrepancy,
+    split_discrepancy,  # unused here; kept so profilers can wrap it by this name
     cross_bound_scale,
 )
 from .errors import (
@@ -189,45 +189,6 @@ def telescope_blocks(
     """
     lower = cross_lower_matrix(n, data) if n >= 1 else None
     return lower, middle_block(n, data), cross_upper_matrix(n, data)
-
-
-@dataclass(frozen=True)
-class PointwiseBoundReport:
-    level: int
-    max_lower: float
-    max_middle: float
-    max_upper: float
-    overall: float
-    bound: float
-    passed: bool
-    middle_identity_residual: float
-
-
-def check_pointwise_bound(
-    n: int, data: ConstructionData, constant: float
-) -> PointwiseBoundReport:
-    """Check |tele_{n,g}(h)| <= constant * (n+1)^{1/2} 2^{-n/2} on all blocks."""
-    if n < 1:
-        raise BadParameter("pointwise bound reports start at level 1")
-    lower, middle, upper = telescope_blocks(n, data)
-    assert lower is not None
-    max_lower = float(np.abs(lower).max())
-    max_middle = float(np.abs(middle).max())
-    max_upper = float(np.abs(upper).max())
-    overall = max(max_lower, max_middle, max_upper)
-    bound = constant * cross_bound_scale(n)
-    item = data.require(n)
-    expected_mid = 2.0 ** (-n - 1) * split_discrepancy(item.split, item.table)
-    return PointwiseBoundReport(
-        level=n,
-        max_lower=max_lower,
-        max_middle=max_middle,
-        max_upper=max_upper,
-        overall=overall,
-        bound=bound,
-        passed=overall <= bound,
-        middle_identity_residual=abs(max_middle - expected_mid),
-    )
 
 
 def telescope_norms(

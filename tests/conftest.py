@@ -1,6 +1,9 @@
+import tempfile
 import time
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from aplab.characters import CharacterTable, build_group
 from aplab.cli import build_levels
@@ -8,6 +11,13 @@ from aplab.discrepancy import certify_constants
 from aplab.mixed_norm import ExponentSchedule
 
 SEED = 7
+
+# Property tests draw the same examples on every run and keep no example
+# database; hypothesis's other caches go to a directory removed at exit.
+settings.register_profile("aplab", derandomize=True, database=None, deadline=None)
+settings.load_profile("aplab")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="aplab-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture(scope="session")

@@ -29,13 +29,6 @@ def test_group_respects_level_budget():
     assert build_group(25, max_level=25).order == 3 * 2**25
 
 
-def test_group_arithmetic():
-    g = build_group(1)
-    assert g.add(4, 5) == 3
-    assert g.neg(0) == 0
-    assert g.neg(2) == 4
-
-
 def test_character_values_order_six():
     table = CharacterTable(build_group(1))
     assert cmath.isclose(table.value(1, 1), cmath.exp(2j * cmath.pi / 6))

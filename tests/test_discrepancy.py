@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from aplab.characters import CharacterTable, build_group
 from aplab.discrepancy import (
@@ -11,10 +12,11 @@ from aplab.discrepancy import (
     LevelData,
     SignPattern,
     balance_values,
+    _score_indicator_batch,
     certify_constants,
-    cross_blocks,
     cross_lower_matrix,
     cross_matrix_from_values,
+    cross_upper_matrix,
     middle_block,
     search_character_split,
     search_signs,
@@ -27,6 +29,7 @@ from aplab.errors import (
     PartitionInvalid,
     StrategyUnavailable,
 )
+from strategies import constructions
 
 BEST_LEVEL1 = 3.0 * math.sqrt(3.0)  # exhaustive optimum over all C(6,2) splits
 BEST_LEVEL2 = 6.0  # exhaustive optimum over all C(12,4) splits
@@ -84,15 +87,6 @@ def test_random_restart_matches_exhaustive_small_levels():
         assert randomized.discrepancy == pytest.approx(exhaustive.discrepancy, abs=1e-9)
 
 
-def test_greedy_swap_improves_its_start():
-    # budget 1 random-restart scores exactly the first draw greedy starts from
-    table = CharacterTable(build_group(3))
-    for seed in (5, 7, 21):
-        first_draw = search_character_split(table, strategy="random-restart", budget=1, seed=seed)
-        greedy = search_character_split(table, strategy="greedy-swap", budget=400, seed=seed)
-        assert greedy.discrepancy <= first_draw.discrepancy + 1e-12
-
-
 def test_search_determinism():
     table = CharacterTable(build_group(3))
     a = search_character_split(table, strategy="random-restart", budget=128, seed=11)
@@ -126,6 +120,16 @@ def test_stored_discrepancy_matches_recompute(small_data):
     for n in small_data.levels():
         item = small_data.require(n)
         assert abs(item.split.discrepancy - split_discrepancy(item.split, item.table)) <= 1e-9
+
+
+@given(constructions())
+def test_fft_split_score_matches_defining_sum(case):
+    n, data = case
+    item = data.require(n)
+    indicator = np.zeros((1, item.table.order))
+    indicator[0, list(item.split.anchors)] = 1.0
+    fast = _score_indicator_batch(indicator)[0]
+    assert abs(fast - split_discrepancy(item.split, item.table)) <= 1e-12
 
 
 def test_balance_vanishes_at_identity(small_data):
@@ -166,21 +170,22 @@ def test_sign_pattern_validation():
         SignPattern(level=1, signs=(1, 0), objective=0.0)
 
 
-def test_fast_objective_matches_direct_blocks(small_data):
-    for n in (1, 2, 3):
-        stored = small_data.require(n).require_signs()
-        fast = sign_objective(n, small_data, stored.signs)
-        lower = np.abs(cross_blocks(n, small_data).lower).max()
-        upper_prev = np.abs(cross_blocks(n - 1, small_data).upper).max()
-        assert fast == pytest.approx(max(lower, upper_prev), abs=1e-12)
+@given(constructions())
+def test_fast_objective_matches_direct_blocks(case):
+    n, data = case
+    fast = sign_objective(n, data, data.require(n).require_signs().signs)
+    lower = np.abs(cross_lower_matrix(n, data)).max()
+    upper_prev = np.abs(cross_upper_matrix(n - 1, data)).max()
+    assert abs(fast - max(lower, upper_prev)) <= 1e-12
 
 
-def test_lower_and_upper_share_their_maximum(small_data):
-    # substituting (g, h) -> (-h, -g) exchanges the two blocks entrywise
-    for n in (1, 2, 3, 4):
-        lower = np.abs(cross_blocks(n, small_data).lower).max()
-        upper_prev = np.abs(cross_blocks(n - 1, small_data).upper).max()
-        assert lower == pytest.approx(upper_prev, abs=1e-12)
+@given(constructions())
+def test_lower_and_upper_share_their_maximum(case):
+    # upper_{n-1}(h, g) = -conj(lower_n(g, h)), so the moduli are transposes
+    n, data = case
+    lower = np.abs(cross_lower_matrix(n, data))
+    upper_prev = np.abs(cross_upper_matrix(n - 1, data))
+    assert np.abs(lower - upper_prev.T).max() <= 1e-12
 
 
 def test_cross_block_manual_double_sum():
@@ -224,24 +229,25 @@ def test_cross_matrix_zero_carriers(small_data):
     assert np.abs(block).max() == 0.0
 
 
-def test_middle_block_identity(small_data):
-    for n in (1, 2, 3, 4):
-        item = small_data.require(n)
-        observed = np.abs(middle_block(n, small_data)).max()
-        expected = 2.0 ** (-n - 1) * split_discrepancy(item.split, item.table)
-        assert observed == pytest.approx(expected, abs=1e-9)
+@given(constructions())
+def test_middle_block_identity(case):
+    n, data = case
+    item = data.require(n)
+    observed = np.abs(middle_block(n, data)).max()
+    expected = 2.0 ** (-n - 1) * split_discrepancy(item.split, item.table)
+    assert abs(observed - expected) <= 1e-12
 
 
 def test_cross_blocks_level0_has_no_lower(small_data):
-    blocks = cross_blocks(0, small_data)
-    assert blocks.lower is None
-    assert blocks.upper is not None
+    with pytest.raises(BadParameter):
+        cross_lower_matrix(0, small_data)
+    assert cross_upper_matrix(0, small_data).shape == (3, 6)
 
 
 def test_cross_blocks_missing_level(small_data):
     top = small_data.max_level
     with pytest.raises(MissingLevelData):
-        cross_blocks(top, small_data)  # upper block needs the level above
+        cross_upper_matrix(top, small_data)  # upper block needs the level above
 
 
 # ---------------------------------------------------------------- certification

@@ -3,16 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aplab import obstruction as ob
+from aplab.discrepancy import certify_constants
 from aplab.errors import (
     BadParameter,
     FormUnavailable,
     IndexOutOfRange,
     TruncationTooSmall,
 )
-from aplab.mixed_norm import z_norm
+from aplab.mixed_norm import ExponentSchedule, z_norm
 from aplab.store import canonical_json
+from strategies import constructions
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +99,21 @@ def test_both_forms_agree_on_telescope_vectors(small_data, log_schedule):
                 assert own == pytest.approx(complex(tele.own_coefficients[j - 1]), abs=1e-10)
 
 
+@given(constructions())
+def test_biorthogonality_on_random_splits(case):
+    top, data = case
+    frame = ob.BasisFrame(data, ExponentSchedule.log_rate(), top)
+    assert ob.biorthogonality_deviation(frame) < 1e-9
+
+
+@given(constructions(), st.integers(0, 2**16))
+def test_telescoping_identity_on_random_splits(case, seed):
+    top, data = case
+    frame = ob.BasisFrame(data, ExponentSchedule.log_rate(), top)
+    op = ob.OperatorMatrix.gaussian(top, seed=seed)
+    assert max(ob.telescope_residual(op, n, frame) for n in range(top)) < 1e-9
+
+
 def test_form_agreement_batched(frame5):
     for n in (1, 2, 3, 4):
         assert ob.form_agreement_deviation(frame5, n) < 1e-9
@@ -141,13 +160,13 @@ def test_level0_telescope_vector(small_data, log_schedule):
 
 
 def test_pointwise_bound_report(small_data):
-    for n in (1, 2, 3):
-        report = ob.check_pointwise_bound(n, small_data, 6.0)
-        assert report.passed
-        assert report.middle_identity_residual <= 1e-9
-        assert report.overall == max(report.max_lower, report.max_middle, report.max_upper)
-    tight = ob.check_pointwise_bound(1, small_data, 1e-3)
-    assert not tight.passed
+    rows = certify_constants(range(1, 4), small_data).cross_rows
+    assert [r.level for r in rows] == [1, 2, 3]
+    for row in rows:
+        assert row.overall <= 6.0 * row.scale
+        assert row.middle_identity_residual <= 1e-9
+        assert row.overall == max(row.max_lower, row.max_middle, row.max_upper)
+    assert rows[0].overall > 1e-3 * rows[0].scale
 
 
 def test_norm_bound_report(small_data, log_schedule, power_schedule):

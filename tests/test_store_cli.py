@@ -219,7 +219,7 @@ def test_cli_derived_commands_follow_stored_config(tmp_path, capsys):
     out = tmp_path / "cfg"
     assert _run(
         "build", "--schedule", "log", "--max-level", "2", "--seed", "3",
-        "--budget", "64", "--sign-budget", "16", "--out", str(out),
+        "--budget", "64", "--sign-budget", "16", "--c1", "2", "--out", str(out),
     ) == 0
     assert _run("ap", "--out", str(out), "--operators", "1") == 0
     provenance = json.loads((out / "ap" / "obstruction.json").read_text())["provenance"]
@@ -228,15 +228,46 @@ def test_cli_derived_commands_follow_stored_config(tmp_path, capsys):
     assert _run("moduli", "--out", str(out), "--m-samples", "32", "--depth", "2") == 0
     witness = json.loads((out / "moduli" / "witness.json").read_text())
     assert witness["schedule"] == {"kind": "log"}
+    assert witness["rows"][0]["iso_constant"] == pytest.approx(4.0 * 2.0**0.5)  # c1 = 2
     assert _run("verify", "--out", str(out), "--seed", "3", "--schedule", "log") == 0
     capsys.readouterr()
 
-    for flag, value in [("--seed", "4"), ("--budget", "2048"), ("--schedule", "power")]:
+    for flag, value in [("--seed", "4"), ("--budget", "2048"), ("--schedule", "power"), ("--tol", "1e-6")]:
         assert _run("verify", "--out", str(out), flag, value) == 2
         assert flag in capsys.readouterr().err
     assert _run("ap", "--out", str(out), "--sign-budget", "64") == 2
     assert _run("moduli", "--out", str(out), "--schedule", "power") == 2
     assert "--schedule" in capsys.readouterr().err
+    assert _run("moduli", "--out", str(out), "--c1", "1") == 2
+    assert "--c1" in capsys.readouterr().err
+
+
+def test_cli_ap_and_moduli_check_manifest(tmp_path, capsys):
+    # at level 2 this flip is invisible to every row but manifest-integrity
+    out = tmp_path / "rebless"
+    assert _run(
+        "build", "--max-level", "2", "--schedule", "log",
+        "--budget", "16", "--sign-budget", "8", "--out", str(out),
+    ) == 0
+    target = out / "levels" / "level_02.json"
+    payload = json.loads(target.read_text())
+    payload["signs"]["signs"][0] *= -1
+    target.write_text(json.dumps(payload))
+    manifest = (out / "manifest.json").read_bytes()
+    capsys.readouterr()
+
+    for command in ("ap", "moduli"):
+        assert _run(command, "--out", str(out)) == 1
+        assert "levels/level_02.json" in capsys.readouterr().err
+        assert (out / "manifest.json").read_bytes() == manifest
+    for _ in range(2):
+        assert _run("verify", "--out", str(out)) == 1
+        assert "levels/level_02.json" in capsys.readouterr().err
+
+    # a directory without a manifest has nothing to compare
+    bare = tmp_path / "bare"
+    assert _run("moduli", "--schedule", "log", "--out", str(bare), "--m-samples", "32") == 0
+    assert (bare / "manifest.json").exists()
 
 
 # sha256 of every file a BUILD_ARGS run of build/verify/ap/moduli writes
