@@ -86,10 +86,6 @@ class CharacterTable:
     def order(self) -> int:
         return self.group.order
 
-    def _check(self, idx: int, name: str) -> None:
-        if not 0 <= idx < self.group.order:
-            raise IndexOutOfRange(f"{name} index {idx} outside [0, {self.group.order})")
-
     def _roots(self) -> np.ndarray:
         if self._root_cache is None:
             k = self.group.order
@@ -100,8 +96,9 @@ class CharacterTable:
 
     def exponent(self, c: int, g: int) -> int:
         """Exact exponent index e with chi_c(g) = exp(2*pi*i*e/k)."""
-        self._check(c, "character")
-        self._check(g, "element")
+        for idx, name in ((c, "character"), (g, "element")):
+            if not 0 <= idx < self.group.order:
+                raise IndexOutOfRange(f"{name} index {idx} outside [0, {self.group.order})")
         if self._exponents is not None:
             return int(self._exponents[c, g])
         return (c * g) % self.group.order
@@ -109,53 +106,41 @@ class CharacterTable:
     def value(self, c: int, g: int) -> complex:
         return complex(self._roots()[self.exponent(c, g)])
 
-    def _exponent_row(self, c: int) -> np.ndarray:
+    def _exponent_rows(self, cs: Sequence[int]) -> np.ndarray:
+        """Exponent indices e[c, g], one row per c in ``cs``, every index checked."""
         k = self.group.order
+        idx = np.asarray(cs, dtype=np.int64).reshape(-1)
+        bad = idx[(idx < 0) | (idx >= k)]
+        if bad.size:
+            raise IndexOutOfRange(f"character index {int(bad[0])} outside [0, {k})")
         if self._exponents is not None:
-            return self._exponents[c]
-        return (c * np.arange(k)) % k
+            return self._exponents[idx]
+        return np.outer(idx, np.arange(k)) % k
 
     def row(self, c: int) -> np.ndarray:
         """Values chi_c(g), g = 0..k-1."""
-        self._check(c, "character")
-        return self._roots()[self._exponent_row(c)]
+        return self._roots()[self._exponent_rows([c])[0]]
 
     def row_at_inverse(self, c: int) -> np.ndarray:
         """Values chi_c(-g) = conj(chi_c(g)), g = 0..k-1, exact in exponents."""
-        self._check(c, "character")
-        k = self.group.order
-        return self._roots()[(k - self._exponent_row(c)) % k]
+        return self._roots()[-self._exponent_rows([c])[0] % self.group.order]
 
     def rows(self, cs: Sequence[int]) -> np.ndarray:
-        return np.stack([self.row(c) for c in cs]) if len(cs) else np.zeros((0, self.order), dtype=np.complex128)
+        return self._roots()[self._exponent_rows(cs)]
 
     def rows_at_inverse(self, cs: Sequence[int]) -> np.ndarray:
-        return np.stack([self.row_at_inverse(c) for c in cs]) if len(cs) else np.zeros((0, self.order), dtype=np.complex128)
-
-    def _guard_dense(self) -> None:
-        k = self.group.order
-        if k * k > _TABLE_ENTRY_LIMIT:
-            raise LevelTooLarge(f"dense {k}x{k} table exceeds the entry limit")
+        return self._roots()[-self._exponent_rows(cs) % self.group.order]
 
     def matrix(self) -> np.ndarray:
         """Dense value matrix V[c, g] = chi_c(g)."""
-        self._guard_dense()
-        k = self.group.order
-        if self._exponents is not None:
-            exps = self._exponents
-        else:
-            idx = np.arange(k)
-            exps = (np.outer(idx, idx)) % k
-        return self._roots()[exps]
+        return self._roots()[self.exponent_matrix()]
 
     def exponent_matrix(self) -> np.ndarray:
         """Dense integer matrix e[c, g]; the serialization form."""
-        self._guard_dense()
         k = self.group.order
-        if self._exponents is not None:
-            return self._exponents.copy()
-        idx = np.arange(k)
-        return (np.outer(idx, idx)) % k
+        if k * k > _TABLE_ENTRY_LIMIT:
+            raise LevelTooLarge(f"dense {k}x{k} table exceeds the entry limit")
+        return self._exponent_rows(range(k))
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,8 @@ def load_data(store: ArtifactStore, max_level: int) -> ConstructionData:
 
 
 def cmd_build(config: RunConfig) -> int:
+    if (config.out / MANIFEST_NAME).exists():
+        raise BadParameter(f"{config.out / MANIFEST_NAME} exists; build needs a new --out")
     store = ArtifactStore(config.out)
     data = build_levels(config.max_level, config.seed, config.budget, config.sign_budget)
     constants = certify_constants(range(config.max_level + 1), data)
@@ -293,8 +295,7 @@ def _row(
 
 def cmd_verify(config: RunConfig) -> int:
     store = ArtifactStore(config.out)
-    # verify rewrites its own report, so only the other listed files must match
-    stale = [f for f in store.manifest_mismatches() if f != VERIFY_REPORT]
+    stale = store.manifest_mismatches(VERIFY_REPORT)  # verify rewrites its own report
     data = load_data(store, config.max_level)
     stored = store.read_json("constants.json")
     fresh = certify_constants(range(config.max_level + 1), data)
@@ -322,14 +323,10 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def _require_intact(store: ArtifactStore, own: str) -> None:
-    """Refuse a store whose files differ from manifest.json, if it has one.
-
-    ``own`` prefixes the files the command rewrites itself; those are exempt.
-    """
-    if store.exists(MANIFEST_NAME):
-        stale = [f for f in store.manifest_mismatches() if not f.startswith(own)]
-        if stale:
-            raise CheckFailed(f"files differ from manifest.json: {', '.join(stale)}")
+    """Refuse a store whose listed files differ from manifest.json, except ``own``."""
+    stale = store.manifest_mismatches(own)
+    if stale:
+        raise CheckFailed(f"files differ from {MANIFEST_NAME}: {', '.join(stale)}")
 
 
 def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
@@ -383,7 +380,8 @@ def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
 
 def cmd_moduli(config: RunConfig, m_samples: Sequence[int], depth: int) -> int:
     store = ArtifactStore(config.out)
-    _require_intact(store, "moduli/")
+    if (config.out / "config.json").exists():  # moduli on a build, as in _config_from_args
+        _require_intact(store, "moduli/")
     constants = TypeCotypeConstants(c1=config.c1, c2=config.c2)
     points = [witness_point(config.schedule, m, constants) for m in m_samples]
     envelope = growth_envelope_check(config.schedule, m_samples)
@@ -426,9 +424,9 @@ def cmd_split(config: RunConfig, depth: int) -> int:
     return EXIT_OK
 
 
-def _parse_schedule(text: str, alpha: float) -> ExponentSchedule:
+def _parse_schedule(text: str, alpha: Optional[float]) -> ExponentSchedule:
     if text == "power":
-        return ExponentSchedule.power(alpha)
+        return ExponentSchedule.power(0.5 if alpha is None else alpha)
     if text == "log":
         return ExponentSchedule.log_rate()
     try:
@@ -456,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--schedule", help="power | log | JSON spec (default power)")
-        p.add_argument("--alpha", type=float, default=0.5)
+        p.add_argument("--alpha", type=float, help="power exponent (default 0.5)")
         p.add_argument("--max-level", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--budget", type=int, help="split search budget")
@@ -482,6 +480,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     given = {k: getattr(args, k) for k in BUILD_DEFAULTS if getattr(args, k) is not None}
+    flags = {k: f"--{k.replace('_', '-')} {v}" for k, v in given.items()}
+    if args.alpha is not None:  # part of the schedule flag
+        given.setdefault("schedule", BUILD_DEFAULTS["schedule"])
+        flags["schedule"] = f"{flags.get('schedule', '')} --alpha {args.alpha}".lstrip()
     values = {**BUILD_DEFAULTS, **given}
     values["schedule"] = _parse_schedule(values["schedule"], args.alpha)
     config_path = Path(args.out) / "config.json"
@@ -493,7 +495,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         clashes = [k for k in given if values[k] != stored[k]]
         if clashes:
             raise BadParameter("; ".join(
-                f"--{k.replace('_', '-')} {given[k]} conflicts with {k} {raw[k]} in {config_path}"
+                f"{flags[k]} conflicts with {k} {raw[k]} in {config_path}"
                 for k in clashes
             ))
         values = stored

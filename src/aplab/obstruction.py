@@ -621,6 +621,8 @@ def ap_experiment(
         support_cap = max(0, top - 1)
     if support_cap >= top:
         raise BadParameter("the support cap must stay below the truncation level")
+    if max_rank < 1 or operator_count < 0:
+        raise BadParameter(f"need rank >= 1 and operators >= 0, got {max_rank}, {operator_count}")
 
     ident = OperatorMatrix.identity(top)
     identity_rows = []

@@ -1,8 +1,10 @@
 """Deterministic JSON/CSV artifact store with a hash manifest.
 
 Payloads carry no timestamps and serialize with sorted keys and compact
-separators, so identical runs reproduce identical bytes.  The manifest maps
-every stored file to its sha256 and excludes itself.
+separators, so identical runs reproduce identical bytes.  The manifest lists
+the files aplab wrote: its earlier entries plus each file this store wrote,
+hashed as written, never the directory as found.  The store reads it once,
+rejects one that is not ``{"files": {path: sha256}}`` and owns the mismatch check.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import json
 import math
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from .errors import MissingArtifact
+from .errors import CheckFailed, MissingArtifact
 
 MANIFEST_NAME = "manifest.json"
 
@@ -68,15 +70,15 @@ class ArtifactStore:
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-
-    def _hash_bytes(self, data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
+        self._listed: Optional[Dict[str, str]] = None  # manifest entries, once read
+        self._written: Dict[str, str] = {}  # sha256 of each file written here
 
     def _write_bytes(self, relpath: str, data: bytes) -> str:
         path = self.root / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(data)
-        return self._hash_bytes(data)
+        self._written[relpath] = hashlib.sha256(data).hexdigest()
+        return self._written[relpath]
 
     def write_json(self, relpath: str, payload: object) -> str:
         return self._write_bytes(relpath, (canonical_json(payload) + "\n").encode("utf-8"))
@@ -92,28 +94,35 @@ class ArtifactStore:
             raise MissingArtifact(f"artifact {relpath} not found under {self.root}")
         return json.loads(path.read_text(encoding="utf-8"))
 
-    def exists(self, relpath: str) -> bool:
-        return (self.root / relpath).exists()
+    def _manifest(self) -> Dict[str, str]:
+        """Entries of manifest.json, read once; MissingArtifact without one."""
+        if self._listed is None:
+            try:
+                raw = self.read_json(MANIFEST_NAME)
+            except ValueError as exc:
+                raise CheckFailed(f"{self.root / MANIFEST_NAME} is not JSON: {exc}") from exc
+            files = raw.get("files") if isinstance(raw, dict) and len(raw) == 1 else None
+            if not isinstance(files, dict) or not all(isinstance(v, str) for v in files.values()):
+                raise CheckFailed(f'{self.root / MANIFEST_NAME} is not {{"files": {{path: sha}}}}')
+            self._listed = files
+        return self._listed
 
-    def manifest_mismatches(self) -> List[str]:
-        """Files the manifest lists that are missing or whose sha256 differs."""
-        listed = self.read_json(MANIFEST_NAME)["files"]  # type: ignore[index]
-        return [
-            rel
-            for rel, sha in sorted(listed.items())
-            if not (self.root / rel).is_file()
-            or self._hash_bytes((self.root / rel).read_bytes()) != sha
-        ]
+    def _sha256(self, relpath: str) -> Optional[str]:
+        path = self.root / relpath
+        return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+
+    def manifest_mismatches(self, own: str) -> List[str]:
+        """Listed files that are missing or whose sha256 differs.
+
+        ``own`` prefixes the files the calling command rewrites; those are exempt.
+        """
+        listed = {rel: sha for rel, sha in self._manifest().items() if not rel.startswith(own)}
+        return sorted(rel for rel, sha in listed.items() if self._sha256(rel) != sha)
 
     def update_manifest(self) -> Dict[str, str]:
-        """Rehash every stored file and rewrite the manifest."""
-        entries: Dict[str, str] = {}
-        for path in sorted(self.root.rglob("*")):
-            if not path.is_file():
-                continue
-            rel = path.relative_to(self.root).as_posix()
-            if rel == MANIFEST_NAME:
-                continue
-            entries[rel] = self._hash_bytes(path.read_bytes())
-        self._write_bytes(MANIFEST_NAME, (canonical_json({"files": entries}) + "\n").encode("utf-8"))
-        return entries
+        """Rewrite the manifest as what it listed plus what this store wrote."""
+        listed = self._manifest() if (self.root / MANIFEST_NAME).exists() else {}
+        self._listed = dict(sorted({**listed, **self._written}.items()))
+        data = (canonical_json({"files": self._listed}) + "\n").encode("utf-8")
+        (self.root / MANIFEST_NAME).write_bytes(data)
+        return self._listed

@@ -303,8 +303,11 @@ def test_experiment_empty_family(frame5):
     assert len(report.identity_trace) == 6
 
 
-def test_operator_validation():
+def test_operator_validation(frame4):
     with pytest.raises(BadParameter):
         ob.OperatorMatrix(2, np.zeros((3, 3)))
+    for bad in ({"max_rank": 0}, {"operator_count": -1}):
+        with pytest.raises(BadParameter):
+            ob.ap_experiment(frame4, cross_constant=2.0, **bad)
     with pytest.raises(TruncationTooSmall):
         ob.random_finite_rank_operator(2, support_level=3, rank=1, seed=0)

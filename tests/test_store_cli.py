@@ -22,6 +22,7 @@ def test_store_roundtrip_and_manifest(tmp_path):
     store.write_json("x/data.json", {"value": 0.25})
     store.write_csv("x/table.csv", ["a", "b"], [[1, 2.5], [3, "z"]])
     assert store.read_json("x/data.json") == {"value": 0.25}
+    (tmp_path / "x" / "stray.txt").write_text("not written by the store")
     entries = store.update_manifest()
     assert set(entries) == {"x/data.json", "x/table.csv"}
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -232,7 +233,10 @@ def test_cli_derived_commands_follow_stored_config(tmp_path, capsys):
     assert _run("verify", "--out", str(out), "--seed", "3", "--schedule", "log") == 0
     capsys.readouterr()
 
-    for flag, value in [("--seed", "4"), ("--budget", "2048"), ("--schedule", "power"), ("--tol", "1e-6")]:
+    for flag, value in [
+        ("--seed", "4"), ("--budget", "2048"), ("--schedule", "power"), ("--tol", "1e-6"),
+        ("--alpha", "0.3"),
+    ]:
         assert _run("verify", "--out", str(out), flag, value) == 2
         assert flag in capsys.readouterr().err
     assert _run("ap", "--out", str(out), "--sign-budget", "64") == 2
@@ -240,6 +244,24 @@ def test_cli_derived_commands_follow_stored_config(tmp_path, capsys):
     assert "--schedule" in capsys.readouterr().err
     assert _run("moduli", "--out", str(out), "--c1", "1") == 2
     assert "--c1" in capsys.readouterr().err
+    assert _run("ap", "--out", str(out), "--rank", "0") == 2
+
+
+def test_cli_alpha_is_part_of_the_schedule_flag(tmp_path, capsys):
+    out = tmp_path / "alpha"
+    assert _run(
+        "build", "--alpha", "0.3", "--max-level", "1", "--budget", "8", "--sign-budget", "8",
+        "--out", str(out),
+    ) == 0
+    stored = json.loads((out / "config.json").read_text())["schedule"]
+    assert stored == {"kind": "power", "alpha": 0.3}
+    assert _run("verify", "--out", str(out), "--alpha", "0.3") == 0
+    capsys.readouterr()
+    for command, flags in [
+        ("ap", ["--alpha", "0.9"]), ("moduli", ["--schedule", "power", "--alpha", "0.5"]),
+    ]:
+        assert _run(command, "--out", str(out), *flags) == 2
+        assert "--alpha" in capsys.readouterr().err
 
 
 def test_cli_ap_and_moduli_check_manifest(tmp_path, capsys):
@@ -264,10 +286,54 @@ def test_cli_ap_and_moduli_check_manifest(tmp_path, capsys):
         assert _run("verify", "--out", str(out)) == 1
         assert "levels/level_02.json" in capsys.readouterr().err
 
-    # a directory without a manifest has nothing to compare
+    # without its manifest a build is refused, not blessed afresh
+    (out / "manifest.json").unlink()
+    for command in ("ap", "verify", "moduli"):
+        assert _run(command, "--out", str(out)) == 3
+        assert not (out / "manifest.json").exists()
+
+    # a directory without a build has nothing to compare
     bare = tmp_path / "bare"
     assert _run("moduli", "--schedule", "log", "--out", str(bare), "--m-samples", "32") == 0
     assert (bare / "manifest.json").exists()
+
+
+def _snapshot(out):
+    return {
+        path.relative_to(out).as_posix(): (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_cli_build_refuses_a_used_out(tmp_path, capsys):
+    # a second build would leave level 3 and ap/ of the first one blessed
+    out = tmp_path / "used"
+    first = ("--schedule", "log", "--budget", "16", "--sign-budget", "8", "--out", str(out))
+    assert _run("build", "--max-level", "3", "--seed", "3", *first) == 0
+    assert _run("ap", "--out", str(out), "--operators", "1") == 0
+    before = _snapshot(out)
+    capsys.readouterr()
+
+    assert _run("build", "--max-level", "2", "--seed", "4", *first) == 2
+    assert str(out / "manifest.json") in capsys.readouterr().err
+    assert _snapshot(out) == before
+    assert _run("verify", "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize("text", ["{not json", "[]", '{"files": []}'])
+def test_cli_malformed_manifest_fails_the_check(tmp_path, capsys, text):
+    out = tmp_path / "malformed"
+    assert _run(
+        "build", "--max-level", "1", "--schedule", "log",
+        "--budget", "8", "--sign-budget", "8", "--out", str(out),
+    ) == 0
+    (out / "manifest.json").write_text(text)
+    capsys.readouterr()
+    for command in ("verify", "ap"):
+        assert _run(command, "--out", str(out)) == 1
+        assert "manifest.json" in capsys.readouterr().err
+        assert (out / "manifest.json").read_text() == text
 
 
 # sha256 of every file a BUILD_ARGS run of build/verify/ap/moduli writes
@@ -292,7 +358,41 @@ GOLDEN_SHA256 = {
 }
 
 
-def test_golden_artifacts(tmp_path):
+POWER_ARGS = (
+    "--max-level", "4", "--schedule", "power",
+    "--budget", "128", "--sign-budget", "16", "--seed", "3",
+)
+
+# the same for a POWER_ARGS run, which takes verify's power-only branches
+GOLDEN_POWER_SHA256 = {
+    "ap/compact_family.csv": "ce184a261098ffee88c22f22b84e3023449f790f32dfb6914e31966c741e09be",
+    "ap/finite_rank.csv": "97054a8c8f3873d3a649f7302c5ead23dcc30808f8543bceb4a0c33831d9c6c1",
+    "ap/identity_trace.csv": "92fd63d68210a1af724cdbe93ab2f18f1a136402de96bb252867f97eba63fc3d",
+    "ap/obstruction.json": "03bcfebdaa03952e9eba0a13c5162a4374ee04c635a9d4e48a67a2c633a923db",
+    "config.json": "4f0a17047962cedda7e42d0c5ce123dbcd1e87b7c251f59d0c11eac283c9c8af",
+    "constants.json": "b85e3bd671b71034a083e194dcd5d32776e1b42a4812c4fed81a71d56dfdddbd",
+    "levels/level_00.json": "f5aef6945eb9f217cb826d34463a2962bcd5667df1bdecdfddc7e57d2fcc2ef2",
+    "levels/level_01.json": "93a16bff346c64cdba12eb86529281fa5cd85f4be1682f65e8df809c80d37ad8",
+    "levels/level_02.json": "6a37d7b36c8cdb9d90d1ad2ee3f357e34efaffd3823dfbbf9d7288b74f8d82fe",
+    "levels/level_03.json": "a0f18bc24586e223a0cddb32cd5507be10660336b648349d844a5da78fbaa10b",
+    "levels/level_04.json": "4ad3bf24e2964a59d7519b768add15bc0e1521df47cbfc1a241102bacad0ef7b",
+    "manifest.json": "2225fcf7cd4fc4528c4f9bc0f6d59651638f5e29204224bb12f22bea5f0e79b2",
+    "moduli/envelope.json": "6342e3ac215e2603789d97650b0a5df92d08d5d32e30865736f06e7df7accacf",
+    "moduli/split.csv": "0d13bf923590ee862e7cc36d166d7495299ec46f2c83a4067ff5c271cf2766a3",
+    "moduli/split.json": "88b5c141a844b953408e79eb1fe1ed56e183e2d595cbe3f9162740b46eed7ff2",
+    "moduli/witness.csv": "1c72ec144ff235d1827c9cc802b9aefecc920473875ad29179f8a713d6cf8654",
+    "moduli/witness.json": "e21ec145dd575433534ef40f695714f8bae18cd329919a89f353f14a69040ae9",
+    "verify_report.json": "b9066312ff21032e0f8d773219fea7df7098922c2a6779107bc46231c76b595e",
+}
+
+GOLDEN = {
+    "log": (BUILD_ARGS, ("--m-samples", "32,1024,1048576", "--depth", "2"), GOLDEN_SHA256),
+    "power": (POWER_ARGS, ("--m-samples", "32,1024", "--depth", "2"), GOLDEN_POWER_SHA256),
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(GOLDEN))
+def test_golden_artifacts(tmp_path, schedule):
     """Every artifact keeps its bytes.
 
     Recorded under numpy 2.4.6 with scipy-openblas (OpenBLAS 0.3.31,
@@ -301,19 +401,17 @@ def test_golden_artifacts(tmp_path):
     wrote the same bytes for every file except verify_report.json and
     manifest.json.
     """
+    args, moduli_args, golden = GOLDEN[schedule]
     out = tmp_path / "golden"
     for command in ("build", "verify", "ap"):
-        assert _run(command, *BUILD_ARGS, "--out", str(out)) == 0
-    assert _run(
-        "moduli", *BUILD_ARGS, "--out", str(out),
-        "--m-samples", "32,1024,1048576", "--depth", "2",
-    ) == 0
+        assert _run(command, *args, "--out", str(out)) == 0
+    assert _run("moduli", *args, "--out", str(out), *moduli_args) == 0
     digests = {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))
         if path.is_file()
     }
-    assert digests == GOLDEN_SHA256
+    assert digests == golden
 
 
 def test_tracer_targets_resolve():
