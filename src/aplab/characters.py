@@ -86,7 +86,8 @@ class CharacterTable:
     def order(self) -> int:
         return self.group.order
 
-    def _roots(self) -> np.ndarray:
+    def roots(self) -> np.ndarray:
+        """Values exp(2*pi*i*e/k), e = 0..k-1, indexed by exact exponent."""
         if self._root_cache is None:
             k = self.group.order
             roots = np.exp(2j * np.pi * np.arange(k) / k)
@@ -104,7 +105,7 @@ class CharacterTable:
         return (c * g) % self.group.order
 
     def value(self, c: int, g: int) -> complex:
-        return complex(self._roots()[self.exponent(c, g)])
+        return complex(self.roots()[self.exponent(c, g)])
 
     def _exponent_rows(self, cs: Sequence[int]) -> np.ndarray:
         """Exponent indices e[c, g], one row per c in ``cs``, every index checked."""
@@ -119,21 +120,21 @@ class CharacterTable:
 
     def row(self, c: int) -> np.ndarray:
         """Values chi_c(g), g = 0..k-1."""
-        return self._roots()[self._exponent_rows([c])[0]]
+        return self.roots()[self._exponent_rows([c])[0]]
 
     def row_at_inverse(self, c: int) -> np.ndarray:
         """Values chi_c(-g) = conj(chi_c(g)), g = 0..k-1, exact in exponents."""
-        return self._roots()[-self._exponent_rows([c])[0] % self.group.order]
+        return self.roots()[-self._exponent_rows([c])[0] % self.group.order]
 
     def rows(self, cs: Sequence[int]) -> np.ndarray:
-        return self._roots()[self._exponent_rows(cs)]
+        return self.roots()[self._exponent_rows(cs)]
 
     def rows_at_inverse(self, cs: Sequence[int]) -> np.ndarray:
-        return self._roots()[-self._exponent_rows(cs) % self.group.order]
+        return self.roots()[-self._exponent_rows(cs) % self.group.order]
 
     def matrix(self) -> np.ndarray:
         """Dense value matrix V[c, g] = chi_c(g)."""
-        return self._roots()[self.exponent_matrix()]
+        return self.roots()[self.exponent_matrix()]
 
     def exponent_matrix(self) -> np.ndarray:
         """Dense integer matrix e[c, g]; the serialization form."""

@@ -427,6 +427,8 @@ def cmd_split(config: RunConfig, depth: int) -> int:
 def _parse_schedule(text: str, alpha: Optional[float]) -> ExponentSchedule:
     if text == "power":
         return ExponentSchedule.power(0.5 if alpha is None else alpha)
+    if alpha is not None:
+        raise BadParameter(f"--alpha applies to --schedule power only, not {text!r}")
     if text == "log":
         return ExponentSchedule.log_rate()
     try:

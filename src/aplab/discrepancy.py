@@ -14,9 +14,11 @@ couple neighbouring levels through the basis vectors:
     upper_n(g, h) = +2^{-n-1} * sum_j chi_{carrier^n_j}(-g) eps^{n+1}_j chi_{anchor^{n+1}_j}(h)
 
 Choosing eps^n fixes lower_n and upper_{n-1}, so patterns are selected
-level by level.  Searches score candidates through FFTs of sparse
-placements; certification recomputes every quantity from the defining sums
-so the two routes check each other.
+level by level.  Since upper_{n-1}(h, g) = -conj(lower_n(g, h)), a sign
+candidate is scored on the lower block alone, one length-k FFT per row of
+lower_n^T; split candidates are scored by one FFT of the anchor indicator.
+Certification recomputes every quantity from the defining sums so the two
+routes check each other.
 
 Randomized strategies draw each candidate from its own seed sequence keyed
 by (seed, stream, index); results do not depend on evaluation order.
@@ -45,7 +47,12 @@ EXHAUSTIVE_SIGN_MAX_LEVEL = 4
 _SPLIT_STREAM = 101
 _SIGN_STREAM = 202
 
-_CHUNK = 4096
+# Split candidates are scored in batches of about this many spectrum entries.
+_SPLIT_CHUNK_ENTRIES = 1 << 20
+# Rows of lower_n^T transformed at once by the sign objective.
+_SIGN_CHUNK_ROWS = 64
+# Sign objectives within this relative distance of the best are ties.
+_SIGN_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -181,10 +188,14 @@ def _best_of_chunk(
     return lo, min(ties)
 
 
+def _split_chunk_rows(k: int) -> int:
+    return max(1, _SPLIT_CHUNK_ENTRIES // k)
+
+
 def _iter_combination_chunks(k: int, cnt: int) -> Iterator[List[Tuple[int, ...]]]:
     it = itertools.combinations(range(k), cnt)
     while True:
-        chunk = list(itertools.islice(it, _CHUNK))
+        chunk = list(itertools.islice(it, _split_chunk_rows(k)))
         if not chunk:
             return
         yield chunk
@@ -235,8 +246,9 @@ def search_character_split(
             scores = _score_indicator_batch(_indicator(k, chunk))
             consider(*_best_of_chunk(scores, chunk))
     elif strategy == "random-restart":
-        for start in range(0, budget, _CHUNK):
-            idxs = range(start, min(start + _CHUNK, budget))
+        step = _split_chunk_rows(k)
+        for start in range(0, budget, step):
+            idxs = range(start, min(start + step, budget))
             chunk = [
                 tuple(int(x) for x in np.sort(_candidate_rng(seed, _SPLIT_STREAM, i).choice(k, size=cnt, replace=False)))
                 for i in idxs
@@ -312,27 +324,15 @@ def middle_block(n: int, data: ConstructionData) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _sign_matrices_fast(
-    n: int,
-    anchors_here: Sequence[int],
-    carriers_below: Sequence[int],
-    k_here: int,
-    k_below: int,
-    eps: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Lower block of level n and upper block of level n-1 via 2-d FFTs."""
-    b_low = np.zeros((k_here, k_below), dtype=np.complex128)
-    b_low[list(anchors_here), list(carriers_below)] = eps
-    lower = -(2.0 ** (-n)) * k_below * np.fft.ifft(np.fft.fft(b_low, axis=0), axis=1)
-
-    b_up = np.zeros((k_below, k_here), dtype=np.complex128)
-    b_up[list(carriers_below), list(anchors_here)] = eps
-    upper_prev = (2.0 ** (-n)) * k_here * np.fft.ifft(np.fft.fft(b_up, axis=0), axis=1)
-    return lower, upper_prev
-
-
 def sign_objective(n: int, data: ConstructionData, signs: Sequence[int]) -> float:
-    """Largest cross-block magnitude the level-n pattern controls."""
+    """Largest cross-block magnitude the level-n pattern controls.
+
+    |upper_{n-1}| is the transpose of |lower_n|, so only lower_n is formed.
+    Row h of lower_n^T is -2^{-n} times the length-k DFT of the vector that
+    holds eps_j * chi_{c_j}(h) at anchor a_j; the phases are gathered from
+    the exact-exponent roots of level n-1 and rows go in fixed-size chunks,
+    so memory stays O(chunk * k).
+    """
     if n == 0:
         return 0.0
     here = data.require(n)
@@ -340,15 +340,18 @@ def sign_objective(n: int, data: ConstructionData, signs: Sequence[int]) -> floa
     eps = np.asarray(signs, dtype=np.float64)
     if len(eps) != len(here.split.anchors):
         raise BadParameter("sign pattern length must match the anchor count")
-    lower, upper_prev = _sign_matrices_fast(
-        n,
-        here.split.anchors,
-        below.split.carriers,
-        here.table.order,
-        below.table.order,
-        eps,
-    )
-    return float(max(np.abs(lower).max(), np.abs(upper_prev).max()))
+    k, k_below = here.table.order, below.table.order
+    anchors = np.asarray(here.split.anchors, dtype=np.int64)
+    carriers = np.asarray(below.split.carriers, dtype=np.int64)
+    roots = below.table.roots()
+    placed = np.zeros((min(_SIGN_CHUNK_ROWS, k_below), k), dtype=np.complex128)
+    worst = 0.0
+    for start in range(0, k_below, _SIGN_CHUNK_ROWS):
+        h = np.arange(start, min(start + _SIGN_CHUNK_ROWS, k_below))
+        rows = placed[: len(h)]
+        rows[:, anchors] = eps * roots[np.outer(h, carriers) % k_below]
+        worst = max(worst, float(np.abs(np.fft.fft(rows, axis=1)).max()))
+    return 2.0 ** (-n) * worst
 
 
 def _signs_from_bits(idx: int, m: int) -> Tuple[int, ...]:
@@ -370,9 +373,12 @@ def search_signs(
 
     Patterns are chosen level by level; the pattern at n finalizes the
     lower block of level n and the upper block of level n-1 (at n = 0 the
-    objective is vacuous).  Ties resolve to the lexicographically smallest
-    pattern with +1 ordered before -1; the objective is invariant under a
-    global flip, so the canonical optimum starts with +1.
+    objective is vacuous).  Each candidate is scored once by
+    ``sign_objective``.  Objectives within a relative 1e-12 of the best are
+    ties, so last-bit rounding never decides between symmetric patterns;
+    among ties the lexicographically smallest pattern wins, with +1 ordered
+    before -1.  The objective is invariant under a global flip, so the
+    canonical optimum starts with +1.
     """
     if budget < 1:
         raise BadParameter(f"budget must be >= 1, got {budget}")
@@ -383,36 +389,33 @@ def search_signs(
         data.require(n - 1).require_signs()  # sequential level order
     m = len(here.split.anchors)
 
-    if n == 0:
-        objective = lambda eps: 0.0  # noqa: E731 - no cross blocks below level 1
-    else:
-        objective = lambda eps: sign_objective(n, data, eps)  # noqa: E731
-
-    best: Optional[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = None
-
-    def consider(signs: Tuple[int, ...]) -> None:
-        nonlocal best
-        cand = (objective(np.asarray(signs, dtype=np.float64)), _sign_key(signs), signs)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-
     if strategy == "exhaustive":
         if n > EXHAUSTIVE_SIGN_MAX_LEVEL:
             raise StrategyUnavailable(
                 f"exhaustive sign search is limited to levels <= {EXHAUSTIVE_SIGN_MAX_LEVEL}"
             )
-        for idx in range(1 << m):
-            consider(_signs_from_bits(idx, m))
+        count = 1 << m
     elif strategy == "random-restart":
-        for i in range(budget):
-            rng = _candidate_rng(seed, _SIGN_STREAM, i)
-            bits = rng.integers(0, 2, size=m)
-            consider(tuple(1 if b == 0 else -1 for b in bits))
+        count = budget
     else:
         raise BadParameter(f"unknown sign search strategy {strategy!r}")
 
-    assert best is not None
-    return SignPattern(level=n, signs=best[2], objective=float(best[0]))
+    def draw(i: int) -> Tuple[int, ...]:
+        """Candidate i, regenerated on demand so only the scores are kept."""
+        if strategy == "exhaustive":
+            return _signs_from_bits(i, m)
+        bits = _candidate_rng(seed, _SIGN_STREAM, i).integers(0, 2, size=m)
+        return tuple(1 if b == 0 else -1 for b in bits)
+
+    if n == 0:  # no cross blocks below level 1
+        scores = np.zeros(count)
+    else:
+        scores = np.array(
+            [sign_objective(n, data, np.asarray(draw(i), dtype=np.float64)) for i in range(count)]
+        )
+    ties = np.nonzero(scores <= scores.min() * (1.0 + _SIGN_TIE_RTOL))[0]
+    best = min((int(i) for i in ties), key=lambda i: _sign_key(draw(i)))
+    return SignPattern(level=n, signs=draw(best), objective=float(scores[best]))
 
 
 # ----------------------------------------------------------------------

@@ -65,11 +65,10 @@ def _format_cell(cell: Cell) -> str:
 
 
 class ArtifactStore:
-    """Append-only view of one output directory."""
+    """Append-only view of one output directory, created by the first write."""
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self._listed: Optional[Dict[str, str]] = None  # manifest entries, once read
         self._written: Dict[str, str] = {}  # sha256 of each file written here
 

@@ -8,15 +8,15 @@ from aplab.discrepancy import CharacterSplit, ConstructionData, LevelData, SignP
 
 
 @st.composite
-def constructions(draw, max_top: int = 4):
-    """Levels 0..top, 1 <= top <= max_top, with random anchor subsets and signs.
+def constructions(draw, min_top: int = 1, max_top: int = 4):
+    """Levels 0..top, min_top <= top <= max_top, with random anchor subsets and signs.
 
     Nothing is searched, so the stored discrepancies and objectives are 0.
     Anchors and carriers keep the drawn order, so the pairing of level-n
     anchors with level-(n-1) carriers is random too.  Splits and signs come
     from one drawn seed, which keeps each example cheap to generate.
     """
-    top = draw(st.integers(1, max_top))
+    top = draw(st.integers(min_top, max_top))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = ConstructionData()
     for n in range(top + 1):

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from aplab.characters import CharacterTable, build_group
+from aplab.cli import build_levels
 from aplab.discrepancy import (
     CharacterSplit,
     ConstructionData,
@@ -13,6 +14,8 @@ from aplab.discrepancy import (
     SignPattern,
     balance_values,
     _score_indicator_batch,
+    _sign_key,
+    _signs_from_bits,
     certify_constants,
     cross_lower_matrix,
     cross_matrix_from_values,
@@ -170,13 +173,48 @@ def test_sign_pattern_validation():
         SignPattern(level=1, signs=(1, 0), objective=0.0)
 
 
-@given(constructions())
-def test_fast_objective_matches_direct_blocks(case):
-    n, data = case
+def _assert_objective_matches_direct_blocks(n, data):
     fast = sign_objective(n, data, data.require(n).require_signs().signs)
     lower = np.abs(cross_lower_matrix(n, data)).max()
     upper_prev = np.abs(cross_upper_matrix(n - 1, data)).max()
     assert abs(fast - max(lower, upper_prev)) <= 1e-12
+
+
+@given(constructions())
+def test_fast_objective_matches_direct_blocks(case):
+    _assert_objective_matches_direct_blocks(*case)
+
+
+@settings(max_examples=10)
+@given(constructions(min_top=7, max_top=8))
+def test_chunked_objective_matches_direct_blocks(case):
+    # k/2 = 192 or 384 rows of lower_n^T, so the kernel runs several row chunks
+    _assert_objective_matches_direct_blocks(*case)
+
+
+def _defining_sum_objective(n, data, eps):
+    here, below = data.require(n), data.require(n - 1)
+    anchors, carriers = here.split.anchors, below.split.carriers
+    lower = cross_matrix_from_values(
+        here.table.rows_at_inverse(anchors), below.table.rows(carriers), eps, -(2.0**-n)
+    )
+    upper_prev = cross_matrix_from_values(
+        below.table.rows_at_inverse(carriers), here.table.rows(anchors), eps, 2.0**-n
+    )
+    return max(np.abs(lower).max(), np.abs(upper_prev).max())
+
+
+# (max_level, seed, budget, sign_budget) of the log and power golden builds
+@pytest.mark.parametrize("config", [(3, 7, 64, 16), (4, 3, 128, 16)], ids=["log", "power"])
+def test_sign_search_breaks_near_ties_by_smallest_pattern(config):
+    data = build_levels(*config)
+    for n in (1, 2, 3):
+        m = len(data.require(n).split.anchors)
+        patterns = [_signs_from_bits(i, m) for i in range(1 << m)]
+        scores = [_defining_sum_objective(n, data, eps) for eps in patterns]
+        lo = min(scores)
+        near = [eps for eps, s in zip(patterns, scores) if s <= lo * (1.0 + 1e-12)]
+        assert data.require(n).require_signs().signs == min(near, key=_sign_key)
 
 
 @given(constructions())

@@ -136,7 +136,9 @@ def test_cli_bad_alpha_exits_2(tmp_path):
 
 
 def test_cli_missing_store_exits_3(tmp_path):
-    assert _run("verify", "--schedule", "log", "--out", str(tmp_path / "void")) == 3
+    for command in ("verify", "ap"):
+        assert _run(command, "--schedule", "log", "--out", str(tmp_path / "f1" / "void")) == 3
+        assert not (tmp_path / "f1").exists()
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):
@@ -263,6 +265,14 @@ def test_cli_alpha_is_part_of_the_schedule_flag(tmp_path, capsys):
         assert _run(command, "--out", str(out), *flags) == 2
         assert "--alpha" in capsys.readouterr().err
 
+    # only the power schedule has an exponent to set
+    for schedule in ("log", '{"kind": "power", "alpha": 0.5}'):
+        fresh = tmp_path / "refused"
+        assert _run("build", "--schedule", schedule, "--alpha", "0.3", "--max-level", "2",
+                    "--out", str(fresh)) == 2
+        assert "--alpha" in capsys.readouterr().err
+        assert not fresh.exists()
+
 
 def test_cli_ap_and_moduli_check_manifest(tmp_path, capsys):
     # at level 2 this flip is invisible to every row but manifest-integrity
@@ -374,9 +384,9 @@ GOLDEN_POWER_SHA256 = {
     "levels/level_00.json": "f5aef6945eb9f217cb826d34463a2962bcd5667df1bdecdfddc7e57d2fcc2ef2",
     "levels/level_01.json": "93a16bff346c64cdba12eb86529281fa5cd85f4be1682f65e8df809c80d37ad8",
     "levels/level_02.json": "6a37d7b36c8cdb9d90d1ad2ee3f357e34efaffd3823dfbbf9d7288b74f8d82fe",
-    "levels/level_03.json": "a0f18bc24586e223a0cddb32cd5507be10660336b648349d844a5da78fbaa10b",
-    "levels/level_04.json": "4ad3bf24e2964a59d7519b768add15bc0e1521df47cbfc1a241102bacad0ef7b",
-    "manifest.json": "2225fcf7cd4fc4528c4f9bc0f6d59651638f5e29204224bb12f22bea5f0e79b2",
+    "levels/level_03.json": "eb8ea3d3af9df8d92893663fc025e1db0444a6ea2f9e2af4fdd18f042638ef1b",
+    "levels/level_04.json": "d5cb7baffc7332e4e71b52c30fdde08cc27502090210abb4341ddc073d6641c9",
+    "manifest.json": "ce7edd6b0d300b5b796b409493f2f3cd7c9aec8e5d5658ba63755137e7e1a0c4",
     "moduli/envelope.json": "6342e3ac215e2603789d97650b0a5df92d08d5d32e30865736f06e7df7accacf",
     "moduli/split.csv": "0d13bf923590ee862e7cc36d166d7495299ec46f2c83a4067ff5c271cf2766a3",
     "moduli/split.json": "88b5c141a844b953408e79eb1fe1ed56e183e2d595cbe3f9162740b46eed7ff2",
