@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,8 +51,8 @@ _SIGN_STREAM = 202
 _SPLIT_CHUNK_ENTRIES = 1 << 20
 # Rows of lower_n^T transformed at once by the sign objective.
 _SIGN_CHUNK_ROWS = 64
-# Sign objectives within this relative distance of the best are ties.
-_SIGN_TIE_RTOL = 1e-12
+# Split scores and sign objectives within this relative distance of the best are ties.
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -180,31 +180,18 @@ def _candidate_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream, index))))
 
 
-def _best_of_chunk(
-    scores: np.ndarray, candidates: List[Tuple[int, ...]]
-) -> Tuple[float, Tuple[int, ...]]:
-    lo = float(scores.min())
-    ties = [candidates[i] for i in np.nonzero(scores == lo)[0]]
-    return lo, min(ties)
+def _near_ties(scores: np.ndarray, best: float) -> np.ndarray:
+    """Mask of the scores within a relative ``_TIE_RTOL`` of ``best``."""
+    return scores <= best * (1.0 + _TIE_RTOL)
 
 
 def _split_chunk_rows(k: int) -> int:
     return max(1, _SPLIT_CHUNK_ENTRIES // k)
 
 
-def _iter_combination_chunks(k: int, cnt: int) -> Iterator[List[Tuple[int, ...]]]:
-    it = itertools.combinations(range(k), cnt)
-    while True:
-        chunk = list(itertools.islice(it, _split_chunk_rows(k)))
-        if not chunk:
-            return
-        yield chunk
-
-
-def _indicator(k: int, rows: Sequence[Sequence[int]]) -> np.ndarray:
-    out = np.zeros((len(rows), k), dtype=np.float64)
-    for r, cols in enumerate(rows):
-        out[r, list(cols)] = 1.0
+def _indicator(k: int, anchors: np.ndarray) -> np.ndarray:
+    out = np.zeros((anchors.shape[0], k), dtype=np.float64)
+    np.put_along_axis(out, anchors, 1.0, axis=1)
     return out
 
 
@@ -216,10 +203,12 @@ def search_character_split(
 ) -> CharacterSplit:
     """Search for an anchor/carrier split with small balance discrepancy.
 
-    Deterministic for fixed (strategy, budget, seed); score ties resolve to
-    the lexicographically smallest anchor list.  ``exhaustive`` enumerates
-    every split and is only allowed for levels <= 4; ``random-restart``
-    scores ``budget`` uniform draws.
+    Deterministic for fixed (strategy, budget, seed).  Scores within a
+    relative 1e-12 of the best are ties, so last-bit rounding never decides
+    between equivalent splits; among ties the lexicographically smallest
+    anchor list wins.  ``exhaustive`` enumerates every split and is only
+    allowed for levels <= 4; ``random-restart`` scores ``budget`` uniform
+    draws.
     """
     if budget < 1:
         raise BadParameter(f"budget must be >= 1, got {budget}")
@@ -228,42 +217,48 @@ def search_character_split(
     k = table.order
     n = table.group.level
     cnt = _anchor_count(k)
-
-    best: Optional[Tuple[float, Tuple[int, ...]]] = None
-
-    def consider(score: float, anchors: Tuple[int, ...]) -> None:
-        nonlocal best
-        cand = (score, anchors)
-        if best is None or cand < best:
-            best = cand
+    step = _split_chunk_rows(k)
 
     if strategy == "exhaustive":
         if n > EXHAUSTIVE_SPLIT_MAX_LEVEL:
             raise StrategyUnavailable(
                 f"exhaustive split search is limited to levels <= {EXHAUSTIVE_SPLIT_MAX_LEVEL}"
             )
-        for chunk in _iter_combination_chunks(k, cnt):
-            scores = _score_indicator_batch(_indicator(k, chunk))
-            consider(*_best_of_chunk(scores, chunk))
+        count = math.comb(k, cnt)
+        flat = itertools.chain.from_iterable(itertools.combinations(range(k), cnt))
+
+        def batch(lo: int, hi: int) -> np.ndarray:
+            taken = itertools.islice(flat, (hi - lo) * cnt)
+            return np.fromiter(taken, dtype=np.int64).reshape(-1, cnt)
+
     elif strategy == "random-restart":
-        step = _split_chunk_rows(k)
-        for start in range(0, budget, step):
-            idxs = range(start, min(start + step, budget))
-            chunk = [
-                tuple(int(x) for x in np.sort(_candidate_rng(seed, _SPLIT_STREAM, i).choice(k, size=cnt, replace=False)))
-                for i in idxs
+        count = budget
+
+        def batch(lo: int, hi: int) -> np.ndarray:
+            draws = [
+                _candidate_rng(seed, _SPLIT_STREAM, i).choice(k, size=cnt, replace=False)
+                for i in range(lo, hi)
             ]
-            scores = _score_indicator_batch(_indicator(k, chunk))
-            consider(*_best_of_chunk(scores, chunk))
+            return np.sort(np.stack(draws), axis=1)
+
     else:
         raise BadParameter(f"unknown split search strategy {strategy!r}")
 
-    assert best is not None
-    anchors = best[1]
-    carriers = _complement(k, anchors)
-    probe = CharacterSplit(level=n, anchors=anchors, carriers=carriers, discrepancy=0.0)
+    best = math.inf
+    kept: List[Tuple[np.ndarray, np.ndarray]] = []  # near-ties of the best so far
+    for lo in range(0, count, step):
+        anchors = batch(lo, min(lo + step, count))
+        scores = _score_indicator_batch(_indicator(k, anchors))
+        best = min(best, float(scores.min()))
+        near = _near_ties(scores, best)
+        kept.append((scores[near], anchors[near]))
+    tied = np.concatenate([rows for _, rows in kept])
+    tied = tied[_near_ties(np.concatenate([sc for sc, _ in kept]), best)]
+    winner = tuple(int(x) for x in tied[np.lexsort(tied.T[::-1])[0]])
+    carriers = _complement(k, winner)
+    probe = CharacterSplit(level=n, anchors=winner, carriers=carriers, discrepancy=0.0)
     return CharacterSplit(
-        level=n, anchors=anchors, carriers=carriers,
+        level=n, anchors=winner, carriers=carriers,
         discrepancy=split_discrepancy(probe, table),
     )
 
@@ -413,7 +408,7 @@ def search_signs(
         scores = np.array(
             [sign_objective(n, data, np.asarray(draw(i), dtype=np.float64)) for i in range(count)]
         )
-    ties = np.nonzero(scores <= scores.min() * (1.0 + _SIGN_TIE_RTOL))[0]
+    ties = np.nonzero(_near_ties(scores, scores.min()))[0]
     best = min((int(i) for i in ties), key=lambda i: _sign_key(draw(i)))
     return SignPattern(level=n, signs=draw(best), objective=float(scores[best]))
 

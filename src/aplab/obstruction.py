@@ -22,6 +22,16 @@ schedule's decay sequence controls.  Flat basis indexing is (n, j) ->
 2^n - 1 + (j - 1); operator matrices hold the coefficient of basis b in the
 image of basis a at [a, b].
 
+Both maps the traces need are placed FFTs on one level's group
+(``BasisFrame``): the coordinates of many vectors on level m are one
+inverse FFT of their level-m and level-(m+1) coefficients set at the anchors
+and carriers of level m, and the basis coefficients of T(tele_{n,g}) for all
+g are one forward FFT of T's level-n and level-(n+1) rows set the same way.
+No dense coordinate or telescoping product is formed;
+``BasisFrame.coord_matrix`` and ``telescope_coeff_matrix`` are the same
+kernels applied to the basis, which verify compares with the exact-exponent
+functional rows.  The literal one-vector sums live in ``tests/oracles.py``.
+
 Everything here is pure and operates on immutable inputs.
 """
 
@@ -77,6 +87,13 @@ def level_slice(n: int) -> slice:
     return slice((1 << n) - 1, (1 << (n + 1)) - 1)
 
 
+def _pair_slice(n: int, top: int) -> slice:
+    """Flat indices of basis levels n and n+1, or of level n alone at the top."""
+    if not 0 <= n <= top:
+        raise IndexOutOfRange(f"level {n} outside truncation 0..{top}")
+    return slice((1 << n) - 1, (1 << (min(n + 1, top) + 1)) - 1)
+
+
 def basis_vector(
     n: int, j: int, data: ConstructionData, schedule: ExponentSchedule
 ) -> MixedNormVector:
@@ -91,93 +108,6 @@ def basis_vector(
         below = data.require(n - 1)
         blocks[n - 1] = below.table.row(below.split.carriers[j - 1]).copy()
     return MixedNormVector(schedule=schedule, blocks=blocks)
-
-
-def coeff_functional(
-    n: int,
-    j: int,
-    f: MixedNormVector,
-    data: ConstructionData,
-    via: str = "own",
-) -> complex:
-    """Coefficient functional alpha_{n,j} applied to f.
-
-    via="own"    (3*2^n)^{-1}   sum_{g in level n}   eps_j chi_{anchor_j}(-g) f(g)
-    via="lower"  (3*2^{n-1})^{-1} sum_{g in level n-1} chi_{carrier_j}(-g) f(g)
-
-    The two forms agree on the span of the basis; the lower form needs
-    n >= 1.
-    """
-    basis_index(n, j)
-    here = data.require(n)
-    if via == "own":
-        blk = f.block(n)
-        if blk is None:
-            return 0.0 + 0.0j
-        row = here.table.row_at_inverse(here.split.anchors[j - 1])
-        eps = here.require_signs().signs[j - 1]
-        return complex(eps * (row @ blk) / here.table.order)
-    if via == "lower":
-        if n < 1:
-            raise FormUnavailable("the lower-level form does not exist at level 0")
-        below = data.require(n - 1)
-        blk = f.block(n - 1)
-        if blk is None:
-            return 0.0 + 0.0j
-        row = below.table.row_at_inverse(below.split.carriers[j - 1])
-        return complex((row @ blk) / below.table.order)
-    raise BadParameter(f"unknown functional form {via!r}")
-
-
-@dataclass(frozen=True)
-class TelescopeVector:
-    """Telescoping vector at (level n, element g), both representations.
-
-    ``own_coefficients[j-1]`` multiplies basis (n, j), ``upper_coefficients
-    [j-1]`` basis (n+1, j); ``vector`` is the same element realized on the
-    coordinate blocks n-1, n, n+1.
-    """
-
-    level: int
-    element: int
-    own_coefficients: np.ndarray
-    upper_coefficients: np.ndarray
-    vector: MixedNormVector
-
-
-def telescope_vector(
-    n: int, g: int, data: ConstructionData, schedule: ExponentSchedule
-) -> TelescopeVector:
-    """Build the telescoping vector at (n, g) from its basis expansion."""
-    here = data.require(n)
-    k = here.table.order
-    if not 0 <= g < k:
-        raise IndexOutOfRange(f"element {g} outside [0, {k})")
-    signs_here = np.asarray(here.require_signs().signs, dtype=np.float64)
-    anchors_inv = here.table.rows_at_inverse(here.split.anchors)  # (2^n, k)
-    carriers_inv = here.table.rows_at_inverse(here.split.carriers)  # (2^{n+1}, k)
-    own = -(2.0 ** (-n)) * signs_here * anchors_inv[:, g]
-    upper = (2.0 ** (-n - 1)) * carriers_inv[:, g]
-
-    above = data.require(n + 1)
-    signs_above = np.asarray(above.require_signs().signs, dtype=np.float64)
-    blocks: Dict[int, np.ndarray] = {}
-    anchor_rows_here = here.table.rows(here.split.anchors)
-    carrier_rows_here = here.table.rows(here.split.carriers)
-    anchor_rows_above = above.table.rows(above.split.anchors)
-    blocks[n] = own @ (signs_here[:, None] * anchor_rows_here) + upper @ carrier_rows_here
-    blocks[n + 1] = upper @ (signs_above[:, None] * anchor_rows_above)
-    if n >= 1:
-        below = data.require(n - 1)
-        carrier_rows_below = below.table.rows(below.split.carriers)
-        blocks[n - 1] = own @ carrier_rows_below
-    return TelescopeVector(
-        level=n,
-        element=g,
-        own_coefficients=own,
-        upper_coefficients=upper,
-        vector=MixedNormVector(schedule=schedule, blocks=blocks),
-    )
 
 
 def telescope_blocks(
@@ -327,18 +257,44 @@ class OperatorMatrix:
 
 
 class BasisFrame:
-    """Cached coordinate and functional matrices for one truncation.
+    """Level-local placed FFTs for one truncation.
 
-    coord_matrix(m)[b]   coordinates of basis b on level m
-    functional_matrix(n) own-form functional rows over level n
-    telescope_coeff_matrix(n)[g] basis coefficients of tele_{n,g}
+    Both maps the trace needs are sparse DFTs on a single level's group
+    Z/k.  Coordinates on level m of the vectors with basis-coefficient rows C
+    depend only on basis levels m and m+1:
+
+        w[:, anchors_m] = eps^m * C[:, level m],   w[:, carriers_m] = C[:, level m+1],
+        coords_at(C, m)[:, g] = sum_c w[:, c] chi_c(g)   (an unscaled inverse FFT).
+
+    The basis coefficients of T(tele_{n,g}), for the operator matrix M of T,
+    are one forward FFT along the columns:
+
+        v[anchors_n] = -2^{-n} eps^n M[level n rows],   v[carriers_n] = 2^{-n-1} M[level n+1 rows],
+        telescope_image(M, n)[g] = sum_c v[c] chi_c(-g)   (a forward FFT).
+
+    coord_matrix(m)[b]            coordinates of basis b on level m
+    telescope_coeff_matrix(n)[g]  basis coefficients of tele_{n,g}
+
+    are these kernels applied to the basis; they are cached for the checks
+    that compare them with the exact-exponent functional rows
+
+    functional_matrix(n)        own-form functional rows over level n
+    lower_functional_matrix(n)  lower-form functional rows over level n-1
     """
 
     def __init__(
         self, data: ConstructionData, schedule: ExponentSchedule, max_level: int
     ) -> None:
+        # (order, anchors, carriers, signs) per level; missing signs fail here
+        self._placed: Dict[int, Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
         for n in range(max_level + 1):
-            data.require(n).require_signs()
+            item = data.require(n)
+            self._placed[n] = (
+                item.table.order,
+                np.asarray(item.split.anchors, dtype=np.int64),
+                np.asarray(item.split.carriers, dtype=np.int64),
+                np.asarray(item.require_signs().signs, dtype=np.float64),
+            )
         self.data = data
         self.schedule = schedule
         self.max_level = max_level
@@ -348,17 +304,35 @@ class BasisFrame:
         self._lower_functional: Dict[int, np.ndarray] = {}
         self._telescope: Dict[int, np.ndarray] = {}
 
+    def coords_at(self, coeff_rows: np.ndarray, m: int) -> np.ndarray:
+        """Level-m coordinates of the vectors with basis-coefficient rows ``coeff_rows``."""
+        if not 0 <= m <= self.max_level:
+            raise IndexOutOfRange(f"level {m} outside truncation 0..{self.max_level}")
+        k, anchors, carriers, signs = self._placed[m]
+        w = np.zeros((coeff_rows.shape[0], k), dtype=np.complex128)
+        w[:, anchors] = signs * coeff_rows[:, level_slice(m)]
+        if m < self.max_level:
+            w[:, carriers] = coeff_rows[:, level_slice(m + 1)]
+        return np.fft.ifft(w, axis=1, norm="forward", out=w)
+
+    def telescope_image(self, op_matrix: np.ndarray, n: int) -> np.ndarray:
+        """Row g holds the basis coefficients of T(tele_{n,g}); ``op_matrix`` is T's matrix."""
+        if not 0 <= n <= self.max_level - 1:
+            raise TruncationTooSmall(
+                f"telescoping at level {n} needs level {n + 1} inside the truncation"
+            )
+        k, anchors, carriers, signs = self._placed[n]
+        v = np.zeros((k, op_matrix.shape[1]), dtype=np.complex128)
+        v[anchors] = -(2.0 ** (-n)) * signs[:, None] * op_matrix[level_slice(n)]
+        v[carriers] = 2.0 ** (-n - 1) * op_matrix[level_slice(n + 1)]
+        return np.fft.fft(v, axis=0, out=v)
+
     def coord_matrix(self, m: int) -> np.ndarray:
         if m not in self._coord:
-            if not 0 <= m <= self.max_level:
-                raise IndexOutOfRange(f"level {m} outside truncation 0..{self.max_level}")
-            item = self.data.require(m)
-            k = item.table.order
-            out = np.zeros((self.dim, k), dtype=np.complex128)
-            signs = np.asarray(item.require_signs().signs, dtype=np.float64)
-            out[level_slice(m)] = signs[:, None] * item.table.rows(item.split.anchors)
-            if m + 1 <= self.max_level:
-                out[level_slice(m + 1)] = item.table.rows(item.split.carriers)
+            rows = _pair_slice(m, self.max_level)  # every other basis row is zero here
+            image = self.coords_at(np.eye(rows.stop - rows.start, self.dim, rows.start), m)
+            out = np.zeros((self.dim, image.shape[1]), dtype=np.complex128)
+            out[rows] = image
             out.flags.writeable = False
             self._coord[m] = out
         return self._coord[m]
@@ -386,27 +360,17 @@ class BasisFrame:
 
     def telescope_coeff_matrix(self, n: int) -> np.ndarray:
         if n not in self._telescope:
-            if not 0 <= n <= self.max_level - 1:
-                raise TruncationTooSmall(
-                    f"telescoping at level {n} needs level {n + 1} inside the truncation"
-                )
-            item = self.data.require(n)
-            k = item.table.order
-            signs = np.asarray(item.require_signs().signs, dtype=np.float64)
-            out = np.zeros((k, self.dim), dtype=np.complex128)
-            anchors_inv = item.table.rows_at_inverse(item.split.anchors)
-            carriers_inv = item.table.rows_at_inverse(item.split.carriers)
-            out[:, level_slice(n)] = -(2.0 ** (-n)) * (signs[:, None] * anchors_inv).T
-            out[:, level_slice(n + 1)] = (2.0 ** (-n - 1)) * carriers_inv.T
+            cols = _pair_slice(n, self.max_level)  # every other basis column is zero here
+            image = self.telescope_image(np.eye(self.dim, cols.stop - cols.start, -cols.start), n)
+            out = np.zeros((image.shape[0], self.dim), dtype=np.complex128)
+            out[:, cols] = image
             out.flags.writeable = False
             self._telescope[n] = out
         return self._telescope[n]
 
     def coords_of(self, coeff_rows: np.ndarray) -> Dict[int, np.ndarray]:
         """Coordinate blocks of vectors given by basis-coefficient rows."""
-        return {
-            m: coeff_rows @ self.coord_matrix(m) for m in range(self.max_level + 1)
-        }
+        return {m: self.coords_at(coeff_rows, m) for m in range(self.max_level + 1)}
 
     def mixed_norms(self, coeff_rows: np.ndarray) -> np.ndarray:
         return z_norms_rows(self.schedule, self.coords_of(coeff_rows))
@@ -415,17 +379,21 @@ class BasisFrame:
 def biorthogonality_deviation(frame: BasisFrame) -> float:
     """Largest deviation of alpha_{n,j}(e_{m,i}) from the Kronecker pattern.
 
-    Checks both functional forms on every basis vector of the truncation.
+    Checks both functional forms on every basis vector with a block where
+    the form integrates: levels n and n+1 for the own form, n-1 and n for
+    the lower one.  Every other pairing vanishes by disjoint support.
     """
     worst = 0.0
     for n in range(frame.max_level + 1):
         count = 1 << n
-        expected = np.zeros((count, frame.dim), dtype=np.complex128)
-        expected[np.arange(count), [basis_index(n, j) for j in range(1, count + 1)]] = 1.0
-        gram_own = frame.functional_matrix(n) @ frame.coord_matrix(n).T
+        own = _pair_slice(n, frame.max_level)
+        gram_own = frame.functional_matrix(n) @ frame.coord_matrix(n)[own].T
+        expected = np.eye(count, own.stop - own.start)  # level n leads the pair
         worst = max(worst, float(np.abs(gram_own - expected).max()))
         if n >= 1:
-            gram_low = frame.lower_functional_matrix(n) @ frame.coord_matrix(n - 1).T
+            low = _pair_slice(n - 1, frame.max_level)
+            gram_low = frame.lower_functional_matrix(n) @ frame.coord_matrix(n - 1)[low].T
+            expected = np.eye(count, low.stop - low.start, count // 2)  # level n follows n-1
             worst = max(worst, float(np.abs(gram_low - expected).max()))
     return worst
 
@@ -469,8 +437,7 @@ def level_trace(
     if via == "coordinates":
         if frame is None:
             raise BadParameter("the coordinate route needs a basis frame")
-        rows = op.matrix[sl, :]
-        coords = rows @ frame.coord_matrix(n)
+        coords = frame.coords_at(op.matrix[sl, :], n)
         return complex(2.0 ** (-n) * (frame.functional_matrix(n) * coords).sum())
     raise BadParameter(f"unknown trace route {via!r}")
 
@@ -486,8 +453,7 @@ def telescope_residual(op: OperatorMatrix, n: int, frame: BasisFrame) -> float:
         )
     lhs = level_trace(op, n + 1) - level_trace(op, n)
     k = block_size(n)
-    image_coeffs = frame.telescope_coeff_matrix(n) @ op.matrix  # (k, dim)
-    image_coords = image_coeffs @ frame.coord_matrix(n)  # (k, k)
+    image_coords = frame.coords_at(frame.telescope_image(op.matrix, n), n)  # (k, k)
     rhs = complex(np.trace(image_coords) / k)
     return abs(lhs - rhs)
 
@@ -512,12 +478,10 @@ def trace_limit(op: OperatorMatrix, frame: BasisFrame) -> TraceLimit:
     top = op.max_level
     estimate = level_trace(op, top)
     sups: List[float] = []
-    e0 = np.zeros(op.dim, dtype=np.complex128)
-    e0[basis_index(0, 1)] = 1.0
-    sups.append(float(frame.mixed_norms((e0 @ op.matrix)[None, :])[0]))
+    e0 = basis_index(0, 1)
+    sups.append(float(frame.mixed_norms(op.matrix[e0 : e0 + 1])[0]))
     for n in range(1, top):
-        image_coeffs = frame.telescope_coeff_matrix(n) @ op.matrix
-        norms = frame.mixed_norms(image_coeffs)
+        norms = frame.mixed_norms(frame.telescope_image(op.matrix, n))
         sups.append(float((n + 1) ** 2 * norms.max()))
     family_sup = max(sups)
     tail_factor = math.pi**2 / 6.0 - math.fsum(1.0 / m**2 for m in range(1, top + 1))

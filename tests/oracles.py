@@ -1,0 +1,107 @@
+"""Literal defining sums, kept as test oracles for the FFT routes in aplab.
+
+``coeff_functional`` evaluates one coefficient functional on a vector by its
+integral over a single block, and ``telescope_vector`` builds one
+telescoping vector from its basis expansion, both from the exact-exponent
+character rows.  ``aplab.obstruction`` computes the same quantities for all
+indices at once as placed FFTs; these loops are what it is checked against.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict
+
+import numpy as np
+
+from aplab.discrepancy import ConstructionData
+from aplab.errors import BadParameter, FormUnavailable, IndexOutOfRange
+from aplab.mixed_norm import ExponentSchedule, MixedNormVector
+from aplab.obstruction import basis_index
+
+
+def coeff_functional(
+    n: int,
+    j: int,
+    f: MixedNormVector,
+    data: ConstructionData,
+    via: str = "own",
+) -> complex:
+    """Coefficient functional alpha_{n,j} applied to f.
+
+    via="own"    (3*2^n)^{-1}   sum_{g in level n}   eps_j chi_{anchor_j}(-g) f(g)
+    via="lower"  (3*2^{n-1})^{-1} sum_{g in level n-1} chi_{carrier_j}(-g) f(g)
+
+    The two forms agree on the span of the basis; the lower form needs
+    n >= 1.
+    """
+    basis_index(n, j)
+    here = data.require(n)
+    if via == "own":
+        blk = f.block(n)
+        if blk is None:
+            return 0.0 + 0.0j
+        row = here.table.row_at_inverse(here.split.anchors[j - 1])
+        eps = here.require_signs().signs[j - 1]
+        return complex(eps * (row @ blk) / here.table.order)
+    if via == "lower":
+        if n < 1:
+            raise FormUnavailable("the lower-level form does not exist at level 0")
+        below = data.require(n - 1)
+        blk = f.block(n - 1)
+        if blk is None:
+            return 0.0 + 0.0j
+        row = below.table.row_at_inverse(below.split.carriers[j - 1])
+        return complex((row @ blk) / below.table.order)
+    raise BadParameter(f"unknown functional form {via!r}")
+
+
+@dataclass(frozen=True)
+class TelescopeVector:
+    """Telescoping vector at (level n, element g), both representations.
+
+    ``own_coefficients[j-1]`` multiplies basis (n, j), ``upper_coefficients
+    [j-1]`` basis (n+1, j); ``vector`` is the same element realized on the
+    coordinate blocks n-1, n, n+1.
+    """
+
+    level: int
+    element: int
+    own_coefficients: np.ndarray
+    upper_coefficients: np.ndarray
+    vector: MixedNormVector
+
+
+def telescope_vector(
+    n: int, g: int, data: ConstructionData, schedule: ExponentSchedule
+) -> TelescopeVector:
+    """Build the telescoping vector at (n, g) from its basis expansion."""
+    here = data.require(n)
+    k = here.table.order
+    if not 0 <= g < k:
+        raise IndexOutOfRange(f"element {g} outside [0, {k})")
+    signs_here = np.asarray(here.require_signs().signs, dtype=np.float64)
+    anchors_inv = here.table.rows_at_inverse(here.split.anchors)  # (2^n, k)
+    carriers_inv = here.table.rows_at_inverse(here.split.carriers)  # (2^{n+1}, k)
+    own = -(2.0 ** (-n)) * signs_here * anchors_inv[:, g]
+    upper = (2.0 ** (-n - 1)) * carriers_inv[:, g]
+
+    above = data.require(n + 1)
+    signs_above = np.asarray(above.require_signs().signs, dtype=np.float64)
+    blocks: Dict[int, np.ndarray] = {}
+    anchor_rows_here = here.table.rows(here.split.anchors)
+    carrier_rows_here = here.table.rows(here.split.carriers)
+    anchor_rows_above = above.table.rows(above.split.anchors)
+    blocks[n] = own @ (signs_here[:, None] * anchor_rows_here) + upper @ carrier_rows_here
+    blocks[n + 1] = upper @ (signs_above[:, None] * anchor_rows_above)
+    if n >= 1:
+        below = data.require(n - 1)
+        carrier_rows_below = below.table.rows(below.split.carriers)
+        blocks[n - 1] = own @ carrier_rows_below
+    return TelescopeVector(
+        level=n,
+        element=g,
+        own_coefficients=own,
+        upper_coefficients=upper,
+        vector=MixedNormVector(schedule=schedule, blocks=blocks),
+    )

@@ -90,6 +90,31 @@ def test_random_restart_matches_exhaustive_small_levels():
         assert randomized.discrepancy == pytest.approx(exhaustive.discrepancy, abs=1e-9)
 
 
+def test_level3_exhaustive_breaks_near_ties_by_smallest_anchors():
+    """All C(24, 8) splits scored by the defining sums 2*sum_anchors - sum_carriers.
+
+    384 splits share the optimum up to rounding; the search must return the
+    lexicographically smallest of them, whatever their last bits.
+    """
+    table = CharacterTable(build_group(3))
+    k, cnt = 24, 8
+    values = table.rows(range(k))
+    combos = itertools.combinations(range(k), cnt)
+    scores = []
+    for chunk in iter(lambda: list(itertools.islice(combos, 1 << 15)), []):
+        weights = np.full((len(chunk), k), -1.0)
+        np.put_along_axis(weights, np.array(chunk), 2.0, axis=1)
+        scores.append(np.hypot(weights @ values.real, weights @ values.imag).max(axis=1))
+    scores = np.concatenate(scores)
+    near = np.nonzero(scores <= scores.min() * (1.0 + 1e-12))[0]
+    assert len(near) == 384
+    # combinations come in lexicographic order, so the first near-tie is the smallest
+    smallest = next(itertools.islice(itertools.combinations(range(k), cnt), int(near[0]), None))
+    best = search_character_split(table, strategy="exhaustive")
+    assert best.anchors == smallest
+    assert best.discrepancy == pytest.approx(scores.min(), rel=1e-12)
+
+
 def test_search_determinism():
     table = CharacterTable(build_group(3))
     a = search_character_split(table, strategy="random-restart", budget=128, seed=11)

@@ -16,6 +16,7 @@ from aplab.errors import (
 )
 from aplab.mixed_norm import ExponentSchedule, z_norm
 from aplab.store import canonical_json
+from oracles import coeff_functional, telescope_vector
 from strategies import constructions
 
 
@@ -75,26 +76,26 @@ def test_biorthogonality_both_forms(frame5):
 def test_coeff_functional_examples(small_data, log_schedule):
     e11 = ob.basis_vector(1, 1, small_data, log_schedule)
     e01 = ob.basis_vector(0, 1, small_data, log_schedule)
-    assert ob.coeff_functional(1, 1, e11, small_data, via="own") == pytest.approx(1.0, abs=1e-12)
-    assert ob.coeff_functional(1, 1, e11, small_data, via="lower") == pytest.approx(1.0, abs=1e-12)
-    assert abs(ob.coeff_functional(1, 1, e01, small_data, via="own")) < 1e-12
-    assert abs(ob.coeff_functional(1, 2, e11, small_data, via="own")) < 1e-12
+    assert coeff_functional(1, 1, e11, small_data, via="own") == pytest.approx(1.0, abs=1e-12)
+    assert coeff_functional(1, 1, e11, small_data, via="lower") == pytest.approx(1.0, abs=1e-12)
+    assert abs(coeff_functional(1, 1, e01, small_data, via="own")) < 1e-12
+    assert abs(coeff_functional(1, 2, e11, small_data, via="own")) < 1e-12
 
 
 def test_lower_form_unavailable_at_level0(small_data, log_schedule):
     e01 = ob.basis_vector(0, 1, small_data, log_schedule)
     with pytest.raises(FormUnavailable):
-        ob.coeff_functional(0, 1, e01, small_data, via="lower")
+        coeff_functional(0, 1, e01, small_data, via="lower")
 
 
 def test_both_forms_agree_on_telescope_vectors(small_data, log_schedule):
     for n in (1, 2, 3):
         k = small_data.require(n).table.order
         for g in range(0, k, max(1, k // 5)):
-            tele = ob.telescope_vector(n, g, small_data, log_schedule)
+            tele = telescope_vector(n, g, small_data, log_schedule)
             for j in (1, 1 << n):
-                own = ob.coeff_functional(n, j, tele.vector, small_data, via="own")
-                low = ob.coeff_functional(n, j, tele.vector, small_data, via="lower")
+                own = coeff_functional(n, j, tele.vector, small_data, via="own")
+                low = coeff_functional(n, j, tele.vector, small_data, via="lower")
                 assert own == pytest.approx(low, abs=1e-10)
                 assert own == pytest.approx(complex(tele.own_coefficients[j - 1]), abs=1e-10)
 
@@ -114,6 +115,43 @@ def test_telescoping_identity_on_random_splits(case, seed):
     assert max(ob.telescope_residual(op, n, frame) for n in range(top)) < 1e-9
 
 
+@given(constructions(max_top=5), st.integers(0, 2**16))
+def test_coords_match_basis_vector_sums(case, seed):
+    """The placed inverse FFT against sum_b C[r, b] e_b, block by block."""
+    top, data = case
+    schedule = ExponentSchedule.log_rate()
+    frame = ob.BasisFrame(data, schedule, top)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((3, frame.dim)) + 1j * rng.standard_normal((3, frame.dim))
+    coords = frame.coords_of(coeffs)
+    expected = {m: np.zeros((3, data.require(m).table.order), dtype=np.complex128) for m in coords}
+    for n in range(top + 1):
+        for j in range(1, (1 << n) + 1):
+            vec = ob.basis_vector(n, j, data, schedule)
+            for m, block in vec.blocks.items():
+                expected[m] += coeffs[:, ob.basis_index(n, j), None] * block
+    for m in coords:
+        assert np.abs(coords[m] - expected[m]).max() <= 1e-12
+
+
+@given(constructions(max_top=5), st.integers(0, 2**16))
+def test_telescope_image_matches_expansion_coefficients(case, seed):
+    """Row g of the placed forward FFT against tele_{n,g}'s coefficients times M."""
+    top, data = case
+    schedule = ExponentSchedule.log_rate()
+    frame = ob.BasisFrame(data, schedule, top)
+    rng = np.random.default_rng(seed)
+    op = rng.standard_normal((frame.dim, frame.dim)) + 1j * rng.standard_normal((frame.dim, frame.dim))
+    for n in range(top):
+        image = frame.telescope_image(op, n)
+        for g in range(data.require(n).table.order):
+            tele = telescope_vector(n, g, data, schedule)
+            row = np.zeros(frame.dim, dtype=np.complex128)
+            row[ob.level_slice(n)] = tele.own_coefficients
+            row[ob.level_slice(n + 1)] = tele.upper_coefficients
+            assert np.abs(image[g] - row @ op).max() <= 1e-12
+
+
 def test_form_agreement_batched(frame5):
     for n in (1, 2, 3, 4):
         assert ob.form_agreement_deviation(frame5, n) < 1e-9
@@ -125,7 +163,7 @@ def test_form_agreement_batched(frame5):
 def test_telescope_vector_coefficients(small_data, log_schedule):
     n, g = 2, 7
     item = small_data.require(n)
-    tele = ob.telescope_vector(n, g, small_data, log_schedule)
+    tele = telescope_vector(n, g, small_data, log_schedule)
     k = item.table.order
     signs = item.require_signs().signs
     for j in (1, 2, 3, 4):
@@ -142,20 +180,20 @@ def test_telescope_vector_matches_block_rows(small_data, log_schedule):
     for n in (1, 2, 3):
         lower, middle, upper = ob.telescope_blocks(n, small_data)
         for g in (0, 3, small_data.require(n).table.order - 1):
-            tele = ob.telescope_vector(n, g, small_data, log_schedule)
+            tele = telescope_vector(n, g, small_data, log_schedule)
             assert np.abs(tele.vector.block(n - 1) - lower[g]).max() < 1e-12
             assert np.abs(tele.vector.block(n) - middle[g]).max() < 1e-12
             assert np.abs(tele.vector.block(n + 1) - upper[g]).max() < 1e-12
 
 
 def test_telescope_vector_support(small_data, log_schedule):
-    tele = ob.telescope_vector(2, 1, small_data, log_schedule)
+    tele = telescope_vector(2, 1, small_data, log_schedule)
     assert tele.vector.support_levels() == (1, 2, 3)
     assert tele.vector.value_at(5, 0) == 0.0
 
 
 def test_level0_telescope_vector(small_data, log_schedule):
-    tele = ob.telescope_vector(0, 1, small_data, log_schedule)
+    tele = telescope_vector(0, 1, small_data, log_schedule)
     assert tele.vector.support_levels() == (0, 1)
 
 
@@ -181,7 +219,7 @@ def test_norm_two_routes_agree(small_data, log_schedule):
     for n in (1, 2, 3):
         norms = ob.telescope_norms(n, small_data, log_schedule)
         for g in (0, 2):
-            tele = ob.telescope_vector(n, g, small_data, log_schedule)
+            tele = telescope_vector(n, g, small_data, log_schedule)
             assert norms[g] == pytest.approx(z_norm(tele.vector), abs=1e-10)
 
 

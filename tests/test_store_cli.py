@@ -350,21 +350,21 @@ def test_cli_malformed_manifest_fails_the_check(tmp_path, capsys, text):
 GOLDEN_SHA256 = {
     "ap/compact_family.csv": "8e44754ceea9e24e5f93b501296edd08dddc30f0ed4219b7bedfba4b634007a2",
     "ap/finite_rank.csv": "2dab412454a7e3f4190239f4c6e04d1f7f02a544504da0c3cbe61b82322a02da",
-    "ap/identity_trace.csv": "e9f8d42b92721d990037fd9d83e82f0a62da88faee27a12cb040495319397337",
-    "ap/obstruction.json": "a505f023f3edf7cec8d26b9c72689f9d92c452ce0c3ff53a81d46fe9eb153739",
+    "ap/identity_trace.csv": "3392e560f44421d2f7827fa62047261f42b3583c8faab704e44bbd689df8a5e9",
+    "ap/obstruction.json": "51c305fa8d720a3273503335a95ce0325a3b2961206310b423a45c56a6048ce1",
     "config.json": "06f5511f78b42f869929e02990ddbaf25442fdfeb5ab4acbf478473fccb6e5b4",
     "constants.json": "4de763ea5edb7236f16ef9e1fc90ed16913d2a5a45c05c64173f5c639cedc683",
     "levels/level_00.json": "f5aef6945eb9f217cb826d34463a2962bcd5667df1bdecdfddc7e57d2fcc2ef2",
     "levels/level_01.json": "93a16bff346c64cdba12eb86529281fa5cd85f4be1682f65e8df809c80d37ad8",
     "levels/level_02.json": "6a37d7b36c8cdb9d90d1ad2ee3f357e34efaffd3823dfbbf9d7288b74f8d82fe",
     "levels/level_03.json": "8d67e74c1bbea0aa2c6904cc95217463edf1b0df5402bb51af44542bd7087036",
-    "manifest.json": "5a3eda354991f6de5867f1a636dae0b08a6b1b872db58f4329c73bd95c951efc",
+    "manifest.json": "51f8d6dc70340253d9bb9d4158466d8d96070a3fd6a0ce2af8f7409365165e85",
     "moduli/envelope.json": "5177e769440daa1954a92043fe60ab2019ec6961ccfc4fb6ff2913361b0d4660",
     "moduli/split.csv": "9e16f25507d1bcdff3b6e747593e33ae5deffc94ca59ca766341b99fc8a560c0",
     "moduli/split.json": "248a8981596b60173faed3dce65fb1796013d0860d3056c3da18321a7336a417",
     "moduli/witness.csv": "56964e2227cca3631b37952561b678d3632ec1e543cf0fddd0092d0648bd04a0",
     "moduli/witness.json": "8109acc2a73535457367e590782417037d3158a31975e00b24ff066d84080195",
-    "verify_report.json": "14dd257162d7523eaa02a42d4e544250b1ed59425d5f62f5221742931864197b",
+    "verify_report.json": "dde2ee928dc454a4b70e9fa4b1a8167e57fca23337ea3e49186f61b243924c6d",
 }
 
 
@@ -376,9 +376,9 @@ POWER_ARGS = (
 # the same for a POWER_ARGS run, which takes verify's power-only branches
 GOLDEN_POWER_SHA256 = {
     "ap/compact_family.csv": "ce184a261098ffee88c22f22b84e3023449f790f32dfb6914e31966c741e09be",
-    "ap/finite_rank.csv": "97054a8c8f3873d3a649f7302c5ead23dcc30808f8543bceb4a0c33831d9c6c1",
-    "ap/identity_trace.csv": "92fd63d68210a1af724cdbe93ab2f18f1a136402de96bb252867f97eba63fc3d",
-    "ap/obstruction.json": "03bcfebdaa03952e9eba0a13c5162a4374ee04c635a9d4e48a67a2c633a923db",
+    "ap/finite_rank.csv": "26e11bec97df78b62015826cb43b1789db1b9d4d0eb572b4e82fa6958081ad7b",
+    "ap/identity_trace.csv": "b1e54fb7dce723bd78eb4ed800e6676c9d84e5a9340028ffccc90e5e583d4ad8",
+    "ap/obstruction.json": "9f4fe048e3e9b6ecaab870aedf79776301c64a718769da078fcdab811a5ed2a7",
     "config.json": "4f0a17047962cedda7e42d0c5ce123dbcd1e87b7c251f59d0c11eac283c9c8af",
     "constants.json": "b85e3bd671b71034a083e194dcd5d32776e1b42a4812c4fed81a71d56dfdddbd",
     "levels/level_00.json": "f5aef6945eb9f217cb826d34463a2962bcd5667df1bdecdfddc7e57d2fcc2ef2",
@@ -386,13 +386,13 @@ GOLDEN_POWER_SHA256 = {
     "levels/level_02.json": "6a37d7b36c8cdb9d90d1ad2ee3f357e34efaffd3823dfbbf9d7288b74f8d82fe",
     "levels/level_03.json": "eb8ea3d3af9df8d92893663fc025e1db0444a6ea2f9e2af4fdd18f042638ef1b",
     "levels/level_04.json": "d5cb7baffc7332e4e71b52c30fdde08cc27502090210abb4341ddc073d6641c9",
-    "manifest.json": "ce7edd6b0d300b5b796b409493f2f3cd7c9aec8e5d5658ba63755137e7e1a0c4",
+    "manifest.json": "ac8029f554e5639a20debe274c94d278f0cdc649055748339371e0dbafa9709d",
     "moduli/envelope.json": "6342e3ac215e2603789d97650b0a5df92d08d5d32e30865736f06e7df7accacf",
     "moduli/split.csv": "0d13bf923590ee862e7cc36d166d7495299ec46f2c83a4067ff5c271cf2766a3",
     "moduli/split.json": "88b5c141a844b953408e79eb1fe1ed56e183e2d595cbe3f9162740b46eed7ff2",
     "moduli/witness.csv": "1c72ec144ff235d1827c9cc802b9aefecc920473875ad29179f8a713d6cf8654",
     "moduli/witness.json": "e21ec145dd575433534ef40f695714f8bae18cd329919a89f353f14a69040ae9",
-    "verify_report.json": "b9066312ff21032e0f8d773219fea7df7098922c2a6779107bc46231c76b595e",
+    "verify_report.json": "47f3bdbf02a8bef4eb4f705fae846e0077f541ec99e822b52ab37ec35ed3ac54",
 }
 
 GOLDEN = {
