@@ -27,7 +27,8 @@ Both maps the traces need are placed FFTs on one level's group
 inverse FFT of their level-m and level-(m+1) coefficients set at the anchors
 and carriers of level m, and the basis coefficients of T(tele_{n,g}) for all
 g are one forward FFT of T's level-n and level-(n+1) rows set the same way.
-No dense coordinate or telescoping product is formed;
+Both kernels skip exact zeros, so a finite-rank operator costs only the
+levels it touches.  No dense coordinate or telescoping product is formed;
 ``BasisFrame.coord_matrix`` and ``telescope_coeff_matrix`` are the same
 kernels applied to the basis, which verify compares with the exact-exponent
 functional rows.  The literal one-vector sums live in ``tests/oracles.py``.
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -272,6 +273,12 @@ class BasisFrame:
         v[anchors_n] = -2^{-n} eps^n M[level n rows],   v[carriers_n] = 2^{-n-1} M[level n+1 rows],
         telescope_image(M, n)[g] = sum_c v[c] chi_c(-g)   (a forward FFT).
 
+    Both skip exact zeros: ``coords_of`` leaves out every level m whose
+    basis levels m and m+1 are zero in all rows, and ``telescope_image``
+    returns zeros without an FFT when T's level-n and level-(n+1) rows are
+    all zero.  A skipped term was an exact zero before (the FFT of zeros is
+    zero, |0|^p = 0 and x + 0.0 == x), so the norms do not change by a bit.
+
     coord_matrix(m)[b]            coordinates of basis b on level m
     telescope_coeff_matrix(n)[g]  basis coefficients of tele_{n,g}
 
@@ -323,6 +330,8 @@ class BasisFrame:
             )
         k, anchors, carriers, signs = self._placed[n]
         v = np.zeros((k, op_matrix.shape[1]), dtype=np.complex128)
+        if not op_matrix[_pair_slice(n, self.max_level)].any():
+            return v  # the FFT of zeros
         v[anchors] = -(2.0 ** (-n)) * signs[:, None] * op_matrix[level_slice(n)]
         v[carriers] = 2.0 ** (-n - 1) * op_matrix[level_slice(n + 1)]
         return np.fft.fft(v, axis=0, out=v)
@@ -369,11 +378,22 @@ class BasisFrame:
         return self._telescope[n]
 
     def coords_of(self, coeff_rows: np.ndarray) -> Dict[int, np.ndarray]:
-        """Coordinate blocks of vectors given by basis-coefficient rows."""
-        return {m: self.coords_at(coeff_rows, m) for m in range(self.max_level + 1)}
+        """Coordinate blocks of vectors given by basis-coefficient rows.
+
+        Level m is left out when no row has a nonzero coefficient on basis
+        levels m or m+1, since its block would be exactly zero.
+        """
+        live = coeff_rows.any(axis=0)
+        return {
+            m: self.coords_at(coeff_rows, m)
+            for m in range(self.max_level + 1)
+            if live[_pair_slice(m, self.max_level)].any()
+        }
 
     def mixed_norms(self, coeff_rows: np.ndarray) -> np.ndarray:
-        return z_norms_rows(self.schedule, self.coords_of(coeff_rows))
+        # all-zero rows still need one (zero) block to give every row a norm
+        blocks = self.coords_of(coeff_rows) or {0: self.coords_at(coeff_rows, 0)}
+        return z_norms_rows(self.schedule, blocks)
 
 
 def biorthogonality_deviation(frame: BasisFrame) -> float:
@@ -406,8 +426,8 @@ def form_agreement_deviation(frame: BasisFrame, n: int) -> float:
     """
     if not 1 <= n <= frame.max_level - 1:
         raise BadParameter("form agreement on telescoping vectors needs 1 <= n < max level")
-    lower, middle, _ = telescope_blocks(n, frame.data)
-    assert lower is not None
+    lower = cross_lower_matrix(n, frame.data)
+    middle = middle_block(n, frame.data)
     own_vals = frame.functional_matrix(n) @ middle.T
     low_vals = frame.lower_functional_matrix(n) @ lower.T
     expected = frame.telescope_coeff_matrix(n)[:, level_slice(n)].T
@@ -563,6 +583,17 @@ def random_finite_rank_operator(
     return OperatorMatrix.rank_one_sum(max_level, terms)
 
 
+def experiment_operators(
+    max_level: int, support_cap: int, operator_count: int, max_rank: int, seed: int
+) -> Iterator[Tuple[int, int, OperatorMatrix]]:
+    """The (support level, rank, operator) triples ``ap_experiment`` reports on."""
+    for i in range(operator_count):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 505, i))))
+        support = int(rng.integers(0, support_cap + 1))
+        rank = int(rng.integers(1, max_rank + 1))
+        yield support, rank, random_finite_rank_operator(max_level, support, rank, seed=seed * 1009 + i)
+
+
 def ap_experiment(
     frame: BasisFrame,
     cross_constant: float,
@@ -600,11 +631,9 @@ def ap_experiment(
     )
 
     rank_rows: List[FiniteRankRow] = []
-    for i in range(operator_count):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 505, i))))
-        support = int(rng.integers(0, support_cap + 1))
-        rank = int(rng.integers(1, max_rank + 1))
-        op = random_finite_rank_operator(top, support, rank, seed=seed * 1009 + i)
+    for i, (support, rank, op) in enumerate(
+        experiment_operators(top, support_cap, operator_count, max_rank, seed)
+    ):
         traces = tuple(level_trace(op, n) for n in range(top + 1))
         beyond = [abs(t) for n, t in enumerate(traces) if n > support]
         limit = trace_limit(op, frame)

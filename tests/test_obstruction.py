@@ -14,7 +14,7 @@ from aplab.errors import (
     IndexOutOfRange,
     TruncationTooSmall,
 )
-from aplab.mixed_norm import ExponentSchedule, z_norm
+from aplab.mixed_norm import ExponentSchedule, z_norm, z_norms_rows
 from aplab.store import canonical_json
 from oracles import coeff_functional, telescope_vector
 from strategies import constructions
@@ -132,6 +132,41 @@ def test_coords_match_basis_vector_sums(case, seed):
                 expected[m] += coeffs[:, ob.basis_index(n, j), None] * block
     for m in coords:
         assert np.abs(coords[m] - expected[m]).max() <= 1e-12
+
+
+@given(constructions(max_top=5), st.integers(0, 2**16))
+def test_coords_of_leaves_out_exactly_the_zero_levels(case, seed):
+    """Rows supported on a single level, a boundary pair, random levels, or none."""
+    top, data = case
+    schedule = ExponentSchedule.log_rate()
+    frame = ob.BasisFrame(data, schedule, top)
+    rng = np.random.default_rng(seed)
+    single = int(rng.integers(0, top + 1))
+    pair = int(rng.integers(0, top))
+    subsets = [
+        {single},
+        {pair, pair + 1},
+        {int(m) for m in rng.choice(top + 1, size=int(rng.integers(1, top + 2)), replace=False)},
+        set(),
+    ]
+    for levels in subsets:
+        coeffs = np.zeros((3, frame.dim), dtype=np.complex128)
+        for n in levels:
+            size = 1 << n
+            coeffs[:2, ob.level_slice(n)] = rng.standard_normal((2, size)) + 1j * rng.standard_normal((2, size))
+        coords = frame.coords_of(coeffs)  # row 2 stays zero
+        live = {m for m in range(top + 1) if m in levels or (m < top and m + 1 in levels)}
+        assert set(coords) == live
+        oracle = {m: np.zeros((3, data.require(m).table.order), dtype=np.complex128) for m in range(top + 1)}
+        for n in range(top + 1):
+            for j in range(1, (1 << n) + 1):
+                for m, block in ob.basis_vector(n, j, data, schedule).blocks.items():
+                    oracle[m] += coeffs[:, ob.basis_index(n, j), None] * block
+        for m in range(top + 1):
+            if m not in live:
+                assert not oracle[m].any()
+        every_level = {m: frame.coords_at(coeffs, m) for m in range(top + 1)}
+        assert np.array_equal(frame.mixed_norms(coeffs), z_norms_rows(schedule, every_level))
 
 
 @given(constructions(max_top=5), st.integers(0, 2**16))
@@ -316,6 +351,54 @@ def test_trace_limit_identity(frame5):
     assert limit.estimate == pytest.approx(1.0, abs=1e-12)
     assert limit.tail_factor <= 1.0 / 5.0
     assert limit.tail_bound == pytest.approx(limit.tail_factor * limit.family_sup, abs=1e-12)
+
+
+def _trace_limit_every_level(op, frame):
+    """trace_limit with every telescoping image transformed and every level's block normed."""
+    top, schedule = frame.max_level, frame.schedule
+
+    def norms(coeffs):
+        return z_norms_rows(schedule, {m: frame.coords_at(coeffs, m) for m in range(top + 1)})
+
+    sups = [float(norms(op.matrix[:1])[0])]
+    for n in range(1, top):
+        item = frame.data.require(n)
+        signs = np.asarray(item.require_signs().signs, dtype=np.float64)
+        v = np.zeros((item.table.order, frame.dim), dtype=np.complex128)
+        v[list(item.split.anchors)] = -(2.0 ** (-n)) * signs[:, None] * op.matrix[ob.level_slice(n)]
+        v[list(item.split.carriers)] = 2.0 ** (-n - 1) * op.matrix[ob.level_slice(n + 1)]
+        sups.append(float((n + 1) ** 2 * norms(np.fft.fft(v, axis=0)).max()))
+    estimate = ob.level_trace(op, top)
+    family_sup = max(sups)
+    tail_factor = math.pi**2 / 6.0 - math.fsum(1.0 / m**2 for m in range(1, top + 1))
+    return ob.TraceLimit(
+        estimate=estimate,
+        tail_factor=tail_factor,
+        family_sup=family_sup,
+        tail_bound=tail_factor * family_sup,
+        sup_ratio=abs(estimate) / family_sup if family_sup > 0 else 0.0,
+        family_max_level=top - 1,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 9, 42])
+def test_trace_limit_equals_every_level_reference_on_experiment_operators(frame5, seed):
+    for _, _, op in ob.experiment_operators(5, 4, 5, 5, seed):
+        assert ob.trace_limit(op, frame5) == _trace_limit_every_level(op, frame5)
+
+
+def test_trace_limit_equals_every_level_reference_on_edge_operators(frame4, frame5):
+    for frame in (frame4, frame5):
+        top = frame.max_level
+        top_row = np.zeros((frame.dim, frame.dim), dtype=np.complex128)
+        top_row[ob.basis_index(top, 1), 1::2] = 0.5 - 2.0j
+        ops = [
+            ob.OperatorMatrix.zeros(top),
+            ob.OperatorMatrix.identity(top),
+            ob.OperatorMatrix(top, top_row),
+        ]
+        for op in ops:
+            assert ob.trace_limit(op, frame) == _trace_limit_every_level(op, frame)
 
 
 def test_experiment_report(small_data, frame5, log_schedule):
