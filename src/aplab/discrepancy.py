@@ -16,7 +16,10 @@ couple neighbouring levels through the basis vectors:
 Choosing eps^n fixes lower_n and upper_{n-1}, so patterns are selected
 level by level.  Since upper_{n-1}(h, g) = -conj(lower_n(g, h)), a sign
 candidate is scored on the lower block alone, one length-k FFT per row of
-lower_n^T; split candidates are scored by one FFT of the anchor indicator.
+lower_n^T.  The signs are real and chi(-x) = conj(chi(x)), so
+lower_n(-g, -h) = conj(lower_n(g, h)): row -h is row h mirrored and
+conjugated, and rows h = 0..k_below//2 already hold every modulus.  Split
+candidates are scored by one FFT of the anchor indicator.
 Certification recomputes every quantity from the defining sums so the two
 routes check each other.
 
@@ -50,7 +53,7 @@ _SIGN_STREAM = 202
 # Split candidates are scored in batches of about this many spectrum entries.
 _SPLIT_CHUNK_ENTRIES = 1 << 20
 # Rows of lower_n^T transformed at once by the sign objective.
-_SIGN_CHUNK_ROWS = 64
+_SIGN_CHUNK_ROWS = 32
 # Split scores and sign objectives within this relative distance of the best are ties.
 _TIE_RTOL = 1e-12
 
@@ -235,8 +238,11 @@ def search_character_split(
         count = budget
 
         def batch(lo: int, hi: int) -> np.ndarray:
+            # draws are sorted, so the order numpy would shuffle them into is unused
             draws = [
-                _candidate_rng(seed, _SPLIT_STREAM, i).choice(k, size=cnt, replace=False)
+                _candidate_rng(seed, _SPLIT_STREAM, i).choice(
+                    k, size=cnt, replace=False, shuffle=False
+                )
                 for i in range(lo, hi)
             ]
             return np.sort(np.stack(draws), axis=1)
@@ -324,9 +330,12 @@ def sign_objective(n: int, data: ConstructionData, signs: Sequence[int]) -> floa
 
     |upper_{n-1}| is the transpose of |lower_n|, so only lower_n is formed.
     Row h of lower_n^T is -2^{-n} times the length-k DFT of the vector that
-    holds eps_j * chi_{c_j}(h) at anchor a_j; the phases are gathered from
-    the exact-exponent roots of level n-1 and rows go in fixed-size chunks,
-    so memory stays O(chunk * k).
+    holds eps_j * chi_{c_j}(h) at anchor a_j.  Row k_below - h is row h
+    conjugated and read at -g (eps is real, chi(-x) = conj(chi(x))), so it
+    has the same largest modulus and only rows 0..k_below//2 are
+    transformed.  The phases are gathered from the exact-exponent roots of
+    level n-1 and rows go in fixed-size chunks, so memory stays
+    O(chunk * k).
     """
     if n == 0:
         return 0.0
@@ -339,13 +348,17 @@ def sign_objective(n: int, data: ConstructionData, signs: Sequence[int]) -> floa
     anchors = np.asarray(here.split.anchors, dtype=np.int64)
     carriers = np.asarray(below.split.carriers, dtype=np.int64)
     roots = below.table.roots()
-    placed = np.zeros((min(_SIGN_CHUNK_ROWS, k_below), k), dtype=np.complex128)
+    rows = k_below // 2 + 1
+    chunk = min(_SIGN_CHUNK_ROWS, rows)
+    placed = np.zeros((chunk, k), dtype=np.complex128)
+    flat = (np.arange(chunk)[:, None] * k + anchors).reshape(-1)
     worst = 0.0
-    for start in range(0, k_below, _SIGN_CHUNK_ROWS):
-        h = np.arange(start, min(start + _SIGN_CHUNK_ROWS, k_below))
-        rows = placed[: len(h)]
-        rows[:, anchors] = eps * roots[np.outer(h, carriers) % k_below]
-        worst = max(worst, float(np.abs(np.fft.fft(rows, axis=1)).max()))
+    for start in range(0, rows, chunk):
+        h = np.arange(start, min(start + chunk, rows))
+        placed.reshape(-1)[flat[: len(h) * len(anchors)]] = (
+            eps * roots[np.outer(h, carriers) % k_below]
+        ).reshape(-1)
+        worst = max(worst, float(np.abs(np.fft.fft(placed[: len(h)], axis=1)).max()))
     return 2.0 ** (-n) * worst
 
 

@@ -594,6 +594,24 @@ def experiment_operators(
         yield support, rank, random_finite_rank_operator(max_level, support, rank, seed=seed * 1009 + i)
 
 
+def _finite_rank_row(
+    i: int, support: int, rank: int, op: OperatorMatrix, frame: BasisFrame
+) -> FiniteRankRow:
+    top = frame.max_level
+    traces = tuple(level_trace(op, n) for n in range(top + 1))
+    beyond = [abs(t) for n, t in enumerate(traces) if n > support]
+    limit = trace_limit(op, frame)
+    return FiniteRankRow(
+        operator=i,
+        rank=rank,
+        support_level=support,
+        traces=traces,
+        max_beyond_support=max(beyond) if beyond else 0.0,
+        limit_estimate=limit.estimate,
+        tail_bound=limit.tail_bound,
+    )
+
+
 def ap_experiment(
     frame: BasisFrame,
     cross_constant: float,
@@ -629,25 +647,16 @@ def ap_experiment(
     identity_residuals = tuple(
         telescope_residual(ident, n, frame) for n in range(top)
     )
-
-    rank_rows: List[FiniteRankRow] = []
-    for i, (support, rank, op) in enumerate(
-        experiment_operators(top, support_cap, operator_count, max_rank, seed)
-    ):
-        traces = tuple(level_trace(op, n) for n in range(top + 1))
-        beyond = [abs(t) for n, t in enumerate(traces) if n > support]
-        limit = trace_limit(op, frame)
-        rank_rows.append(
-            FiniteRankRow(
-                operator=i,
-                rank=rank,
-                support_level=support,
-                traces=traces,
-                max_beyond_support=max(beyond) if beyond else 0.0,
-                limit_estimate=limit.estimate,
-                tail_bound=limit.tail_bound,
-            )
+    # Drop the dense d x d operators before the compact family, whose
+    # telescoping norms need the most memory; the comprehension's ``op`` ends
+    # with it, so the last finite-rank operator goes too.
+    del ident
+    rank_rows = [
+        _finite_rank_row(i, support, rank, op, frame)
+        for i, (support, rank, op) in enumerate(
+            experiment_operators(top, support_cap, operator_count, max_rank, seed)
         )
+    ]
 
     base_norm = z_norm(basis_vector(0, 1, frame.data, frame.schedule))
     compact_rows = []

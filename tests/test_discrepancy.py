@@ -13,6 +13,7 @@ from aplab.discrepancy import (
     LevelData,
     SignPattern,
     balance_values,
+    _candidate_rng,
     _score_indicator_batch,
     _sign_key,
     _signs_from_bits,
@@ -25,6 +26,7 @@ from aplab.discrepancy import (
     search_signs,
     sign_objective,
     split_discrepancy,
+    _SPLIT_STREAM,
 )
 from aplab.errors import (
     BadParameter,
@@ -113,6 +115,22 @@ def test_level3_exhaustive_breaks_near_ties_by_smallest_anchors():
     best = search_character_split(table, strategy="exhaustive")
     assert best.anchors == smallest
     assert best.discrepancy == pytest.approx(scores.min(), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [24, 1536, 12288])
+def test_sorted_split_draws_do_not_depend_on_the_shuffle(k):
+    # the split search sorts its draws and skips numpy's final shuffle; numpy
+    # picks the set first (Floyd's algorithm, or a tail shuffle above 10 000)
+    for i in range(4):
+        draws = [
+            np.sort(
+                _candidate_rng(7, _SPLIT_STREAM, i).choice(
+                    k, size=k // 3, replace=False, shuffle=shuffle
+                )
+            )
+            for shuffle in (True, False)
+        ]
+        assert np.array_equal(*draws)
 
 
 def test_search_determinism():
@@ -213,7 +231,8 @@ def test_fast_objective_matches_direct_blocks(case):
 @settings(max_examples=10)
 @given(constructions(min_top=7, max_top=8))
 def test_chunked_objective_matches_direct_blocks(case):
-    # k/2 = 192 or 384 rows of lower_n^T, so the kernel runs several row chunks
+    # k_below/2 + 1 = 97 or 193 rows of lower_n^T, so the kernel runs several
+    # 32-row chunks and a 1-row tail
     _assert_objective_matches_direct_blocks(*case)
 
 
@@ -249,6 +268,18 @@ def test_lower_and_upper_share_their_maximum(case):
     lower = np.abs(cross_lower_matrix(n, data))
     upper_prev = np.abs(cross_upper_matrix(n - 1, data))
     assert np.abs(lower - upper_prev.T).max() <= 1e-12
+
+
+@given(constructions())
+def test_lower_block_rows_mirror_by_conjugation(case):
+    # eps is real and chi(-x) = conj(chi(x)), so lower_n(-g, -h) = conj(lower_n(g, h));
+    # the sign objective transforms only rows h <= k_below // 2 of lower_n^T
+    top, data = case
+    for n in range(1, top + 1):
+        lower = np.abs(cross_lower_matrix(n, data))
+        k, k_below = lower.shape
+        mirrored = lower[(-np.arange(k)) % k][:, (-np.arange(k_below)) % k_below]
+        assert np.abs(lower - mirrored).max() <= 1e-12
 
 
 def test_cross_block_manual_double_sum():

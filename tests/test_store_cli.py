@@ -357,8 +357,8 @@ GOLDEN_SHA256 = {
     "levels/level_00.json": "f5aef6945eb9f217cb826d34463a2962bcd5667df1bdecdfddc7e57d2fcc2ef2",
     "levels/level_01.json": "93a16bff346c64cdba12eb86529281fa5cd85f4be1682f65e8df809c80d37ad8",
     "levels/level_02.json": "6a37d7b36c8cdb9d90d1ad2ee3f357e34efaffd3823dfbbf9d7288b74f8d82fe",
-    "levels/level_03.json": "8d67e74c1bbea0aa2c6904cc95217463edf1b0df5402bb51af44542bd7087036",
-    "manifest.json": "51f8d6dc70340253d9bb9d4158466d8d96070a3fd6a0ce2af8f7409365165e85",
+    "levels/level_03.json": "0dee5d47a73cc6ed1b660966fd537127f16cd0c2eabe802b9da9d96f5a81f505",
+    "manifest.json": "03cecbca25173610b60b5e3655119735ac6b4a8ec92ec6c8bb1b8a9d7862fec7",
     "moduli/envelope.json": "5177e769440daa1954a92043fe60ab2019ec6961ccfc4fb6ff2913361b0d4660",
     "moduli/split.csv": "9e16f25507d1bcdff3b6e747593e33ae5deffc94ca59ca766341b99fc8a560c0",
     "moduli/split.json": "248a8981596b60173faed3dce65fb1796013d0860d3056c3da18321a7336a417",
