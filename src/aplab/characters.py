@@ -20,8 +20,8 @@ from .errors import BadParameter, IndexOutOfRange, LevelTooLarge
 
 DEFAULT_MAX_LEVEL = 24
 
-# Dense k x k value matrices above this entry count are refused.
-_TABLE_ENTRY_LIMIT = 16_000_000
+# The orthogonality check gathers about this many roots at a time.
+_ORTHOGONALITY_CHUNK_ENTRIES = 1 << 20
 
 
 def block_size(n: int) -> int:
@@ -57,30 +57,14 @@ def build_group(n: int, max_level: int = DEFAULT_MAX_LEVEL) -> Group:
 class CharacterTable:
     """All k characters of a level group, addressed by index 0..k-1.
 
-    By default exponents follow the cyclic formula e(c, g) = c*g mod k and
-    are computed on demand; an explicit exponent matrix may be supplied
-    instead (deserialization, fault-injection tests).  Instances are
-    immutable by convention; stored arrays are marked read-only.
+    Exponents follow the cyclic formula e(c, g) = c*g mod k and are computed
+    on demand, so no k x k table is ever stored.  The roots array is cached
+    and read-only.
     """
 
-    def __init__(self, group: Group, exponents: Optional[np.ndarray] = None) -> None:
+    def __init__(self, group: Group) -> None:
         self.group = group
-        k = group.order
-        if exponents is not None:
-            arr = np.array(exponents, dtype=np.int64)
-            if arr.shape != (k, k):
-                raise BadParameter(f"exponent matrix must be {k}x{k}, got {arr.shape}")
-            if arr.size and (arr.min() < 0 or arr.max() >= k):
-                raise BadParameter("exponent entries must lie in [0, order)")
-            arr.flags.writeable = False
-            self._exponents: Optional[np.ndarray] = arr
-        else:
-            self._exponents = None
         self._root_cache: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_exponents(cls, group: Group, exponents: np.ndarray) -> "CharacterTable":
-        return cls(group, exponents=exponents)
 
     @property
     def order(self) -> int:
@@ -100,8 +84,6 @@ class CharacterTable:
         for idx, name in ((c, "character"), (g, "element")):
             if not 0 <= idx < self.group.order:
                 raise IndexOutOfRange(f"{name} index {idx} outside [0, {self.group.order})")
-        if self._exponents is not None:
-            return int(self._exponents[c, g])
         return (c * g) % self.group.order
 
     def value(self, c: int, g: int) -> complex:
@@ -114,8 +96,6 @@ class CharacterTable:
         bad = idx[(idx < 0) | (idx >= k)]
         if bad.size:
             raise IndexOutOfRange(f"character index {int(bad[0])} outside [0, {k})")
-        if self._exponents is not None:
-            return self._exponents[idx]
         return np.outer(idx, np.arange(k)) % k
 
     def row(self, c: int) -> np.ndarray:
@@ -132,17 +112,6 @@ class CharacterTable:
     def rows_at_inverse(self, cs: Sequence[int]) -> np.ndarray:
         return self.roots()[-self._exponent_rows(cs) % self.group.order]
 
-    def matrix(self) -> np.ndarray:
-        """Dense value matrix V[c, g] = chi_c(g)."""
-        return self.roots()[self.exponent_matrix()]
-
-    def exponent_matrix(self) -> np.ndarray:
-        """Dense integer matrix e[c, g]; the serialization form."""
-        k = self.group.order
-        if k * k > _TABLE_ENTRY_LIMIT:
-            raise LevelTooLarge(f"dense {k}x{k} table exceeds the entry limit")
-        return self._exponent_rows(range(k))
-
 
 @dataclass(frozen=True)
 class OrthogonalityReport:
@@ -155,15 +124,23 @@ class OrthogonalityReport:
 def verify_orthogonality(table: CharacterTable, tol: float) -> OrthogonalityReport:
     """Largest deviation of sum_g chi_c(g)*conj(chi_d(g)) from k*delta_cd.
 
-    Passes when the deviation is at most ``tol``.
+    Exponents are exact, so the sum depends only on r = c - d: it is
+    S_r = sum_g roots[(r*g) mod k], a floating-point sum of the stored
+    roots.  The k sums are formed a chunk of rows r at a time, O(k^2) time
+    and O(chunk * k) memory.  Passes when the deviation is at most ``tol``.
     """
     if tol <= 0:
         raise BadParameter(f"tolerance must be positive, got {tol}")
-    v = table.matrix()
     k = table.order
-    gram = v @ v.conj().T
-    gram[np.diag_indices(k)] -= k
-    dev = float(np.abs(gram).max())
+    roots = table.roots()
+    g = np.arange(k)
+    step = max(1, _ORTHOGONALITY_CHUNK_ENTRIES // k)
+    dev = 0.0
+    for lo in range(0, k, step):
+        sums = roots[np.outer(np.arange(lo, min(lo + step, k)), g) % k].sum(axis=1)
+        if lo == 0:
+            sums[0] -= k
+        dev = max(dev, float(np.abs(sums).max()))
     return OrthogonalityReport(
         level=table.group.level, max_deviation=dev, tolerance=tol, passed=dev <= tol
     )

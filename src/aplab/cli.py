@@ -16,8 +16,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import obstruction
 from .characters import CharacterTable, build_group, verify_orthogonality
 from .discrepancy import (
@@ -109,7 +107,6 @@ def build_levels(
     return data
 
 
-EXPONENT_EXPORT_MAX_ORDER = 48  # dense exponent matrices stored up to this order
 VERIFY_REPORT = "verify_report.json"
 
 
@@ -119,7 +116,7 @@ def _level_path(n: int) -> str:
 
 def _level_payload(item: LevelData) -> Dict:
     signs = item.require_signs()
-    payload = {
+    return {
         "level": item.level,
         "order": item.table.order,
         "split": {
@@ -129,9 +126,6 @@ def _level_payload(item: LevelData) -> Dict:
         },
         "signs": {"signs": signs.signs, "objective": signs.objective},
     }
-    if item.table.order <= EXPONENT_EXPORT_MAX_ORDER:
-        payload["exponents"] = item.table.exponent_matrix().tolist()
-    return payload
 
 
 def load_data(store: ArtifactStore, max_level: int) -> ConstructionData:
@@ -189,7 +183,6 @@ class _Audit:
     """
 
     config: RunConfig
-    store: ArtifactStore
     data: ConstructionData
     stored: Dict  # constants.json
     fresh: CertifiedConstants
@@ -202,13 +195,6 @@ class _Audit:
 
 def _integrity(a: _Audit) -> Iterator[tuple]:
     yield "manifest-integrity", a.top, float(len(a.stale)), 0.0
-    for n in range(a.top + 1):
-        payload = a.store.read_json(_level_path(n))
-        assert isinstance(payload, dict)
-        if "exponents" in payload:
-            stored = np.asarray(payload["exponents"], dtype=np.int64)
-            mismatches = int((stored != a.data.require(n).table.exponent_matrix()).sum())
-            yield "character-table-integrity", n, float(mismatches), 0.0
 
 
 def _orthogonality(a: _Audit) -> Iterator[tuple]:
@@ -299,7 +285,7 @@ def cmd_verify(config: RunConfig) -> int:
     data = load_data(store, config.max_level)
     stored = store.read_json("constants.json")
     fresh = certify_constants(range(config.max_level + 1), data)
-    audit = _Audit(config, store, data, stored, fresh, stale)  # type: ignore[arg-type]
+    audit = _Audit(config, data, stored, fresh, stale)  # type: ignore[arg-type]
     rows = [_row(*row) for check in VERIFY_CHECKS for row in check(audit)]
     store.write_json(VERIFY_REPORT, {"rows": rows})
 

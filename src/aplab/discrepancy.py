@@ -20,8 +20,12 @@ lower_n^T.  The signs are real and chi(-x) = conj(chi(x)), so
 lower_n(-g, -h) = conj(lower_n(g, h)): row -h is row h mirrored and
 conjugated, and rows h = 0..k_below//2 already hold every modulus.  Split
 candidates are scored by one FFT of the anchor indicator.
-Certification recomputes every quantity from the defining sums so the two
-routes check each other.
+
+The balance values are one inverse FFT of the weights (2 at anchors, -1
+at carriers), and both cross blocks come from the sign kernel.
+Certification reads the cross maxima from ``sign_objective`` and checks
+the balance against the split search's indicator route.  The literal
+double sums are test oracles in ``tests/oracles.py``.
 
 Randomized strategies draw each candidate from its own seed sequence keyed
 by (seed, stream, index); results do not depend on evaluation order.
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,15 +150,16 @@ def _validate_partition(split: CharacterSplit, k: int) -> None:
 
 
 def balance_values(table: CharacterTable, split: CharacterSplit) -> np.ndarray:
-    """Balance sum 2*sum_anchors - sum_carriers over all group elements."""
+    """Balance sum 2*sum_anchors - sum_carriers over all group elements:
+    one unscaled inverse FFT of the weights, 2 at anchors and -1 at carriers."""
     _validate_partition(split, table.order)
-    a = table.rows(split.anchors).sum(axis=0)
-    c = table.rows(split.carriers).sum(axis=0)
-    return 2.0 * a - c
+    weights = np.full(table.order, -1.0)
+    weights[list(split.anchors)] = 2.0
+    return np.fft.ifft(weights, norm="forward")
 
 
 def split_discrepancy(split: CharacterSplit, table: CharacterTable) -> float:
-    """Largest balance magnitude; recomputed from the defining double sum."""
+    """Largest balance magnitude d(n), recomputed from the balance values."""
     return float(np.abs(balance_values(table, split)).max())
 
 
@@ -163,8 +168,8 @@ def split_discrepancy(split: CharacterSplit, table: CharacterTable) -> float:
 #
 # Off the identity the full character sum vanishes, so the balance equals
 # three times the anchor sum there, and the anchor sum over g is a DFT of
-# the anchor indicator.  The search scores candidates this way; the stored
-# discrepancy is always recomputed from the defining sums.
+# the anchor indicator.  The search scores candidates this way;
+# certification checks it against the balance values.
 # ----------------------------------------------------------------------
 
 
@@ -274,37 +279,49 @@ def search_character_split(
 # ----------------------------------------------------------------------
 
 
-def cross_matrix_from_values(
-    left_at_inverse: np.ndarray,
-    right: np.ndarray,
-    signs: Sequence[int],
-    scale: complex,
-) -> np.ndarray:
-    """Assemble scale * sum_j signs_j * left_j(-g) * right_j(h) directly."""
-    eps = np.asarray(signs, dtype=np.float64)
-    if left_at_inverse.shape[0] != right.shape[0] or left_at_inverse.shape[0] != len(eps):
-        raise BadParameter("mismatched term counts in cross matrix assembly")
-    return scale * ((eps[:, None] * left_at_inverse).T @ right)
+def _lower_rows(
+    n: int, data: ConstructionData, eps: np.ndarray, rows: int
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Rows h = 0..rows-1 of lower_n^T / (-2^{-n}), as (first row, chunk) pairs.
+
+    Row h is the length-k FFT of the vector that holds eps_j * chi_{c_j}(h)
+    at anchor a_j.  The phases are gathered from the exact-exponent roots of
+    level n-1 and rows go ``_SIGN_CHUNK_ROWS`` at a time through one flat
+    placement index, so memory stays O(chunk * k).
+    """
+    here = data.require(n)
+    below = data.require(n - 1)
+    k, k_below = here.table.order, below.table.order
+    anchors = np.asarray(here.split.anchors, dtype=np.int64)
+    carriers = np.asarray(below.split.carriers, dtype=np.int64)
+    roots = below.table.roots()
+    chunk = min(_SIGN_CHUNK_ROWS, rows)
+    placed = np.zeros((chunk, k), dtype=np.complex128)
+    flat = (np.arange(chunk)[:, None] * k + anchors).reshape(-1)
+    for start in range(0, rows, chunk):
+        h = np.arange(start, min(start + chunk, rows))
+        placed.reshape(-1)[flat[: len(h) * len(anchors)]] = (
+            eps * roots[np.outer(h, carriers) % k_below]
+        ).reshape(-1)
+        yield start, np.fft.fft(placed[: len(h)], axis=1)
 
 
 def cross_lower_matrix(n: int, data: ConstructionData) -> np.ndarray:
-    """Lower coupling block of level n >= 1, from the defining double sum."""
+    """Lower coupling block of level n >= 1, through the sign kernel's FFTs."""
     if n < 1:
         raise BadParameter("level-0 vectors have no lower block")
-    here = data.require(n)
-    below = data.require(n - 1)
-    left = here.table.rows_at_inverse(here.split.anchors)
-    right = below.table.rows(below.split.carriers)
-    return cross_matrix_from_values(left, right, here.require_signs().signs, -(2.0 ** (-n)))
+    eps = np.asarray(data.require(n).require_signs().signs, dtype=np.float64)
+    k, k_below = data.require(n).table.order, data.require(n - 1).table.order
+    lower_t = np.empty((k_below, k), dtype=np.complex128)
+    for start, spectrum in _lower_rows(n, data, eps, k_below):
+        lower_t[start : start + len(spectrum)] = spectrum
+    lower_t *= -(2.0 ** (-n))
+    return lower_t.T
 
 
 def cross_upper_matrix(n: int, data: ConstructionData) -> np.ndarray:
-    """Upper coupling block of level n, from the defining double sum."""
-    here = data.require(n)
-    above = data.require(n + 1)
-    left = here.table.rows_at_inverse(here.split.carriers)
-    right = above.table.rows(above.split.anchors)
-    return cross_matrix_from_values(left, right, above.require_signs().signs, 2.0 ** (-n - 1))
+    """Upper coupling block of level n: upper_n(g, h) = -conj(lower_{n+1}(h, g))."""
+    return -cross_lower_matrix(n + 1, data).T.conj()
 
 
 def middle_block(n: int, data: ConstructionData) -> np.ndarray:
@@ -328,37 +345,21 @@ def middle_block(n: int, data: ConstructionData) -> np.ndarray:
 def sign_objective(n: int, data: ConstructionData, signs: Sequence[int]) -> float:
     """Largest cross-block magnitude the level-n pattern controls.
 
-    |upper_{n-1}| is the transpose of |lower_n|, so only lower_n is formed.
-    Row h of lower_n^T is -2^{-n} times the length-k DFT of the vector that
-    holds eps_j * chi_{c_j}(h) at anchor a_j.  Row k_below - h is row h
-    conjugated and read at -g (eps is real, chi(-x) = conj(chi(x))), so it
-    has the same largest modulus and only rows 0..k_below//2 are
-    transformed.  The phases are gathered from the exact-exponent roots of
-    level n-1 and rows go in fixed-size chunks, so memory stays
-    O(chunk * k).
+    |upper_{n-1}| is the transpose of |lower_n|, so only lower_n is formed,
+    one FFT per row of lower_n^T (``_lower_rows``).  Row k_below - h is row
+    h conjugated and read at -g (eps is real, chi(-x) = conj(chi(x))), so
+    it has the same largest modulus and only rows 0..k_below//2 are
+    transformed.
     """
     if n == 0:
         return 0.0
-    here = data.require(n)
-    below = data.require(n - 1)
     eps = np.asarray(signs, dtype=np.float64)
-    if len(eps) != len(here.split.anchors):
+    if len(eps) != len(data.require(n).split.anchors):
         raise BadParameter("sign pattern length must match the anchor count")
-    k, k_below = here.table.order, below.table.order
-    anchors = np.asarray(here.split.anchors, dtype=np.int64)
-    carriers = np.asarray(below.split.carriers, dtype=np.int64)
-    roots = below.table.roots()
-    rows = k_below // 2 + 1
-    chunk = min(_SIGN_CHUNK_ROWS, rows)
-    placed = np.zeros((chunk, k), dtype=np.complex128)
-    flat = (np.arange(chunk)[:, None] * k + anchors).reshape(-1)
+    rows = data.require(n - 1).table.order // 2 + 1
     worst = 0.0
-    for start in range(0, rows, chunk):
-        h = np.arange(start, min(start + chunk, rows))
-        placed.reshape(-1)[flat[: len(h) * len(anchors)]] = (
-            eps * roots[np.outer(h, carriers) % k_below]
-        ).reshape(-1)
-        worst = max(worst, float(np.abs(np.fft.fft(placed[: len(h)], axis=1)).max()))
+    for _, spectrum in _lower_rows(n, data, eps, rows):
+        worst = max(worst, float(np.abs(spectrum).max()))
     return 2.0 ** (-n) * worst
 
 
@@ -480,11 +481,14 @@ def cross_bound_scale(n: int) -> float:
 
 
 def certify_constants(levels: Iterable[int], data: ConstructionData) -> CertifiedConstants:
-    """Recompute all bounds from scratch over the requested levels.
+    """Recompute all bounds over the requested levels.
 
     Cross rows cover requested levels n >= 1 whose neighbour n+1 has been
-    built (the upper block needs it); levels without that neighbour only
-    contribute a balance row.
+    built.  max |lower_n| and max |upper_n| = max |lower_{n+1}| are
+    ``sign_objective`` at n and n+1 on the stored signs; the middle block
+    is a circulant of the balance values, so its maximum is 2^{-n-1} d(n).
+    The identity residual compares that with the split search's route,
+    3 * max_{g != 0} |DFT of the anchor indicator|.
     """
     level_list = sorted(set(int(n) for n in levels))
     if not level_list:
@@ -506,16 +510,20 @@ def certify_constants(levels: Iterable[int], data: ConstructionData) -> Certifie
         )
 
     balance = {r.level: r.recomputed for r in split_rows}
+    cross_levels = [n for n in level_list if n >= 1 and data.has(n + 1)]
+    objective = {
+        m: sign_objective(m, data, data.require(m).require_signs().signs)
+        for m in sorted({m for n in cross_levels for m in (n, n + 1)})
+    }
     cross_rows: List[CrossBoundRow] = []
-    for n in level_list:
-        if n < 1 or not data.has(n + 1):
-            continue
-        max_lower = float(np.abs(cross_lower_matrix(n, data)).max())
-        max_middle = float(np.abs(middle_block(n, data)).max())
-        max_upper = float(np.abs(cross_upper_matrix(n, data)).max())
+    for n in cross_levels:
+        item = data.require(n)
+        anchors = np.asarray([item.split.anchors], dtype=np.int64)
+        indicator_score = float(_score_indicator_batch(_indicator(item.table.order, anchors))[0])
+        max_lower, max_upper = objective[n], objective[n + 1]
+        max_middle = 2.0 ** (-n - 1) * balance[n]
         overall = max(max_lower, max_middle, max_upper)
         scale = cross_bound_scale(n)
-        expected_mid = 2.0 ** (-n - 1) * balance[n]
         cross_rows.append(
             CrossBoundRow(
                 level=n,
@@ -525,7 +533,7 @@ def certify_constants(levels: Iterable[int], data: ConstructionData) -> Certifie
                 overall=overall,
                 scale=scale,
                 ratio=overall / scale,
-                middle_identity_residual=abs(max_middle - expected_mid),
+                middle_identity_residual=abs(max_middle - 2.0 ** (-n - 1) * indicator_score),
             )
         )
 

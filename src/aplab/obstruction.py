@@ -48,7 +48,7 @@ from .characters import block_size
 from .discrepancy import (
     ConstructionData,
     cross_lower_matrix,
-    cross_upper_matrix,
+    cross_upper_matrix,  # unused here; kept so profilers can wrap it by this name
     middle_block,
     split_discrepancy,  # unused here; kept so profilers can wrap it by this name
     cross_bound_scale,
@@ -68,6 +68,9 @@ from .mixed_norm import (
 )
 
 NORM_CHAIN_FACTOR = 3.0 * math.sqrt(2.0)
+
+# Telescoping norms take rows g in chunks of about this many upper-block entries.
+_NORM_CHUNK_ENTRIES = 1 << 20
 
 
 def basis_dimension(max_level: int) -> int:
@@ -111,26 +114,34 @@ def basis_vector(
     return MixedNormVector(schedule=schedule, blocks=blocks)
 
 
-def telescope_blocks(
-    n: int, data: ConstructionData
-) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
-    """Value matrices of all level-n telescoping vectors, one row per g.
-
-    Returns (lower, middle, upper); lower is None at level 0.
-    """
-    lower = cross_lower_matrix(n, data) if n >= 1 else None
-    return lower, middle_block(n, data), cross_upper_matrix(n, data)
-
-
 def telescope_norms(
     n: int, data: ConstructionData, schedule: ExponentSchedule
 ) -> np.ndarray:
-    """Mixed norms of every level-n telescoping vector, indexed by g."""
-    lower, middle, upper = telescope_blocks(n, data)
-    blocks: Dict[int, np.ndarray] = {n: middle, n + 1: upper}
-    if lower is not None:
-        blocks[n - 1] = lower
-    return z_norms_rows(schedule, blocks)
+    """Mixed norms of every level-n telescoping vector, indexed by g.
+
+    tele_{n,g} has basis coefficients -2^{-n} eps^n_j chi_{anchor^n_j}(-g)
+    on level n and 2^{-n-1} chi_{carrier^n_j}(-g) on level n+1, so its
+    blocks on levels n-1, n, n+1 (rows g of the lower, middle and upper
+    cross blocks) are ``BasisFrame.coords_at`` of those rows.  Rows g go
+    about ``_NORM_CHUNK_ENTRIES // k_{n+1}`` at a time.
+    """
+    frame = BasisFrame(data, schedule, n + 1)
+    here = data.require(n)
+    k = here.table.order
+    anchors = np.asarray(here.split.anchors, dtype=np.int64)
+    carriers = np.asarray(here.split.carriers, dtype=np.int64)
+    own = -(2.0 ** (-n)) * np.asarray(here.require_signs().signs, dtype=np.float64)
+    step = max(1, _NORM_CHUNK_ENTRIES // block_size(n + 1))
+    norms = np.empty(k)
+    for lo in range(0, k, step):
+        g = range(lo, min(lo + step, k))
+        inverse = here.table.rows_at_inverse(g)  # chi_g(-c) = chi_c(-g)
+        coeffs = np.zeros((len(g), frame.dim), dtype=np.complex128)
+        coeffs[:, level_slice(n)] = own * inverse[:, anchors]
+        coeffs[:, level_slice(n + 1)] = 2.0 ** (-n - 1) * inverse[:, carriers]
+        blocks = {m: frame.coords_at(coeffs, m) for m in range(max(n - 1, 0), n + 2)}
+        norms[lo : lo + len(g)] = z_norms_rows(schedule, blocks)
+    return norms
 
 
 @dataclass(frozen=True)
@@ -190,12 +201,21 @@ class OperatorMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        arr = np.array(self.matrix, dtype=np.complex128)  # never freeze or alias a caller's array
         d = basis_dimension(self.max_level)
-        arr = np.array(self.matrix, dtype=np.complex128)
         if arr.shape != (d, d):
             raise BadParameter(f"matrix must be {d}x{d} for max level {self.max_level}")
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
+
+    @classmethod
+    def _adopt(cls, max_level: int, arr: np.ndarray) -> "OperatorMatrix":
+        """The operator on ``arr``, a d x d complex array built for it: frozen, not copied."""
+        arr.flags.writeable = False
+        op = cls.__new__(cls)
+        object.__setattr__(op, "max_level", max_level)
+        object.__setattr__(op, "matrix", arr)
+        return op
 
     @property
     def dim(self) -> int:
@@ -204,25 +224,25 @@ class OperatorMatrix:
     @classmethod
     def zeros(cls, max_level: int) -> "OperatorMatrix":
         d = basis_dimension(max_level)
-        return cls(max_level, np.zeros((d, d), dtype=np.complex128))
+        return cls._adopt(max_level, np.zeros((d, d), dtype=np.complex128))
 
     @classmethod
     def identity(cls, max_level: int) -> "OperatorMatrix":
-        return cls(max_level, np.eye(basis_dimension(max_level), dtype=np.complex128))
+        return cls._adopt(max_level, np.eye(basis_dimension(max_level), dtype=np.complex128))
 
     @classmethod
     def diagonal(cls, max_level: int, entries: Sequence[complex]) -> "OperatorMatrix":
         d = basis_dimension(max_level)
         if len(entries) != d:
             raise BadParameter(f"need {d} diagonal entries")
-        return cls(max_level, np.diag(np.asarray(entries, dtype=np.complex128)))
+        return cls._adopt(max_level, np.diag(np.asarray(entries, dtype=np.complex128)))
 
     @classmethod
     def gaussian(cls, max_level: int, seed: int) -> "OperatorMatrix":
         d = basis_dimension(max_level)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 404))))
         mat = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
-        return cls(max_level, mat)
+        return cls._adopt(max_level, mat)
 
     @classmethod
     def rank_one_sum(
@@ -246,15 +266,15 @@ class OperatorMatrix:
             if len(arr) > d:
                 raise TruncationTooSmall("vector coefficients exceed the truncation")
             mat[row, : len(arr)] += arr
-        return cls(max_level, mat)
+        return cls._adopt(max_level, mat)
 
     def scale(self, factor: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.max_level, factor * self.matrix)
+        return OperatorMatrix._adopt(self.max_level, factor * self.matrix)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if other.max_level != self.max_level:
             raise BadParameter("cannot add operators with different truncations")
-        return OperatorMatrix(self.max_level, self.matrix + other.matrix)
+        return OperatorMatrix._adopt(self.max_level, self.matrix + other.matrix)
 
 
 class BasisFrame:

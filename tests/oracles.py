@@ -5,16 +5,21 @@ integral over a single block, and ``telescope_vector`` builds one
 telescoping vector from its basis expansion, both from the exact-exponent
 character rows.  ``aplab.obstruction`` computes the same quantities for all
 indices at once as placed FFTs; these loops are what it is checked against.
+
+``orthogonality_deviation``, ``balance_oracle`` and the matmul cross blocks
+are the dense routes that ``aplab.characters`` and ``aplab.discrepancy``
+replaced with difference sums and placed FFTs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
 
 import numpy as np
 
-from aplab.discrepancy import ConstructionData
+from aplab.characters import CharacterTable
+from aplab.discrepancy import CharacterSplit, ConstructionData
 from aplab.errors import BadParameter, FormUnavailable, IndexOutOfRange
 from aplab.mixed_norm import ExponentSchedule, MixedNormVector
 from aplab.obstruction import basis_index
@@ -105,3 +110,46 @@ def telescope_vector(
         upper_coefficients=upper,
         vector=MixedNormVector(schedule=schedule, blocks=blocks),
     )
+
+
+def orthogonality_deviation(table: CharacterTable) -> float:
+    """Largest |V V^* - k I| entry of the dense character table V[c, g]."""
+    k = table.order
+    values = table.rows(range(k))
+    gram = values @ values.conj().T
+    gram[np.diag_indices(k)] -= k
+    return float(np.abs(gram).max())
+
+
+def balance_oracle(table: CharacterTable, split: CharacterSplit) -> np.ndarray:
+    """2*sum_anchors chi_a(g) - sum_carriers chi_c(g), gathered row by row."""
+    return 2.0 * table.rows(split.anchors).sum(axis=0) - table.rows(split.carriers).sum(axis=0)
+
+
+def cross_matrix_from_values(
+    left_at_inverse: np.ndarray,
+    right: np.ndarray,
+    signs: Sequence[int],
+    scale: complex,
+) -> np.ndarray:
+    """Assemble scale * sum_j signs_j * left_j(-g) * right_j(h) directly."""
+    eps = np.asarray(signs, dtype=np.float64)
+    if left_at_inverse.shape[0] != right.shape[0] or left_at_inverse.shape[0] != len(eps):
+        raise BadParameter("mismatched term counts in cross matrix assembly")
+    return scale * ((eps[:, None] * left_at_inverse).T @ right)
+
+
+def cross_lower_oracle(n: int, data: ConstructionData) -> np.ndarray:
+    """lower_n(g, h) = -2^{-n} sum_j eps^n_j chi_{anchor^n_j}(-g) chi_{carrier^{n-1}_j}(h)."""
+    here, below = data.require(n), data.require(n - 1)
+    left = here.table.rows_at_inverse(here.split.anchors)
+    right = below.table.rows(below.split.carriers)
+    return cross_matrix_from_values(left, right, here.require_signs().signs, -(2.0 ** (-n)))
+
+
+def cross_upper_oracle(n: int, data: ConstructionData) -> np.ndarray:
+    """upper_n(g, h) = 2^{-n-1} sum_j chi_{carrier^n_j}(-g) eps^{n+1}_j chi_{anchor^{n+1}_j}(h)."""
+    here, above = data.require(n), data.require(n + 1)
+    left = here.table.rows_at_inverse(here.split.carriers)
+    right = above.table.rows(above.split.anchors)
+    return cross_matrix_from_values(left, right, above.require_signs().signs, 2.0 ** (-n - 1))

@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from aplab.characters import (
     verify_orthogonality,
 )
 from aplab.errors import BadParameter, IndexOutOfRange, LevelTooLarge
+from oracles import orthogonality_deviation
 
 
 def test_group_orders():
@@ -86,29 +88,41 @@ def test_nontrivial_character_sums_vanish():
         assert abs(table.row(c).sum()) < 1e-12
 
 
-def test_orthogonality_detects_corruption():
-    group = build_group(1)
-    exps = CharacterTable(group).exponent_matrix()
-    exps[2, 3] = (exps[2, 3] + 1) % group.order
-    tampered = CharacterTable.from_exponents(group, exps)
-    assert not verify_orthogonality(tampered, 1e-9).passed
+def test_orthogonality_detects_corruption(monkeypatch):
+    # one root off by 1e-8 moves every difference sum S_r that gathers it;
+    # S_3 = sum_g roots[3g mod 6] gathers roots[3] three times (g = 1, 3, 5)
+    table = CharacterTable(build_group(1))
+    tampered = table.roots().copy()
+    tampered[3] *= cmath.exp(1e-8j)
+    monkeypatch.setattr(table, "roots", lambda: tampered)
+    report = verify_orthogonality(table, 1e-9)
+    assert not report.passed
+    assert report.max_deviation == pytest.approx(3e-8, rel=1e-6)
+    assert orthogonality_deviation(table) > 1e-9  # the dense Gram sees it too
 
 
-def test_exponent_matrix_roundtrip():
-    group = build_group(2)
-    table = CharacterTable(group)
-    clone = CharacterTable.from_exponents(group, table.exponent_matrix())
-    assert np.abs(clone.matrix() - table.matrix()).max() == 0.0
+@pytest.mark.parametrize("n", range(7))
+def test_orthogonality_matches_dense_gram(n):
+    # both deviations are rounding noise of the same sums of unit roots
+    table = CharacterTable(build_group(n))
+    fast = verify_orthogonality(table, 1e-9).max_deviation
+    dense = orthogonality_deviation(table)
+    assert max(fast, dense) <= 1e-12
+    assert abs(fast - dense) <= 1e-12
 
 
-def test_explicit_exponents_validated():
-    group = build_group(0)
-    with pytest.raises(BadParameter):
-        CharacterTable.from_exponents(group, np.zeros((2, 2), dtype=int))
-    bad = np.zeros((3, 3), dtype=int)
-    bad[0, 0] = 5
-    with pytest.raises(BadParameter):
-        CharacterTable.from_exponents(group, bad)
+def test_orthogonality_memory_stays_bounded_at_level_11():
+    # k = 6144: the dense table alone would be 576 MiB
+    table = CharacterTable(build_group(11))
+    table.roots()
+    tracemalloc.start()
+    try:
+        report = verify_orthogonality(table, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 64 * 2**20
 
 
 def test_bad_tolerance_rejected():

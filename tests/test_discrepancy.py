@@ -19,7 +19,6 @@ from aplab.discrepancy import (
     _signs_from_bits,
     certify_constants,
     cross_lower_matrix,
-    cross_matrix_from_values,
     cross_upper_matrix,
     middle_block,
     search_character_split,
@@ -33,6 +32,12 @@ from aplab.errors import (
     MissingLevelData,
     PartitionInvalid,
     StrategyUnavailable,
+)
+from oracles import (
+    balance_oracle,
+    cross_lower_oracle,
+    cross_matrix_from_values,
+    cross_upper_oracle,
 )
 from strategies import constructions
 
@@ -330,6 +335,48 @@ def test_middle_block_identity(case):
     observed = np.abs(middle_block(n, data)).max()
     expected = 2.0 ** (-n - 1) * split_discrepancy(item.split, item.table)
     assert abs(observed - expected) <= 1e-12
+
+
+def _assert_relative(fast, oracle):
+    fast, oracle = np.asarray(fast), np.asarray(oracle)
+    assert fast.shape == oracle.shape
+    assert np.abs(fast - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@given(constructions(max_top=6))
+def test_fft_blocks_and_balance_match_the_defining_sums(case):
+    top, data = case
+    for n in range(top + 1):
+        item = data.require(n)
+        fast = balance_values(item.table, item.split)
+        _assert_relative(fast, balance_oracle(item.table, item.split))
+        if n >= 1:
+            _assert_relative(cross_lower_matrix(n, data), cross_lower_oracle(n, data))
+        if n < top:
+            _assert_relative(cross_upper_matrix(n, data), cross_upper_oracle(n, data))
+
+
+@given(constructions(max_top=6))
+def test_certify_rows_match_the_defining_sums(case):
+    top, data = case
+    constants = certify_constants(range(top + 1), data)
+    balance = {}
+    for row in constants.split_rows:
+        item = data.require(row.level)
+        balance[row.level] = np.abs(balance_oracle(item.table, item.split)).max()
+        _assert_relative(row.recomputed, balance[row.level])
+    assert [r.level for r in constants.cross_rows] == list(range(1, top))
+    for row in constants.cross_rows:
+        n = row.level
+        lower = np.abs(cross_lower_oracle(n, data)).max()
+        upper = np.abs(cross_upper_oracle(n, data)).max()
+        middle = 2.0 ** (-n - 1) * balance[n]
+        _assert_relative(row.max_lower, lower)
+        _assert_relative(row.max_upper, upper)
+        _assert_relative(row.max_middle, middle)
+        _assert_relative(row.overall, max(lower, middle, upper))
+        # the balance route against the split search's indicator-FFT route
+        assert row.middle_identity_residual <= 1e-12 * middle
 
 
 def test_cross_blocks_level0_has_no_lower(small_data):

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aplab import obstruction as ob
-from aplab.discrepancy import certify_constants
+from aplab.discrepancy import (
+    certify_constants,
+    cross_lower_matrix,
+    cross_upper_matrix,
+    middle_block,
+)
 from aplab.errors import (
     BadParameter,
     FormUnavailable,
@@ -16,7 +23,13 @@ from aplab.errors import (
 )
 from aplab.mixed_norm import ExponentSchedule, z_norm, z_norms_rows
 from aplab.store import canonical_json
-from oracles import coeff_functional, telescope_vector
+from oracles import (
+    balance_oracle,
+    coeff_functional,
+    cross_lower_oracle,
+    cross_upper_oracle,
+    telescope_vector,
+)
 from strategies import constructions
 
 
@@ -213,7 +226,9 @@ def test_telescope_vector_coefficients(small_data, log_schedule):
 
 def test_telescope_vector_matches_block_rows(small_data, log_schedule):
     for n in (1, 2, 3):
-        lower, middle, upper = ob.telescope_blocks(n, small_data)
+        lower = cross_lower_matrix(n, small_data)
+        middle = middle_block(n, small_data)
+        upper = cross_upper_matrix(n, small_data)
         for g in (0, 3, small_data.require(n).table.order - 1):
             tele = telescope_vector(n, g, small_data, log_schedule)
             assert np.abs(tele.vector.block(n - 1) - lower[g]).max() < 1e-12
@@ -248,6 +263,25 @@ def test_norm_bound_report(small_data, log_schedule, power_schedule):
             report = ob.check_norm_bound(n, small_data, schedule, 2.0)
             assert report.passed
             assert report.max_norm <= report.chain_bound
+
+
+@given(constructions(min_top=2, max_top=5))
+def test_chunked_telescope_norms_match_the_defining_blocks(case):
+    # chunks of 100 // k_{n+1} rows g, so levels 2..4 run several chunks and a tail
+    top, data = case
+    schedule = ExponentSchedule.log_rate()
+    with mock.patch.object(ob, "_NORM_CHUNK_ENTRIES", 100):
+        for n in range(top):
+            item = data.require(n)
+            k = item.table.order
+            bal = balance_oracle(item.table, item.split)
+            middle = -(2.0 ** (-n - 1)) * bal[(np.arange(k)[None, :] - np.arange(k)[:, None]) % k]
+            blocks = {n: middle, n + 1: cross_upper_oracle(n, data)}
+            if n >= 1:
+                blocks[n - 1] = cross_lower_oracle(n, data)
+            expected = z_norms_rows(schedule, blocks)
+            norms = ob.telescope_norms(n, data, schedule)
+            assert np.abs(norms - expected).max() <= 1e-12 * expected.max()
 
 
 def test_norm_two_routes_agree(small_data, log_schedule):
@@ -422,6 +456,36 @@ def test_experiment_empty_family(frame5):
     report = ob.ap_experiment(frame5, cross_constant=2.0, operator_count=0, seed=9)
     assert report.finite_rank == ()
     assert len(report.identity_trace) == 6
+
+
+def test_operator_copies_a_callers_array_and_adopts_its_own():
+    top = 6
+    d = ob.basis_dimension(top)
+    given = np.zeros((d, d), dtype=np.complex128)
+    op = ob.OperatorMatrix(top, given)
+    # a caller's array is neither frozen nor aliased
+    assert given.flags.writeable
+    assert not np.shares_memory(op.matrix, given)
+    given[0, 0] = 1.0
+    assert op.matrix[0, 0] == 0.0
+    # the constructors hand over the one d x d array they build, frozen in place
+    builds = {
+        "zeros": lambda: ob.OperatorMatrix.zeros(top),
+        "identity": lambda: ob.OperatorMatrix.identity(top),
+        "diagonal": lambda: ob.OperatorMatrix.diagonal(top, [1.0] * d),
+        "rank_one_sum": lambda: ob.OperatorMatrix.rank_one_sum(top, [((1, 1), np.ones(3))]),
+        "scale": lambda: op.scale(2.0),
+        "add": lambda: op + op,
+    }
+    for name, build in builds.items():
+        tracemalloc.start()
+        try:
+            built = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * d * d * 16, name
+        assert not built.matrix.flags.writeable, name
 
 
 def test_operator_validation(frame4):

@@ -182,18 +182,28 @@ def test_cli_tamper_detection(tmp_path, capsys):
     assert "FAIL" in printed
 
 
-def test_cli_table_tamper_detection(tmp_path):
+def test_cli_table_tamper_detection(tmp_path, capsys):
+    # level files hold no character table: the cyclic formula is the table.
+    # A table slipped into one (the old format, one exponent off) changes
+    # its bytes, so the manifest catches it before any row reads it.
     out = tmp_path / "tt"
     assert _run("build", *BUILD_ARGS, "--out", str(out)) == 0
     level_path = out / "levels" / "level_01.json"
     payload = json.loads(level_path.read_text())
-    payload["exponents"][2][3] = (payload["exponents"][2][3] + 1) % payload["order"]
-    level_path.write_text(json.dumps(payload))
+    assert "exponents" not in payload
+    k = payload["order"]
+    exponents = [[(c * g) % k for g in range(k)] for c in range(k)]
+    exponents[2][3] = (exponents[2][3] + 1) % k
+    payload["exponents"] = exponents
+    level_path.write_text(canonical_json(payload))
+    capsys.readouterr()
 
     assert _run("verify", "--schedule", "log", "--out", str(out)) == 1
+    assert "levels/level_01.json" in capsys.readouterr().err
     rows = json.loads((out / "verify_report.json").read_text())["rows"]
-    integrity = [r for r in rows if r["check"] == "character-table-integrity"]
-    assert any(not r["passed"] for r in integrity)
+    assert rows[0]["check"] == "manifest-integrity" and rows[0]["passed"] is False
+    assert _run("ap", "--schedule", "log", "--out", str(out)) == 1
+    assert "levels/level_01.json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tamper", ["config-budget", "level-reformat"])
@@ -348,23 +358,23 @@ def test_cli_malformed_manifest_fails_the_check(tmp_path, capsys, text):
 
 # sha256 of every file a BUILD_ARGS run of build/verify/ap/moduli writes
 GOLDEN_SHA256 = {
-    "ap/compact_family.csv": "8e44754ceea9e24e5f93b501296edd08dddc30f0ed4219b7bedfba4b634007a2",
+    "ap/compact_family.csv": "f6cbe17e6a6579aa972bfb14f2527827568ffa652a9bd67acb62a823856b4006",
     "ap/finite_rank.csv": "2dab412454a7e3f4190239f4c6e04d1f7f02a544504da0c3cbe61b82322a02da",
     "ap/identity_trace.csv": "3392e560f44421d2f7827fa62047261f42b3583c8faab704e44bbd689df8a5e9",
-    "ap/obstruction.json": "51c305fa8d720a3273503335a95ce0325a3b2961206310b423a45c56a6048ce1",
+    "ap/obstruction.json": "ed3fe127bf8065b01c23c461b1abf29d1281c20e5845c0b40117ef666111c95e",
     "config.json": "06f5511f78b42f869929e02990ddbaf25442fdfeb5ab4acbf478473fccb6e5b4",
-    "constants.json": "4de763ea5edb7236f16ef9e1fc90ed16913d2a5a45c05c64173f5c639cedc683",
-    "levels/level_00.json": "f5aef6945eb9f217cb826d34463a2962bcd5667df1bdecdfddc7e57d2fcc2ef2",
-    "levels/level_01.json": "93a16bff346c64cdba12eb86529281fa5cd85f4be1682f65e8df809c80d37ad8",
-    "levels/level_02.json": "6a37d7b36c8cdb9d90d1ad2ee3f357e34efaffd3823dfbbf9d7288b74f8d82fe",
-    "levels/level_03.json": "0dee5d47a73cc6ed1b660966fd537127f16cd0c2eabe802b9da9d96f5a81f505",
-    "manifest.json": "03cecbca25173610b60b5e3655119735ac6b4a8ec92ec6c8bb1b8a9d7862fec7",
+    "constants.json": "68293501ce43f324fb4329bb33a082d9e71e9b56fe0e8844090f20b4431df0e2",
+    "levels/level_00.json": "c23ef98d49dc0905b155a69c1f300664608097fbdeab7fbda0d0736a1f45e7a7",
+    "levels/level_01.json": "c5c99548874640eeeb426dea28d38bce542f64d7398647600cbd15cd015a1a78",
+    "levels/level_02.json": "47a0e7a26012e4fe5e4149427b159d8d8c3324584a25255e5c26f587c9e5b4fb",
+    "levels/level_03.json": "2e99cbca9e25342baae47249c59cc2a4d0d8a35fe8ba6e6b08baf90479dab388",
+    "manifest.json": "8e7274b92469a7e7e3a10555c11d5725a43f6fc50cc7dbe649e532413b795810",
     "moduli/envelope.json": "5177e769440daa1954a92043fe60ab2019ec6961ccfc4fb6ff2913361b0d4660",
     "moduli/split.csv": "9e16f25507d1bcdff3b6e747593e33ae5deffc94ca59ca766341b99fc8a560c0",
     "moduli/split.json": "248a8981596b60173faed3dce65fb1796013d0860d3056c3da18321a7336a417",
     "moduli/witness.csv": "56964e2227cca3631b37952561b678d3632ec1e543cf0fddd0092d0648bd04a0",
     "moduli/witness.json": "8109acc2a73535457367e590782417037d3158a31975e00b24ff066d84080195",
-    "verify_report.json": "dde2ee928dc454a4b70e9fa4b1a8167e57fca23337ea3e49186f61b243924c6d",
+    "verify_report.json": "3709553fcd0ee1bbf8c85dc6c91f7a62a3f88d8b2c61f61ceebf5592d42ebf0f",
 }
 
 
@@ -375,24 +385,24 @@ POWER_ARGS = (
 
 # the same for a POWER_ARGS run, which takes verify's power-only branches
 GOLDEN_POWER_SHA256 = {
-    "ap/compact_family.csv": "ce184a261098ffee88c22f22b84e3023449f790f32dfb6914e31966c741e09be",
+    "ap/compact_family.csv": "7f9332b9bc1016b1e569424bb6b2e97aae445f5ccccbc33739966fcba4e42b64",
     "ap/finite_rank.csv": "26e11bec97df78b62015826cb43b1789db1b9d4d0eb572b4e82fa6958081ad7b",
     "ap/identity_trace.csv": "b1e54fb7dce723bd78eb4ed800e6676c9d84e5a9340028ffccc90e5e583d4ad8",
-    "ap/obstruction.json": "9f4fe048e3e9b6ecaab870aedf79776301c64a718769da078fcdab811a5ed2a7",
+    "ap/obstruction.json": "21413c9acba63baa5bf676fb4dbe96bfc09d4e98e9012daedba8aa08034a8089",
     "config.json": "4f0a17047962cedda7e42d0c5ce123dbcd1e87b7c251f59d0c11eac283c9c8af",
-    "constants.json": "b85e3bd671b71034a083e194dcd5d32776e1b42a4812c4fed81a71d56dfdddbd",
-    "levels/level_00.json": "f5aef6945eb9f217cb826d34463a2962bcd5667df1bdecdfddc7e57d2fcc2ef2",
-    "levels/level_01.json": "93a16bff346c64cdba12eb86529281fa5cd85f4be1682f65e8df809c80d37ad8",
-    "levels/level_02.json": "6a37d7b36c8cdb9d90d1ad2ee3f357e34efaffd3823dfbbf9d7288b74f8d82fe",
-    "levels/level_03.json": "eb8ea3d3af9df8d92893663fc025e1db0444a6ea2f9e2af4fdd18f042638ef1b",
-    "levels/level_04.json": "d5cb7baffc7332e4e71b52c30fdde08cc27502090210abb4341ddc073d6641c9",
-    "manifest.json": "ac8029f554e5639a20debe274c94d278f0cdc649055748339371e0dbafa9709d",
+    "constants.json": "7457a8647a34b6f2c8a38983c61d1299a172f863c8af98abf1151ad90c87ffa2",
+    "levels/level_00.json": "c23ef98d49dc0905b155a69c1f300664608097fbdeab7fbda0d0736a1f45e7a7",
+    "levels/level_01.json": "c5c99548874640eeeb426dea28d38bce542f64d7398647600cbd15cd015a1a78",
+    "levels/level_02.json": "47a0e7a26012e4fe5e4149427b159d8d8c3324584a25255e5c26f587c9e5b4fb",
+    "levels/level_03.json": "f5ad286c543edd8d7b1d617f792df9856ea288294981f6ec0c2fe78524fef9c8",
+    "levels/level_04.json": "cbf5f7b0753a870e5b1fdf7aa32ddcf92cc8d052dffb2231d36862ebfd1c1c57",
+    "manifest.json": "4663774317b5e2ec5b20f8aa9f736dd50b9302fb89be792295560340d2d19eb4",
     "moduli/envelope.json": "6342e3ac215e2603789d97650b0a5df92d08d5d32e30865736f06e7df7accacf",
     "moduli/split.csv": "0d13bf923590ee862e7cc36d166d7495299ec46f2c83a4067ff5c271cf2766a3",
     "moduli/split.json": "88b5c141a844b953408e79eb1fe1ed56e183e2d595cbe3f9162740b46eed7ff2",
     "moduli/witness.csv": "1c72ec144ff235d1827c9cc802b9aefecc920473875ad29179f8a713d6cf8654",
     "moduli/witness.json": "e21ec145dd575433534ef40f695714f8bae18cd329919a89f353f14a69040ae9",
-    "verify_report.json": "47f3bdbf02a8bef4eb4f705fae846e0077f541ec99e822b52ab37ec35ed3ac54",
+    "verify_report.json": "f6464c19c00ddb869012406c5744a277b5d7cbd35d8e20116e4dee5b8bacd59b",
 }
 
 GOLDEN = {
