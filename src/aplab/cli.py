@@ -29,12 +29,14 @@ from .discrepancy import (
     search_signs,
     sign_objective,
     split_discrepancy,  # unused here; kept so profilers can wrap it by this name
+    validate_partition,
 )
 from .errors import (
     AplabError,
     BadParameter,
     CheckFailed,
     MissingArtifact,
+    PartitionInvalid,
 )
 from .mixed_norm import ExponentSchedule, compactness_sequence
 from .moduli import (
@@ -129,16 +131,25 @@ def _level_payload(item: LevelData) -> Dict:
 
 
 def load_data(store: ArtifactStore, max_level: int) -> ConstructionData:
-    """Rebuild construction data from stored level payloads."""
+    """Rebuild construction data from stored level payloads; a level whose
+    split is no partition, or whose signs are not one +-1 per anchor, fails
+    the check."""
     data = ConstructionData()
     for n in range(max_level + 1):
-        payload = store.read_json(_level_path(n))
+        path = _level_path(n)
+        payload = store.read_json(path)
         assert isinstance(payload, dict)
         s, e = payload["split"], payload["signs"]
         table = CharacterTable(build_group(n, max_level=max(24, max_level)))
         anchors, carriers = tuple(s["anchors"]), tuple(s["carriers"])
         split = CharacterSplit(n, anchors, carriers, float(s["discrepancy"]))
-        signs = SignPattern(n, tuple(e["signs"]), float(e["objective"]))
+        if len(e["signs"]) != len(anchors):
+            raise CheckFailed(f"{path}: {len(e['signs'])} signs for {len(anchors)} anchors")
+        try:
+            validate_partition(split, table.order)
+            signs = SignPattern(n, tuple(e["signs"]), float(e["objective"]))
+        except (PartitionInvalid, BadParameter) as exc:  # BadParameter: a sign not +-1
+            raise CheckFailed(f"{path}: {exc}") from exc
         data.put(LevelData(table=table, split=split, signs=signs))
     return data
 
@@ -224,10 +235,16 @@ def _cross_blocks(a: _Audit) -> Iterator[tuple]:
 
 
 def _sign_objectives(a: _Audit) -> Iterator[tuple]:
+    # certify_constants already scored every level: lower of cross row n is
+    # level n, upper of the last row is the top; a top of 1 has no cross rows
+    rows = a.fresh.cross_rows
+    fresh = {r.level: r.max_lower for r in rows}
+    if rows:
+        fresh[a.top] = rows[-1].max_upper
     for n in range(1, a.top + 1):
         signs = a.data.require(n).require_signs()
-        drift = abs(sign_objective(n, a.data, signs.signs) - signs.objective)
-        yield "sign-objective-drift", n, drift, a.config.tol
+        value = fresh[n] if n in fresh else sign_objective(n, a.data, signs.signs)
+        yield "sign-objective-drift", n, abs(value - signs.objective), a.config.tol
 
 
 def _functionals(a: _Audit) -> Iterator[tuple]:

@@ -138,7 +138,8 @@ def _anchor_count(k: int) -> int:
     return k // 3
 
 
-def _validate_partition(split: CharacterSplit, k: int) -> None:
+def validate_partition(split: CharacterSplit, k: int) -> None:
+    """Raise PartitionInvalid unless k/3 anchors and 2k/3 carriers cover 0..k-1 once."""
     anchors, carriers = split.anchors, split.carriers
     if len(anchors) != _anchor_count(k) or len(carriers) != 2 * _anchor_count(k):
         raise PartitionInvalid(
@@ -152,7 +153,7 @@ def _validate_partition(split: CharacterSplit, k: int) -> None:
 def balance_values(table: CharacterTable, split: CharacterSplit) -> np.ndarray:
     """Balance sum 2*sum_anchors - sum_carriers over all group elements:
     one unscaled inverse FFT of the weights, 2 at anchors and -1 at carriers."""
-    _validate_partition(split, table.order)
+    validate_partition(split, table.order)
     weights = np.full(table.order, -1.0)
     weights[list(split.anchors)] = 2.0
     return np.fft.ifft(weights, norm="forward")

@@ -28,10 +28,13 @@ inverse FFT of their level-m and level-(m+1) coefficients set at the anchors
 and carriers of level m, and the basis coefficients of T(tele_{n,g}) for all
 g are one forward FFT of T's level-n and level-(n+1) rows set the same way.
 Both kernels skip exact zeros, so a finite-rank operator costs only the
-levels it touches.  No dense coordinate or telescoping product is formed;
+levels it touches.  No dense coordinate or telescoping product is formed,
+and the frame keeps nothing but each level's placement.
 ``BasisFrame.coord_matrix`` and ``telescope_coeff_matrix`` are the same
-kernels applied to the basis, which verify compares with the exact-exponent
-functional rows.  The literal one-vector sums live in ``tests/oracles.py``.
+kernels applied to the basis, built on each call and cut to their nonzero
+band (two basis levels wide), which verify compares with the
+exact-exponent functional rows.  The literal one-vector sums live in
+``tests/oracles.py``.
 
 Everything here is pure and operates on immutable inputs.
 """
@@ -126,16 +129,14 @@ def telescope_norms(
     about ``_NORM_CHUNK_ENTRIES // k_{n+1}`` at a time.
     """
     frame = BasisFrame(data, schedule, n + 1)
-    here = data.require(n)
-    k = here.table.order
-    anchors = np.asarray(here.split.anchors, dtype=np.int64)
-    carriers = np.asarray(here.split.carriers, dtype=np.int64)
-    own = -(2.0 ** (-n)) * np.asarray(here.require_signs().signs, dtype=np.float64)
+    k, anchors, carriers, signs = frame._placed[n]
+    own = -(2.0 ** (-n)) * signs
+    table = data.require(n).table
     step = max(1, _NORM_CHUNK_ENTRIES // block_size(n + 1))
     norms = np.empty(k)
     for lo in range(0, k, step):
         g = range(lo, min(lo + step, k))
-        inverse = here.table.rows_at_inverse(g)  # chi_g(-c) = chi_c(-g)
+        inverse = table.rows_at_inverse(g)  # chi_g(-c) = chi_c(-g)
         coeffs = np.zeros((len(g), frame.dim), dtype=np.complex128)
         coeffs[:, level_slice(n)] = own * inverse[:, anchors]
         coeffs[:, level_slice(n + 1)] = 2.0 ** (-n - 1) * inverse[:, carriers]
@@ -299,14 +300,15 @@ class BasisFrame:
     all zero.  A skipped term was an exact zero before (the FFT of zeros is
     zero, |0|^p = 0 and x + 0.0 == x), so the norms do not change by a bit.
 
-    coord_matrix(m)[b]            coordinates of basis b on level m
-    telescope_coeff_matrix(n)[g]  basis coefficients of tele_{n,g}
+    The frame holds only each level's placement (order, anchors, carriers,
+    signs).  The checks that compare the kernels with the exact-exponent
+    functional rows build these on each call, each cut to its nonzero band;
+    p_m = 2^m + 2^{m+1} basis vectors of levels m and m+1 (2^m at the top):
 
-    are these kernels applied to the basis; they are cached for the checks
-    that compare them with the exact-exponent functional rows
-
-    functional_matrix(n)        own-form functional rows over level n
-    lower_functional_matrix(n)  lower-form functional rows over level n-1
+    coord_matrix(m)             p_m x k_m      row b: coordinates of basis b on level m
+    telescope_coeff_matrix(n)   k_n x p_n      row g: basis coefficients of tele_{n,g}
+    functional_matrix(n)        2^n x k_n      own-form functional rows
+    lower_functional_matrix(n)  2^n x k_{n-1}  lower-form functional rows
     """
 
     def __init__(
@@ -326,10 +328,6 @@ class BasisFrame:
         self.schedule = schedule
         self.max_level = max_level
         self.dim = basis_dimension(max_level)
-        self._coord: Dict[int, np.ndarray] = {}
-        self._functional: Dict[int, np.ndarray] = {}
-        self._lower_functional: Dict[int, np.ndarray] = {}
-        self._telescope: Dict[int, np.ndarray] = {}
 
     def coords_at(self, coeff_rows: np.ndarray, m: int) -> np.ndarray:
         """Level-m coordinates of the vectors with basis-coefficient rows ``coeff_rows``."""
@@ -357,45 +355,22 @@ class BasisFrame:
         return np.fft.fft(v, axis=0, out=v)
 
     def coord_matrix(self, m: int) -> np.ndarray:
-        if m not in self._coord:
-            rows = _pair_slice(m, self.max_level)  # every other basis row is zero here
-            image = self.coords_at(np.eye(rows.stop - rows.start, self.dim, rows.start), m)
-            out = np.zeros((self.dim, image.shape[1]), dtype=np.complex128)
-            out[rows] = image
-            out.flags.writeable = False
-            self._coord[m] = out
-        return self._coord[m]
+        rows = _pair_slice(m, self.max_level)  # every other basis vector is zero here
+        return self.coords_at(np.eye(rows.stop - rows.start, self.dim, rows.start), m)
 
     def functional_matrix(self, n: int) -> np.ndarray:
-        if n not in self._functional:
-            item = self.data.require(n)
-            signs = np.asarray(item.require_signs().signs, dtype=np.float64)
-            rows = item.table.rows_at_inverse(item.split.anchors)
-            out = signs[:, None] * rows / item.table.order
-            out.flags.writeable = False
-            self._functional[n] = out
-        return self._functional[n]
+        k, anchors, _, signs = self._placed[n]
+        return signs[:, None] * self.data.require(n).table.rows_at_inverse(anchors) / k
 
     def lower_functional_matrix(self, n: int) -> np.ndarray:
-        if n not in self._lower_functional:
-            if n < 1:
-                raise FormUnavailable("the lower-level form does not exist at level 0")
-            below = self.data.require(n - 1)
-            rows = below.table.rows_at_inverse(below.split.carriers)
-            out = rows / below.table.order
-            out.flags.writeable = False
-            self._lower_functional[n] = out
-        return self._lower_functional[n]
+        if n < 1:
+            raise FormUnavailable("the lower-level form does not exist at level 0")
+        k, _, carriers, _ = self._placed[n - 1]
+        return self.data.require(n - 1).table.rows_at_inverse(carriers) / k
 
     def telescope_coeff_matrix(self, n: int) -> np.ndarray:
-        if n not in self._telescope:
-            cols = _pair_slice(n, self.max_level)  # every other basis column is zero here
-            image = self.telescope_image(np.eye(self.dim, cols.stop - cols.start, -cols.start), n)
-            out = np.zeros((image.shape[0], self.dim), dtype=np.complex128)
-            out[:, cols] = image
-            out.flags.writeable = False
-            self._telescope[n] = out
-        return self._telescope[n]
+        cols = _pair_slice(n, self.max_level)  # every other basis coefficient is zero here
+        return self.telescope_image(np.eye(self.dim, cols.stop - cols.start, -cols.start), n)
 
     def coords_of(self, coeff_rows: np.ndarray) -> Dict[int, np.ndarray]:
         """Coordinate blocks of vectors given by basis-coefficient rows.
@@ -425,15 +400,12 @@ def biorthogonality_deviation(frame: BasisFrame) -> float:
     """
     worst = 0.0
     for n in range(frame.max_level + 1):
-        count = 1 << n
-        own = _pair_slice(n, frame.max_level)
-        gram_own = frame.functional_matrix(n) @ frame.coord_matrix(n)[own].T
-        expected = np.eye(count, own.stop - own.start)  # level n leads the pair
+        gram_own = frame.functional_matrix(n) @ frame.coord_matrix(n).T
+        expected = np.eye(*gram_own.shape)  # level n leads the pair
         worst = max(worst, float(np.abs(gram_own - expected).max()))
         if n >= 1:
-            low = _pair_slice(n - 1, frame.max_level)
-            gram_low = frame.lower_functional_matrix(n) @ frame.coord_matrix(n - 1)[low].T
-            expected = np.eye(count, low.stop - low.start, count // 2)  # level n follows n-1
+            gram_low = frame.lower_functional_matrix(n) @ frame.coord_matrix(n - 1).T
+            expected = np.eye(*gram_low.shape, 1 << (n - 1))  # level n follows n-1
             worst = max(worst, float(np.abs(gram_low - expected).max()))
     return worst
 
@@ -450,7 +422,7 @@ def form_agreement_deviation(frame: BasisFrame, n: int) -> float:
     middle = middle_block(n, frame.data)
     own_vals = frame.functional_matrix(n) @ middle.T
     low_vals = frame.lower_functional_matrix(n) @ lower.T
-    expected = frame.telescope_coeff_matrix(n)[:, level_slice(n)].T
+    expected = frame.telescope_coeff_matrix(n)[:, : 1 << n].T  # level n leads the pair
     dev = float(np.abs(own_vals - low_vals).max())
     dev = max(dev, float(np.abs(own_vals - expected).max()))
     return dev

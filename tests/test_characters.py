@@ -11,6 +11,7 @@ from aplab.characters import (
     verify_orthogonality,
 )
 from aplab.errors import BadParameter, IndexOutOfRange, LevelTooLarge
+from aplab.obstruction import BasisFrame, biorthogonality_deviation, form_agreement_deviation
 from oracles import orthogonality_deviation
 
 
@@ -122,6 +123,21 @@ def test_orthogonality_memory_stays_bounded_at_level_11():
     finally:
         tracemalloc.stop()
     assert report.passed
+    assert peak < 64 * 2**20
+
+
+def test_frame_checks_memory_stays_bounded_at_level_9(full_bundle, log_schedule):
+    # the frame keeps no matrix between calls, and each is cut to its band
+    frame = BasisFrame(full_bundle["data"], log_schedule, 9)
+    tracemalloc.start()
+    try:
+        worst = biorthogonality_deviation(frame)
+        for n in range(1, 9):
+            worst = max(worst, form_agreement_deviation(frame, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert worst <= 1e-9
     assert peak < 64 * 2**20
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -354,6 +355,40 @@ def test_cli_malformed_manifest_fails_the_check(tmp_path, capsys, text):
         assert _run(command, "--out", str(out)) == 1
         assert "manifest.json" in capsys.readouterr().err
         assert (out / "manifest.json").read_text() == text
+
+
+def test_cli_refuses_a_stored_split_or_sign_list_that_does_not_fit(tmp_path, capsys):
+    # a re-hashed manifest hides each edit, so the level check must catch it
+    built = tmp_path / "built"
+    assert _run("build", *BUILD_ARGS, "--out", str(built)) == 0
+
+    def repeat_anchor(payload):
+        payload["split"]["anchors"][1] = payload["split"]["anchors"][0]
+
+    def drop_sign(payload):
+        payload["signs"]["signs"].pop()
+
+    def double_sign(payload):
+        payload["signs"]["signs"][0] = 2
+
+    tampers = (("anchor", 2, repeat_anchor), ("sign", 3, drop_sign), ("value", 2, double_sign))
+    for name, level, tamper in tampers:
+        out = tmp_path / name
+        shutil.copytree(built, out)
+        path = f"levels/level_{level:02d}.json"
+        payload = json.loads((out / path).read_text())
+        tamper(payload)
+        store = ArtifactStore(out)
+        store.write_json(path, payload)
+        store.update_manifest()
+        assert store.manifest_mismatches("") == []
+        before = _snapshot(out)
+        capsys.readouterr()
+        for command in ("verify", "ap"):
+            assert _run(command, "--out", str(out)) == 1, (name, command)
+            err = capsys.readouterr().err
+            assert path in err and "manifest" not in err, (name, command)
+            assert _snapshot(out) == before, (name, command)
 
 
 # sha256 of every file a BUILD_ARGS run of build/verify/ap/moduli writes
