@@ -329,7 +329,7 @@ def middle_block(n: int, data: ConstructionData) -> np.ndarray:
     """Own-level block of the telescoping vectors.
 
     Signs square away and the block collapses to a circulant of the balance
-    values: value(g, h) = -2^{-n-1} * balance(h - g).
+    values: value(g, h) = -2^{-n-1} * balance(h - g).  A test reference.
     """
     here = data.require(n)
     k = here.table.order

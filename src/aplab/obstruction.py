@@ -22,19 +22,11 @@ schedule's decay sequence controls.  Flat basis indexing is (n, j) ->
 2^n - 1 + (j - 1); operator matrices hold the coefficient of basis b in the
 image of basis a at [a, b].
 
-Both maps the traces need are placed FFTs on one level's group
-(``BasisFrame``): the coordinates of many vectors on level m are one
-inverse FFT of their level-m and level-(m+1) coefficients set at the anchors
-and carriers of level m, and the basis coefficients of T(tele_{n,g}) for all
-g are one forward FFT of T's level-n and level-(n+1) rows set the same way.
-Both kernels skip exact zeros, so a finite-rank operator costs only the
-levels it touches.  No dense coordinate or telescoping product is formed,
-and the frame keeps nothing but each level's placement.
-``BasisFrame.coord_matrix`` and ``telescope_coeff_matrix`` are the same
-kernels applied to the basis, built on each call and cut to their nonzero
-band (two basis levels wide), which verify compares with the
-exact-exponent functional rows.  The literal one-vector sums live in
-``tests/oracles.py``.
+Both maps the traces need are placed FFTs on one level's group, and no
+dense coordinate or telescoping product is formed (``BasisFrame``).  The
+frame matrices and the two deviations built on them are test references,
+not verify rows (see ``cli.cmd_verify``); the literal one-vector sums live
+in ``tests/oracles.py``.
 
 Everything here is pure and operates on immutable inputs.
 """
@@ -295,15 +287,16 @@ class BasisFrame:
         telescope_image(M, n)[g] = sum_c v[c] chi_c(-g)   (a forward FFT).
 
     Both skip exact zeros: ``coords_of`` leaves out every level m whose
-    basis levels m and m+1 are zero in all rows, and ``telescope_image``
-    returns zeros without an FFT when T's level-n and level-(n+1) rows are
-    all zero.  A skipped term was an exact zero before (the FFT of zeros is
-    zero, |0|^p = 0 and x + 0.0 == x), so the norms do not change by a bit.
+    basis levels m and m+1 are zero in all rows, and ``trace_limit`` skips
+    every level n whose level-n and level-(n+1) rows of T are all zero.  A
+    skipped term was an exact zero before (the FFT of zeros is zero,
+    |0|^p = 0 and x + 0.0 == x), so the norms do not change by a bit.
 
     The frame holds only each level's placement (order, anchors, carriers,
-    signs).  The checks that compare the kernels with the exact-exponent
-    functional rows build these on each call, each cut to its nonzero band;
-    p_m = 2^m + 2^{m+1} basis vectors of levels m and m+1 (2^m at the top):
+    signs).  The matrices below are test references (``functional_matrix``
+    also feeds ``level_trace``'s coordinate route) that perfbench's tracer
+    wraps by name, built per call and cut to their nonzero band; p_m =
+    2^m + 2^{m+1} basis vectors of levels m and m+1 (2^m at the top):
 
     coord_matrix(m)             p_m x k_m      row b: coordinates of basis b on level m
     telescope_coeff_matrix(n)   k_n x p_n      row g: basis coefficients of tele_{n,g}
@@ -348,8 +341,6 @@ class BasisFrame:
             )
         k, anchors, carriers, signs = self._placed[n]
         v = np.zeros((k, op_matrix.shape[1]), dtype=np.complex128)
-        if not op_matrix[_pair_slice(n, self.max_level)].any():
-            return v  # the FFT of zeros
         v[anchors] = -(2.0 ** (-n)) * signs[:, None] * op_matrix[level_slice(n)]
         v[carriers] = 2.0 ** (-n - 1) * op_matrix[level_slice(n + 1)]
         return np.fft.fft(v, axis=0, out=v)
@@ -396,7 +387,8 @@ def biorthogonality_deviation(frame: BasisFrame) -> float:
 
     Checks both functional forms on every basis vector with a block where
     the form integrates: levels n and n+1 for the own form, n-1 and n for
-    the lower one.  Every other pairing vanishes by disjoint support.
+    the lower one.  Every other pairing vanishes by disjoint support.  A
+    test reference, not a verify row (see ``cli.cmd_verify``).
     """
     worst = 0.0
     for n in range(frame.max_level + 1):
@@ -414,7 +406,7 @@ def form_agreement_deviation(frame: BasisFrame, n: int) -> float:
     """Largest disagreement of the two functional forms on level-n telescoping vectors.
 
     Also checks both against the expansion coefficients the functionals
-    must reproduce by biorthogonality.
+    must reproduce by biorthogonality.  A test reference, not a verify row.
     """
     if not 1 <= n <= frame.max_level - 1:
         raise BadParameter("form agreement on telescoping vectors needs 1 <= n < max level")
@@ -493,6 +485,9 @@ def trace_limit(op: OperatorMatrix, frame: BasisFrame) -> TraceLimit:
     e0 = basis_index(0, 1)
     sups.append(float(frame.mixed_norms(op.matrix[e0 : e0 + 1])[0]))
     for n in range(1, top):
+        if not op.matrix[_pair_slice(n, top)].any():
+            sups.append(0.0)  # T(tele_{n,g}) = 0 for every g
+            continue
         norms = frame.mixed_norms(frame.telescope_image(op.matrix, n))
         sups.append(float((n + 1) ** 2 * norms.max()))
     family_sup = max(sups)

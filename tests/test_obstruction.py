@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,15 +11,18 @@ from hypothesis import strategies as st
 
 from aplab import obstruction as ob
 from aplab.discrepancy import (
+    ConstructionData,
     certify_constants,
     cross_lower_matrix,
     cross_upper_matrix,
     middle_block,
+    validate_partition,
 )
 from aplab.errors import (
     BadParameter,
     FormUnavailable,
     IndexOutOfRange,
+    PartitionInvalid,
     TruncationTooSmall,
 )
 from aplab.mixed_norm import ExponentSchedule, z_norm, z_norms_rows
@@ -118,6 +122,36 @@ def test_biorthogonality_on_random_splits(case):
     top, data = case
     frame = ob.BasisFrame(data, ExponentSchedule.log_rate(), top)
     assert ob.biorthogonality_deviation(frame) < 1e-9
+
+
+def _with_level(data, item):
+    """``data`` with its level ``item.level`` replaced by ``item``."""
+    out = ConstructionData()
+    for n in data.levels():
+        out.put(item if n == item.level else data.require(n))
+    return out
+
+
+def test_a_sign_flip_keeps_biorthogonality(small_data, log_schedule):
+    # every Gram entry is +-S_r / k, and a flipped eps_j flips a whole row
+    # and column of it: no defect for biorthogonality, only for the cross rows
+    item = small_data.require(3)
+    signs = item.require_signs()
+    flipped = replace(signs, signs=(-signs.signs[0],) + signs.signs[1:])
+    data = _with_level(small_data, replace(item, signs=flipped))
+    assert ob.biorthogonality_deviation(ob.BasisFrame(data, log_schedule, 5)) < 1e-9
+
+
+def test_a_repeated_anchor_breaks_biorthogonality(small_data, log_schedule):
+    # functionals 1 and 2 then both read anchor a_1: Gram entry
+    # eps_2 eps_1 S_0 / k = +-1 where the Kronecker pattern has 0
+    item = small_data.require(3)
+    anchors = item.split.anchors
+    split = replace(item.split, anchors=(anchors[0],) * 2 + anchors[2:])
+    data = _with_level(small_data, replace(item, split=split))
+    assert ob.biorthogonality_deviation(ob.BasisFrame(data, log_schedule, 5)) >= 0.5
+    with pytest.raises(PartitionInvalid):
+        validate_partition(split, item.table.order)
 
 
 @given(constructions(), st.integers(0, 2**16))

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,30 @@ def test_cli_verify_passes(built_store, capsys):
     assert "FAIL" not in out
     report = json.loads((built_store / "verify_report.json").read_text())
     assert all(row["passed"] for row in report["rows"])
+    assert {row["check"] for row in report["rows"]} == {
+        "manifest-integrity", "character-orthogonality", "balance-discrepancy-drift",
+        "balance-discrepancy-bound", "cross-block-bound", "cross-middle-identity",
+        "sign-objective-drift", "telescoping-identity", "telescope-norm-envelope",
+        "compactness-decay",
+    }
+
+
+def test_verify_memory_stays_bounded_at_level_10(tmp_path, capsys):
+    # verify builds no frame matrix; its heaviest check, the compact family,
+    # traces about 80 MiB here, and the dense frame rows alone took 150 MiB
+    out = tmp_path / "l10"
+    assert _run(
+        "build", "--max-level", "10", "--schedule", "log",
+        "--budget", "64", "--sign-budget", "2", "--seed", "7", "--out", str(out),
+    ) == 0
+    tracemalloc.start()
+    try:
+        code = _run("verify", "--out", str(out))  # every VERIFY_CHECKS entry
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 112 * 2**20
 
 
 def test_cli_ap_writes_tables(built_store):
@@ -175,8 +200,8 @@ def test_cli_tamper_detection(tmp_path, capsys):
     by_check = {}
     for row in rows:
         by_check.setdefault(row["check"], []).append(row)
-    # the flip leaves biorthogonality intact but drifts the stored cross data
-    assert all(r["passed"] for r in by_check["biorthogonality"])
+    # the flip drifts the stored cross data (biorthogonality survives it:
+    # test_a_sign_flip_keeps_biorthogonality)
     drifted = [r for r in by_check["sign-objective-drift"] if not r["passed"]]
     crossed = [r for r in by_check["cross-block-bound"] if not r["passed"]]
     assert drifted or crossed
@@ -207,7 +232,7 @@ def test_cli_table_tamper_detection(tmp_path, capsys):
     assert "levels/level_01.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tamper", ["config-budget", "level-reformat"])
+@pytest.mark.parametrize("tamper", ["config-budget", "level-reformat", "config-missing-key"])
 def test_cli_verify_checks_manifest(tmp_path, capsys, tamper):
     out = tmp_path / tamper
     assert _run("build", *BUILD_ARGS, "--out", str(out)) == 0
@@ -215,15 +240,25 @@ def test_cli_verify_checks_manifest(tmp_path, capsys, tamper):
         target = out / "config.json"
         payload = json.loads(target.read_text())
         payload["budget"] += 1
+    elif tamper == "config-missing-key":
+        target = out / "config.json"
+        payload = json.loads(target.read_text())
+        del payload["tol"]
     else:  # same content, different bytes
         target = out / "levels" / "level_02.json"
         payload = json.loads(target.read_text())
     target.write_text(json.dumps(payload, indent=1))
+    manifest = (out / "manifest.json").read_bytes()
     capsys.readouterr()
 
     for _ in range(2):  # a failed verify must not re-bless the tampered file
         assert _run("verify", "--out", str(out)) == 1
-        assert target.relative_to(out).as_posix() in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert target.relative_to(out).as_posix() in err
+        assert (out / "manifest.json").read_bytes() == manifest
+        if tamper == "config-missing-key":  # no config to verify against: no report
+            assert "'tol'" in err and not (out / "verify_report.json").exists()
+            continue
         first = json.loads((out / "verify_report.json").read_text())["rows"][0]
         assert first["check"] == "manifest-integrity"
         assert first["measured"] == 1.0 and first["passed"] is False
@@ -364,20 +399,29 @@ def test_cli_refuses_a_stored_split_or_sign_list_that_does_not_fit(tmp_path, cap
 
     def repeat_anchor(payload):
         payload["split"]["anchors"][1] = payload["split"]["anchors"][0]
+        return payload
 
     def drop_sign(payload):
         payload["signs"]["signs"].pop()
+        return payload
 
     def double_sign(payload):
         payload["signs"]["signs"][0] = 2
+        return payload
 
-    tampers = (("anchor", 2, repeat_anchor), ("sign", 3, drop_sign), ("value", 2, double_sign))
+    def drop_signs_key(payload):
+        del payload["signs"]
+        return payload
+
+    tampers = (
+        ("anchor", 2, repeat_anchor), ("sign", 3, drop_sign), ("value", 2, double_sign),
+        ("no-signs", 3, drop_signs_key), ("list", 1, lambda payload: []),
+    )
     for name, level, tamper in tampers:
         out = tmp_path / name
         shutil.copytree(built, out)
         path = f"levels/level_{level:02d}.json"
-        payload = json.loads((out / path).read_text())
-        tamper(payload)
+        payload = tamper(json.loads((out / path).read_text()))
         store = ArtifactStore(out)
         store.write_json(path, payload)
         store.update_manifest()
@@ -403,13 +447,13 @@ GOLDEN_SHA256 = {
     "levels/level_01.json": "c5c99548874640eeeb426dea28d38bce542f64d7398647600cbd15cd015a1a78",
     "levels/level_02.json": "47a0e7a26012e4fe5e4149427b159d8d8c3324584a25255e5c26f587c9e5b4fb",
     "levels/level_03.json": "2e99cbca9e25342baae47249c59cc2a4d0d8a35fe8ba6e6b08baf90479dab388",
-    "manifest.json": "8e7274b92469a7e7e3a10555c11d5725a43f6fc50cc7dbe649e532413b795810",
+    "manifest.json": "3eed7e7ff467fa2a3f187fdeb6c259320052d092eaaf4da99e1ec566cc2e1ff0",
     "moduli/envelope.json": "5177e769440daa1954a92043fe60ab2019ec6961ccfc4fb6ff2913361b0d4660",
     "moduli/split.csv": "9e16f25507d1bcdff3b6e747593e33ae5deffc94ca59ca766341b99fc8a560c0",
     "moduli/split.json": "248a8981596b60173faed3dce65fb1796013d0860d3056c3da18321a7336a417",
     "moduli/witness.csv": "56964e2227cca3631b37952561b678d3632ec1e543cf0fddd0092d0648bd04a0",
     "moduli/witness.json": "8109acc2a73535457367e590782417037d3158a31975e00b24ff066d84080195",
-    "verify_report.json": "3709553fcd0ee1bbf8c85dc6c91f7a62a3f88d8b2c61f61ceebf5592d42ebf0f",
+    "verify_report.json": "b901a9884d5070bf68af3acbf46fd5bb93efa2f3761dbeaf89f548e40945f672",
 }
 
 
@@ -431,13 +475,13 @@ GOLDEN_POWER_SHA256 = {
     "levels/level_02.json": "47a0e7a26012e4fe5e4149427b159d8d8c3324584a25255e5c26f587c9e5b4fb",
     "levels/level_03.json": "f5ad286c543edd8d7b1d617f792df9856ea288294981f6ec0c2fe78524fef9c8",
     "levels/level_04.json": "cbf5f7b0753a870e5b1fdf7aa32ddcf92cc8d052dffb2231d36862ebfd1c1c57",
-    "manifest.json": "4663774317b5e2ec5b20f8aa9f736dd50b9302fb89be792295560340d2d19eb4",
+    "manifest.json": "9c79648d2110c6c29a5c2c8b376f5f8baae0c8f0da04379130f424637e9329ae",
     "moduli/envelope.json": "6342e3ac215e2603789d97650b0a5df92d08d5d32e30865736f06e7df7accacf",
     "moduli/split.csv": "0d13bf923590ee862e7cc36d166d7495299ec46f2c83a4067ff5c271cf2766a3",
     "moduli/split.json": "88b5c141a844b953408e79eb1fe1ed56e183e2d595cbe3f9162740b46eed7ff2",
     "moduli/witness.csv": "1c72ec144ff235d1827c9cc802b9aefecc920473875ad29179f8a713d6cf8654",
     "moduli/witness.json": "e21ec145dd575433534ef40f695714f8bae18cd329919a89f353f14a69040ae9",
-    "verify_report.json": "f6464c19c00ddb869012406c5744a277b5d7cbd35d8e20116e4dee5b8bacd59b",
+    "verify_report.json": "1bc6c4e6d521d6b97b728f6bb67bb4566ea2088841fbb9d8bb36d806e206f106",
 }
 
 GOLDEN = {
