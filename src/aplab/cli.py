@@ -26,9 +26,11 @@ from .discrepancy import (
     LevelData,
     SignPattern,
     certify_constants,
+    cross_bound_scale,
     search_character_split,
     search_signs,
     sign_objective,
+    split_bound_scale,
     split_discrepancy,  # unused here; kept so profilers can wrap it by this name
     validate_partition,
 )
@@ -74,6 +76,9 @@ class RunConfig:
     out: Path
 
     def __post_init__(self) -> None:
+        counts = ("max_level", "seed", "budget", "sign_budget")
+        if not all(isinstance(getattr(self, name), int) for name in counts):
+            raise BadParameter(f"{', '.join(counts)} must be integers")
         if self.max_level < 1:
             raise BadParameter(f"max level must be >= 1, got {self.max_level}")
         if self.budget < 1 or self.sign_budget < 1:
@@ -91,16 +96,41 @@ class RunConfig:
 def build_levels(
     max_level: int, seed: int, budget: int, sign_budget: int
 ) -> ConstructionData:
-    """Search splits for all levels, then sign patterns in level order."""
+    """Search each level's split, then its signs, in level order.
+
+    Splits at levels <= 2 and signs at levels <= 3 are searched
+    exhaustively; they fix the constants.  Above them a random-restart
+    search stops at the first draw that raises neither running constant,
+    and the budgets are caps.  ``c_split`` is the largest split ratio so
+    far, ``c_cross`` the largest cross-row ratio of any lower, middle or
+    upper entry fixed so far (rows n >= 1, the top's included, so a level
+    never depends on ``max_level``).  A split is held to ``c_cross`` too,
+    since the middle ratio of row n is half its split ratio.  The signs at
+    n read only the splits at n and n-1; their objective is both max
+    |lower_n| and max |upper_{n-1}|, and ``cross_bound_scale`` decreases,
+    so the row-n ratio bounds both entries.
+    """
     data = ConstructionData()
+    c_split = c_cross = 0.0
     for n in range(max_level + 1):
         table = CharacterTable(build_group(n, max_level=max(24, max_level)))
-        strategy = "exhaustive" if n <= 2 else "random-restart"
-        split = search_character_split(table, strategy=strategy, budget=budget, seed=seed)
+        scale, cross_scale = split_bound_scale(n), cross_bound_scale(n)
+        strategy, target = "exhaustive", -math.inf
+        if n > 2:
+            strategy, target = "random-restart", scale * min(c_split, 2.0 * c_cross)
+        split = search_character_split(table, strategy, budget, seed, target=target)
         data.put(LevelData(table=table, split=split))
-    for n in range(max_level + 1):
-        strategy = "exhaustive" if n <= 3 else "random-restart"
-        data.set_signs(search_signs(n, data, strategy=strategy, budget=sign_budget, seed=seed))
+        c_split = max(c_split, split.discrepancy / scale)
+        if n >= 1:
+            c_cross = max(c_cross, 2.0 ** (-n - 1) * split.discrepancy / cross_scale)
+
+        strategy, target = "exhaustive", -math.inf
+        if n > 3:
+            strategy, target = "random-restart", cross_scale * c_cross
+        signs = search_signs(n, data, strategy, sign_budget, seed, target=target)
+        data.set_signs(signs)
+        if n >= 1:
+            c_cross = max(c_cross, signs.objective / cross_scale)
     return data
 
 
@@ -120,8 +150,9 @@ def _level_payload(item: LevelData) -> Dict:
             "anchors": item.split.anchors,
             "carriers": item.split.carriers,
             "discrepancy": item.split.discrepancy,
+            "draws": item.split.draws,
         },
-        "signs": {"signs": signs.signs, "objective": signs.objective},
+        "signs": {"signs": signs.signs, "objective": signs.objective, "draws": signs.draws},
     }
 
 
@@ -146,13 +177,37 @@ def load_data(store: ArtifactStore, max_level: int) -> ConstructionData:
             payload: Any = store.read_json(path)
             s, e = payload["split"], payload["signs"]
             anchors, carriers = tuple(s["anchors"]), tuple(s["carriers"])
-            split = CharacterSplit(n, anchors, carriers, float(s["discrepancy"]))
+            split = CharacterSplit(n, anchors, carriers, float(s["discrepancy"]), s["draws"])
             if len(e["signs"]) != len(anchors):
                 raise CheckFailed(f"{path}: {len(e['signs'])} signs for {len(anchors)} anchors")
             validate_partition(split, table.order)
-            signs = SignPattern(n, tuple(e["signs"]), float(e["objective"]))
+            signs = SignPattern(n, tuple(e["signs"]), float(e["objective"]), e["draws"])
         data.put(LevelData(table=table, split=split, signs=signs))
     return data
+
+
+@dataclass(frozen=True)
+class _StoredConstants:
+    """The entries of constants.json that verify and ap read."""
+
+    cross_constant: float
+    split_rows: Dict[int, Tuple[float, float]]  # level -> (scale, recomputed)
+    cross_overall: Dict[int, float]  # level -> overall
+
+
+def _load_constants(store: ArtifactStore) -> _StoredConstants:
+    """Read constants.json once; a missing or malformed entry fails the check naming it."""
+    path = "constants.json"
+    with _stored(path):
+        raw: Any = store.read_json(path)
+        return _StoredConstants(
+            cross_constant=float(raw["cross_constant"]),
+            split_rows={
+                int(r["level"]): (float(r["scale"]), float(r["recomputed"]))
+                for r in raw["split_rows"]
+            },
+            cross_overall={int(r["level"]): float(r["overall"]) for r in raw["cross_rows"]},
+        )
 
 
 def cmd_build(config: RunConfig) -> int:
@@ -196,7 +251,7 @@ class _Audit:
 
     config: RunConfig
     data: ConstructionData
-    stored: Dict  # constants.json
+    stored: _StoredConstants
     fresh: CertifiedConstants
     stale: List[str]  # files whose bytes no longer match the manifest
 
@@ -216,20 +271,21 @@ def _orthogonality(a: _Audit) -> Iterator[tuple]:
 
 
 def _balance(a: _Audit) -> Iterator[tuple]:
-    stored = {r["level"]: r for r in a.stored["split_rows"]}
+    stored = a.stored.split_rows
     for row in a.fresh.split_rows:
         yield "balance-discrepancy-drift", row.level, row.drift, a.config.tol
         if row.level in stored:
-            ratio = row.recomputed / stored[row.level]["scale"]
-            drift = abs(row.recomputed - stored[row.level]["recomputed"])
+            scale, recomputed = stored[row.level]
+            ratio = row.recomputed / scale
+            drift = abs(row.recomputed - recomputed)
             passed = ratio <= ACCEPT_CONSTANT and drift <= a.config.tol
             yield "balance-discrepancy-bound", row.level, ratio, ACCEPT_CONSTANT, passed
 
 
 def _cross_blocks(a: _Audit) -> Iterator[tuple]:
-    stored = {r["level"]: r for r in a.stored["cross_rows"]}
+    stored = a.stored.cross_overall
     for row in a.fresh.cross_rows:
-        drift = abs(row.overall - stored[row.level]["overall"]) if row.level in stored else math.inf
+        drift = abs(row.overall - stored[row.level]) if row.level in stored else math.inf
         passed = row.ratio <= ACCEPT_CONSTANT and drift <= a.config.tol
         yield "cross-block-bound", row.level, row.ratio, ACCEPT_CONSTANT, passed
         yield "cross-middle-identity", row.level, row.middle_identity_residual, a.config.tol
@@ -259,9 +315,8 @@ def _telescoping(a: _Audit) -> Iterator[tuple]:
 
 
 def _compact_family(a: _Audit) -> Iterator[tuple]:
-    cross_constant = float(a.stored["cross_constant"])
     for n in range(1, a.top):
-        report = obstruction.check_norm_bound(n, a.data, a.config.schedule, cross_constant)
+        report = obstruction.check_norm_bound(n, a.data, a.config.schedule, a.stored.cross_constant)
         yield "telescope-norm-envelope", n, report.max_norm, report.bound, report.passed
     horizon = {"power": 5000, "log": 10**6}.get(a.config.schedule.kind)
     if horizon is not None:
@@ -304,9 +359,9 @@ def cmd_verify(config: RunConfig) -> int:
     store = ArtifactStore(config.out)
     stale = store.manifest_mismatches(VERIFY_REPORT)  # verify rewrites its own report
     data = load_data(store, config.max_level)
-    stored = store.read_json("constants.json")
+    stored = _load_constants(store)
     fresh = certify_constants(range(config.max_level + 1), data)
-    audit = _Audit(config, data, stored, fresh, stale)  # type: ignore[arg-type]
+    audit = _Audit(config, data, stored, fresh, stale)
     rows = [_row(*row) for check in VERIFY_CHECKS for row in check(audit)]
     store.write_json(VERIFY_REPORT, {"rows": rows})
 
@@ -340,13 +395,12 @@ def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
     store = ArtifactStore(config.out)
     _require_intact(store, "ap/")
     data = load_data(store, config.max_level)
-    constants = store.read_json("constants.json")
-    assert isinstance(constants, dict)
+    constants = _load_constants(store)
 
     frame = obstruction.BasisFrame(data, config.schedule, config.max_level)
     report = obstruction.ap_experiment(
         frame,
-        cross_constant=float(constants["cross_constant"]),
+        cross_constant=constants.cross_constant,
         operator_count=operators,
         max_rank=max_rank,
         seed=config.seed,
@@ -501,13 +555,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raw: Any = ArtifactStore(args.out).read_json("config.json")
             stored = {k: raw[k] for k in BUILD_DEFAULTS}
             stored["schedule"] = ExponentSchedule.from_config(raw["schedule"])
+            config = RunConfig(**stored, out=Path(args.out))
         clashes = [k for k in given if values[k] != stored[k]]
         if clashes:
             raise BadParameter("; ".join(
                 f"{flags[k]} conflicts with {k} {raw[k]} in {config_path}"
                 for k in clashes
             ))
-        values = stored
+        return config
     return RunConfig(**values, out=Path(args.out))
 
 

@@ -27,8 +27,13 @@ Certification reads the cross maxima from ``sign_objective`` and checks
 the balance against the split search's indicator route.  The literal
 double sums are test oracles in ``tests/oracles.py``.
 
-Randomized strategies draw each candidate from its own seed sequence keyed
-by (seed, stream, index); results do not depend on evaluation order.
+Both searches take candidates in index order.  Randomized strategies draw
+each candidate from its own seed sequence keyed by (seed, stream, index),
+so results do not depend on the batch size.  Given a ``target``, a search
+stops at the first candidate scoring at most the target and records how
+many it took (``draws``); ``build_levels`` sets the target from the
+constants the levels below have fixed.  Davie's lemma says a random draw
+meets them with positive probability, so the budget is only a cap.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -54,7 +59,8 @@ EXHAUSTIVE_SIGN_MAX_LEVEL = 4
 _SPLIT_STREAM = 101
 _SIGN_STREAM = 202
 
-# Split candidates are scored in batches of about this many spectrum entries.
+# Split candidates are scored in batches that double from one candidate up to
+# about this many spectrum entries.
 _SPLIT_CHUNK_ENTRIES = 1 << 20
 # Rows of lower_n^T transformed at once by the sign objective.
 _SIGN_CHUNK_ROWS = 32
@@ -62,14 +68,24 @@ _SIGN_CHUNK_ROWS = 32
 _TIE_RTOL = 1e-12
 
 
+def _check_draws(draws: int) -> None:
+    if not isinstance(draws, int) or draws < 1:
+        raise BadParameter(f"draws must be a positive integer, got {draws!r}")
+
+
 @dataclass(frozen=True)
 class CharacterSplit:
-    """Anchor/carrier partition of one level's character indices."""
+    """Anchor/carrier partition of one level's character indices; ``draws``
+    counts the candidates its search took."""
 
     level: int
     anchors: Tuple[int, ...]
     carriers: Tuple[int, ...]
     discrepancy: float
+    draws: int = 1
+
+    def __post_init__(self) -> None:
+        _check_draws(self.draws)
 
 
 @dataclass(frozen=True)
@@ -77,10 +93,12 @@ class SignPattern:
     level: int
     signs: Tuple[int, ...]
     objective: float
+    draws: int = 1
 
     def __post_init__(self) -> None:
         if any(s not in (-1, 1) for s in self.signs):
             raise BadParameter("signs must be +1 or -1")
+        _check_draws(self.draws)
 
 
 @dataclass(frozen=True)
@@ -189,9 +207,32 @@ def _candidate_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream, index))))
 
 
-def _near_ties(scores: np.ndarray, best: float) -> np.ndarray:
-    """Mask of the scores within a relative ``_TIE_RTOL`` of ``best``."""
-    return scores <= best * (1.0 + _TIE_RTOL)
+_Candidate = TypeVar("_Candidate")
+
+
+def _scan(
+    batches: Iterable[Tuple[np.ndarray, Sequence[_Candidate]]], target: float
+) -> Tuple[_Candidate, float, int]:
+    """Winner, its score and the candidates taken, from scored batches in index order.
+
+    The first candidate scoring at most ``target`` wins at once.  Without
+    one, every candidate is scored and the earliest within a relative
+    ``_TIE_RTOL`` of the best wins, so last-bit rounding never decides
+    between equivalent candidates.
+    """
+    best, taken = math.inf, 0
+    kept: List[Tuple[float, _Candidate]] = []  # near-ties of the best so far
+    for scores, candidates in batches:
+        hit = np.flatnonzero(scores <= target)
+        if hit.size:
+            i = int(hit[0])
+            return candidates[i], float(scores[i]), taken + i + 1
+        taken += len(scores)
+        best = min(best, float(scores.min()))
+        near = np.flatnonzero(scores <= best * (1.0 + _TIE_RTOL))
+        kept.extend((float(scores[i]), candidates[i]) for i in near)
+    score, winner = next((sc, c) for sc, c in kept if sc <= best * (1.0 + _TIE_RTOL))
+    return winner, score, taken
 
 
 def _split_chunk_rows(k: int) -> int:
@@ -209,15 +250,16 @@ def search_character_split(
     strategy: str = "random-restart",
     budget: int = 1,
     seed: int = 0,
+    target: float = -math.inf,
 ) -> CharacterSplit:
     """Search for an anchor/carrier split with small balance discrepancy.
 
-    Deterministic for fixed (strategy, budget, seed).  Scores within a
-    relative 1e-12 of the best are ties, so last-bit rounding never decides
-    between equivalent splits; among ties the lexicographically smallest
-    anchor list wins.  ``exhaustive`` enumerates every split and is only
-    allowed for levels <= 4; ``random-restart`` scores ``budget`` uniform
-    draws.
+    Deterministic for fixed (strategy, budget, seed, target).  ``exhaustive``
+    enumerates every split in lexicographic order and is only allowed for
+    levels <= 4; ``random-restart`` scores up to ``budget`` uniform draws.
+    The first split scoring at most ``target`` wins; without one, the
+    earliest within a relative 1e-12 of the best, which on the exhaustive
+    path is the lexicographically smallest anchor list among the near-ties.
     """
     if budget < 1:
         raise BadParameter(f"budget must be >= 1, got {budget}")
@@ -256,22 +298,20 @@ def search_character_split(
     else:
         raise BadParameter(f"unknown split search strategy {strategy!r}")
 
-    best = math.inf
-    kept: List[Tuple[np.ndarray, np.ndarray]] = []  # near-ties of the best so far
-    for lo in range(0, count, step):
-        anchors = batch(lo, min(lo + step, count))
-        scores = _score_indicator_batch(_indicator(k, anchors))
-        best = min(best, float(scores.min()))
-        near = _near_ties(scores, best)
-        kept.append((scores[near], anchors[near]))
-    tied = np.concatenate([rows for _, rows in kept])
-    tied = tied[_near_ties(np.concatenate([sc for sc, _ in kept]), best)]
-    winner = tuple(int(x) for x in tied[np.lexsort(tied.T[::-1])[0]])
+    def scored() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        lo, size = 0, 1
+        while lo < count:
+            anchors = batch(lo, min(lo + size, count))
+            yield _score_indicator_batch(_indicator(k, anchors)), anchors
+            lo, size = lo + len(anchors), min(2 * size, step)
+
+    row, _, draws = _scan(scored(), target)
+    winner = tuple(int(x) for x in row)
     carriers = _complement(k, winner)
     probe = CharacterSplit(level=n, anchors=winner, carriers=carriers, discrepancy=0.0)
     return CharacterSplit(
         level=n, anchors=winner, carriers=carriers,
-        discrepancy=split_discrepancy(probe, table),
+        discrepancy=split_discrepancy(probe, table), draws=draws,
     )
 
 
@@ -368,27 +408,26 @@ def _signs_from_bits(idx: int, m: int) -> Tuple[int, ...]:
     return tuple(1 if not (idx >> (m - 1 - j)) & 1 else -1 for j in range(m))
 
 
-def _sign_key(signs: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(0 if s > 0 else 1 for s in signs)
-
-
 def search_signs(
     n: int,
     data: ConstructionData,
     strategy: str = "random-restart",
     budget: int = 1,
     seed: int = 0,
+    target: float = -math.inf,
 ) -> SignPattern:
     """Search the level-n sign pattern minimizing its cross-block maxima.
 
     Patterns are chosen level by level; the pattern at n finalizes the
     lower block of level n and the upper block of level n-1 (at n = 0 the
     objective is vacuous).  Each candidate is scored once by
-    ``sign_objective``.  Objectives within a relative 1e-12 of the best are
-    ties, so last-bit rounding never decides between symmetric patterns;
-    among ties the lexicographically smallest pattern wins, with +1 ordered
-    before -1.  The objective is invariant under a global flip, so the
-    canonical optimum starts with +1.
+    ``sign_objective``.  ``exhaustive`` enumerates every pattern in
+    lexicographic order, +1 before -1; ``random-restart`` scores up to
+    ``budget`` draws.  The first pattern scoring at most ``target`` wins;
+    without one, the earliest within a relative 1e-12 of the best, which
+    on the exhaustive path is the lexicographically smallest pattern among
+    the near-ties.  The objective is invariant under a global flip, so the
+    exhaustive optimum starts with +1.
     """
     if budget < 1:
         raise BadParameter(f"budget must be >= 1, got {budget}")
@@ -411,21 +450,18 @@ def search_signs(
         raise BadParameter(f"unknown sign search strategy {strategy!r}")
 
     def draw(i: int) -> Tuple[int, ...]:
-        """Candidate i, regenerated on demand so only the scores are kept."""
         if strategy == "exhaustive":
             return _signs_from_bits(i, m)
         bits = _candidate_rng(seed, _SIGN_STREAM, i).integers(0, 2, size=m)
         return tuple(1 if b == 0 else -1 for b in bits)
 
-    if n == 0:  # no cross blocks below level 1
-        scores = np.zeros(count)
-    else:
-        scores = np.array(
-            [sign_objective(n, data, np.asarray(draw(i), dtype=np.float64)) for i in range(count)]
-        )
-    ties = np.nonzero(_near_ties(scores, scores.min()))[0]
-    best = min((int(i) for i in ties), key=lambda i: _sign_key(draw(i)))
-    return SignPattern(level=n, signs=draw(best), objective=float(scores[best]))
+    def scored() -> Iterator[Tuple[np.ndarray, List[Tuple[int, ...]]]]:
+        for i in range(count):
+            signs = draw(i)
+            yield np.array([sign_objective(n, data, signs)]), [signs]
+
+    signs, objective, draws = _scan(scored(), target)
+    return SignPattern(level=n, signs=signs, objective=objective, draws=draws)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from aplab import discrepancy
 from aplab.characters import CharacterTable, build_group
 from aplab.cli import build_levels
 from aplab.discrepancy import (
@@ -15,16 +16,18 @@ from aplab.discrepancy import (
     balance_values,
     _candidate_rng,
     _score_indicator_batch,
-    _sign_key,
     _signs_from_bits,
     certify_constants,
+    cross_bound_scale,
     cross_lower_matrix,
     cross_upper_matrix,
     middle_block,
     search_character_split,
     search_signs,
     sign_objective,
+    split_bound_scale,
     split_discrepancy,
+    _SIGN_STREAM,
     _SPLIT_STREAM,
 )
 from aplab.errors import (
@@ -263,7 +266,8 @@ def test_sign_search_breaks_near_ties_by_smallest_pattern(config):
         scores = [_defining_sum_objective(n, data, eps) for eps in patterns]
         lo = min(scores)
         near = [eps for eps, s in zip(patterns, scores) if s <= lo * (1.0 + 1e-12)]
-        assert data.require(n).require_signs().signs == min(near, key=_sign_key)
+        # patterns come in lexicographic order, +1 before -1, so the first near-tie is the smallest
+        assert data.require(n).require_signs().signs == near[0]
 
 
 @given(constructions())
@@ -436,3 +440,101 @@ def test_level8_search_meets_generous_thresholds(full_bundle):
     item = data.require(8)
     assert item.split.discrepancy <= 6.0 * math.sqrt(9.0) * 2.0**4  # 288
     assert item.require_signs().objective <= 6.0 * math.sqrt(9.0) * 2.0**-4  # 1.125
+
+
+# ---------------------------------------------------------------- stop rule
+
+
+@pytest.mark.parametrize("top", [6, 7])
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_random_levels_keep_the_first_draw_that_keeps_the_running_constants(top, seed):
+    """Each random-restart level holds the first draw that raises neither the
+    largest split ratio nor the largest cross-row entry fixed before it, so
+    the certified constants are those of levels <= 3."""
+    budget, sign_budget = 64, 16
+    data = build_levels(top, seed, budget, sign_budget)
+
+    def split_ratio(n, anchors):
+        table = data.require(n).table
+        return split_discrepancy(_split(n, anchors, table.order), table) / split_bound_scale(n)
+
+    split = {n: split_ratio(n, data.require(n).split.anchors) for n in range(top + 1)}
+    middle, lower, upper = {}, {}, {}  # cross-row entries as ratios, by row
+    for n in range(1, top + 1):
+        objective = data.require(n).require_signs().objective
+        middle[n] = 2.0 ** (-n - 1) * data.require(n).split.discrepancy / cross_bound_scale(n)
+        lower[n] = objective / cross_bound_scale(n)
+        upper[n - 1] = objective / cross_bound_scale(n - 1)
+    upper.pop(0)  # row 0 does not exist
+
+    def below(n):  # cross entries fixed before the split at n
+        return (
+            [middle[m] for m in range(1, n)] + [lower[m] for m in range(1, n)]
+            + [upper[m] for m in range(1, n - 1)]
+        )
+
+    def within(value, limit):
+        return value <= limit * (1.0 + 1e-12)
+
+    for n in range(3, top + 1):
+        item, k = data.require(n), data.require(n).table.order
+        c_split, c_cross = max(split[m] for m in range(n)), max(below(n))
+        assert 1 <= item.split.draws < budget
+        draws = [
+            tuple(sorted(int(a) for a in _candidate_rng(seed, _SPLIT_STREAM, i).choice(
+                k, size=k // 3, replace=False, shuffle=False
+            )))
+            for i in range(item.split.draws)
+        ]
+        keeps = [
+            within(r, c_split) and within(r / 2.0, c_cross)
+            for r in (split_ratio(n, anchors) for anchors in draws)
+        ]
+        assert keeps == [False] * (len(draws) - 1) + [True]
+        assert item.split.anchors == draws[-1]
+        assert within(middle[n], c_cross)
+    for n in range(4, top + 1):
+        item, m = data.require(n), len(data.require(n).split.anchors)
+        c_cross = max(below(n) + [middle[n]])
+        assert 1 <= item.require_signs().draws < sign_budget
+        draws = [
+            tuple(1 if b == 0 else -1 for b in _candidate_rng(seed, _SIGN_STREAM, i).integers(0, 2, size=m))
+            for i in range(item.require_signs().draws)
+        ]
+        keeps = [within(sign_objective(n, data, eps) / cross_bound_scale(n), c_cross) for eps in draws]
+        assert keeps == [False] * (len(draws) - 1) + [True]
+        assert item.require_signs().signs == draws[-1]
+        assert within(lower[n], c_cross) and within(upper[n - 1], c_cross)
+    full, low = certify_constants(range(top + 1), data), certify_constants(range(4), data)
+    assert (full.split_constant, full.cross_constant) == (low.split_constant, low.cross_constant)
+
+
+def test_split_search_does_not_depend_on_the_batch_size(monkeypatch):
+    table = CharacterTable(build_group(5))
+    unreachable = dict(strategy="random-restart", budget=40, seed=3)
+    reachable = dict(unreachable, target=2.4 * split_bound_scale(5))
+    default = [search_character_split(table, **kw) for kw in (unreachable, reachable)]
+    monkeypatch.setattr(discrepancy, "_SPLIT_CHUNK_ENTRIES", 3 * table.order)
+    small = [search_character_split(table, **kw) for kw in (unreachable, reachable)]
+    assert small == default
+    assert default[0].draws == 40 and 1 <= default[1].draws < 40
+
+
+def test_searches_stop_at_the_first_draw_meeting_the_target(small_data):
+    table = CharacterTable(build_group(4))
+    split = search_character_split(table, "random-restart", 30, 5, target=math.inf)
+    draw = _candidate_rng(5, _SPLIT_STREAM, 0).choice(48, size=16, replace=False, shuffle=False)
+    assert split.anchors == tuple(sorted(int(a) for a in draw)) and split.draws == 1
+
+    n, budget = 4, 24
+    bits = [_candidate_rng(9, _SIGN_STREAM, i).integers(0, 2, size=16) for i in range(budget)]
+    patterns = [tuple(1 if b == 0 else -1 for b in row) for row in bits]
+    scores = [sign_objective(n, small_data, eps) for eps in patterns]
+    # at the cap: the earliest draw within 1e-12 of the best
+    capped = search_signs(n, small_data, "random-restart", budget, 9)
+    first = next(i for i, sc in enumerate(scores) if sc <= min(scores) * (1.0 + 1e-12))
+    assert (capped.signs, capped.draws) == (patterns[first], budget)
+    # with a target: the first draw meeting it, and the draws it took
+    hit = next(i for i, sc in enumerate(scores) if sc <= np.median(scores))
+    stopped = search_signs(n, small_data, "random-restart", budget, 9, target=float(np.median(scores)))
+    assert (stopped.signs, stopped.objective, stopped.draws) == (patterns[hit], scores[hit], hit + 1)

@@ -413,9 +413,18 @@ def test_cli_refuses_a_stored_split_or_sign_list_that_does_not_fit(tmp_path, cap
         del payload["signs"]
         return payload
 
+    def no_sign_draws(payload):
+        payload["signs"]["draws"] = 0
+        return payload
+
+    def fractional_split_draws(payload):
+        payload["split"]["draws"] = 1.5
+        return payload
+
     tampers = (
         ("anchor", 2, repeat_anchor), ("sign", 3, drop_sign), ("value", 2, double_sign),
         ("no-signs", 3, drop_signs_key), ("list", 1, lambda payload: []),
+        ("sign-draws", 3, no_sign_draws), ("split-draws", 2, fractional_split_draws),
     )
     for name, level, tamper in tampers:
         out = tmp_path / name
@@ -435,25 +444,66 @@ def test_cli_refuses_a_stored_split_or_sign_list_that_does_not_fit(tmp_path, cap
             assert _snapshot(out) == before, (name, command)
 
 
+def _rehashed(out, relpath, edit):
+    """Apply ``edit`` to a stored JSON file and re-hash the manifest over it."""
+    store = ArtifactStore(out)
+    payload = edit(json.loads((out / relpath).read_text()))
+    store.write_json(relpath, payload)
+    store.update_manifest()
+    assert store.manifest_mismatches("") == []
+
+
+@pytest.mark.parametrize(
+    "key, value", [("tol", "x"), ("tol", 0), ("budget", 2.5), ("c1", None), ("max_level", 0)]
+)
+def test_cli_refuses_a_stored_config_value_of_wrong_type_or_domain(tmp_path, capsys, key, value):
+    out = tmp_path / "cfg"
+    assert _run(
+        "build", "--max-level", "2", "--schedule", "log",
+        "--budget", "8", "--sign-budget", "8", "--out", str(out),
+    ) == 0
+    _rehashed(out, "config.json", lambda payload: {**payload, key: value})
+    capsys.readouterr()
+    for command in ("verify", "ap"):
+        assert _run(command, "--out", str(out)) == 1, command
+        err = capsys.readouterr().err
+        assert "config.json" in err and "Traceback" not in err, command
+    assert _run("build", "--max-level", "2", "--tol", "0", "--out", str(tmp_path / "b")) == 2
+
+
+@pytest.mark.parametrize("key", ["cross_constant", "split_rows", "cross_rows"])
+def test_cli_refuses_a_constants_file_without_an_entry(tmp_path, capsys, key):
+    out = tmp_path / "constants"
+    assert _run(
+        "build", "--max-level", "2", "--schedule", "log",
+        "--budget", "8", "--sign-budget", "8", "--out", str(out),
+    ) == 0
+    _rehashed(out, "constants.json", lambda payload: {k: v for k, v in payload.items() if k != key})
+    capsys.readouterr()
+    for command in ("verify", "ap"):
+        assert _run(command, "--out", str(out)) == 1, command
+        assert "constants.json" in capsys.readouterr().err, command
+
+
 # sha256 of every file a BUILD_ARGS run of build/verify/ap/moduli writes
 GOLDEN_SHA256 = {
-    "ap/compact_family.csv": "f6cbe17e6a6579aa972bfb14f2527827568ffa652a9bd67acb62a823856b4006",
+    "ap/compact_family.csv": "24d024672a356a319f84e93765851c039d99669f2d5b9a04a8a779d12392495c",
     "ap/finite_rank.csv": "2dab412454a7e3f4190239f4c6e04d1f7f02a544504da0c3cbe61b82322a02da",
-    "ap/identity_trace.csv": "3392e560f44421d2f7827fa62047261f42b3583c8faab704e44bbd689df8a5e9",
-    "ap/obstruction.json": "ed3fe127bf8065b01c23c461b1abf29d1281c20e5845c0b40117ef666111c95e",
+    "ap/identity_trace.csv": "04fc08f6277927fb9e58a535f83036c0b071448354033bed266c8520f10c5394",
+    "ap/obstruction.json": "d5866d6b529f14b07110353f612259c6bfbc1a3ec77f1ea41a6801fffe66e655",
     "config.json": "06f5511f78b42f869929e02990ddbaf25442fdfeb5ab4acbf478473fccb6e5b4",
-    "constants.json": "68293501ce43f324fb4329bb33a082d9e71e9b56fe0e8844090f20b4431df0e2",
-    "levels/level_00.json": "c23ef98d49dc0905b155a69c1f300664608097fbdeab7fbda0d0736a1f45e7a7",
-    "levels/level_01.json": "c5c99548874640eeeb426dea28d38bce542f64d7398647600cbd15cd015a1a78",
-    "levels/level_02.json": "47a0e7a26012e4fe5e4149427b159d8d8c3324584a25255e5c26f587c9e5b4fb",
-    "levels/level_03.json": "2e99cbca9e25342baae47249c59cc2a4d0d8a35fe8ba6e6b08baf90479dab388",
-    "manifest.json": "3eed7e7ff467fa2a3f187fdeb6c259320052d092eaaf4da99e1ec566cc2e1ff0",
+    "constants.json": "aa5a35b0af9377998793e3ebe447481f4c962bad0d27176eeb74adf3b07513fc",
+    "levels/level_00.json": "c0f6a657ee3ec73f3fa36ec51731c48e10c52b0435f5d9b299044a8fc9f68e5b",
+    "levels/level_01.json": "aaab13f1fbb2ba17e8f213169ac3577d9cb08bee11d94cc7d48c229f77935952",
+    "levels/level_02.json": "3f7f0e6c14cb8c85c2043827289ef1c7c104ffb5730176f90d2b87dd5b1e6c90",
+    "levels/level_03.json": "bf1b21efcf7a9d74570e035d8f6e34332b1e074c48820f8b4621a1e1cb8c8ee4",
+    "manifest.json": "23709490135856f284eee5e00cb330a322a1a8e0c97d592210dad5f01093fa11",
     "moduli/envelope.json": "5177e769440daa1954a92043fe60ab2019ec6961ccfc4fb6ff2913361b0d4660",
     "moduli/split.csv": "9e16f25507d1bcdff3b6e747593e33ae5deffc94ca59ca766341b99fc8a560c0",
     "moduli/split.json": "248a8981596b60173faed3dce65fb1796013d0860d3056c3da18321a7336a417",
     "moduli/witness.csv": "56964e2227cca3631b37952561b678d3632ec1e543cf0fddd0092d0648bd04a0",
     "moduli/witness.json": "8109acc2a73535457367e590782417037d3158a31975e00b24ff066d84080195",
-    "verify_report.json": "b901a9884d5070bf68af3acbf46fd5bb93efa2f3761dbeaf89f548e40945f672",
+    "verify_report.json": "f9166396e910b4be11dfc5c81b42294615e8a0bb63e146d4e89fe1fd02be20f8",
 }
 
 
@@ -464,24 +514,24 @@ POWER_ARGS = (
 
 # the same for a POWER_ARGS run, which takes verify's power-only branches
 GOLDEN_POWER_SHA256 = {
-    "ap/compact_family.csv": "7f9332b9bc1016b1e569424bb6b2e97aae445f5ccccbc33739966fcba4e42b64",
-    "ap/finite_rank.csv": "26e11bec97df78b62015826cb43b1789db1b9d4d0eb572b4e82fa6958081ad7b",
-    "ap/identity_trace.csv": "b1e54fb7dce723bd78eb4ed800e6676c9d84e5a9340028ffccc90e5e583d4ad8",
-    "ap/obstruction.json": "21413c9acba63baa5bf676fb4dbe96bfc09d4e98e9012daedba8aa08034a8089",
+    "ap/compact_family.csv": "6960988c5d773970b7d46385ebb3efa96c05496006ffcbf5fe6215f028ad8524",
+    "ap/finite_rank.csv": "e569df860eee095f9890ca62c99314f09b4db1595d498a880f6479e7ab1aa1d8",
+    "ap/identity_trace.csv": "6075de2386f482bf3dd768e3c98cf31e201c06ac7eba45d60e274b92d1e0dae0",
+    "ap/obstruction.json": "bdcc810de8876207692b392de83a7f775d0d4a4962dc5a2bb8c35abcd159d018",
     "config.json": "4f0a17047962cedda7e42d0c5ce123dbcd1e87b7c251f59d0c11eac283c9c8af",
-    "constants.json": "7457a8647a34b6f2c8a38983c61d1299a172f863c8af98abf1151ad90c87ffa2",
-    "levels/level_00.json": "c23ef98d49dc0905b155a69c1f300664608097fbdeab7fbda0d0736a1f45e7a7",
-    "levels/level_01.json": "c5c99548874640eeeb426dea28d38bce542f64d7398647600cbd15cd015a1a78",
-    "levels/level_02.json": "47a0e7a26012e4fe5e4149427b159d8d8c3324584a25255e5c26f587c9e5b4fb",
-    "levels/level_03.json": "f5ad286c543edd8d7b1d617f792df9856ea288294981f6ec0c2fe78524fef9c8",
-    "levels/level_04.json": "cbf5f7b0753a870e5b1fdf7aa32ddcf92cc8d052dffb2231d36862ebfd1c1c57",
-    "manifest.json": "9c79648d2110c6c29a5c2c8b376f5f8baae0c8f0da04379130f424637e9329ae",
+    "constants.json": "7bca43adc23ef4ecb3958f185591f5a8ccf07a36a72933ad929fdb63c2b090d3",
+    "levels/level_00.json": "c0f6a657ee3ec73f3fa36ec51731c48e10c52b0435f5d9b299044a8fc9f68e5b",
+    "levels/level_01.json": "aaab13f1fbb2ba17e8f213169ac3577d9cb08bee11d94cc7d48c229f77935952",
+    "levels/level_02.json": "3f7f0e6c14cb8c85c2043827289ef1c7c104ffb5730176f90d2b87dd5b1e6c90",
+    "levels/level_03.json": "bc950975ea4fdfdb468ff0bb5c0fb7ea90f9a32ba36cdfda929db63867badb17",
+    "levels/level_04.json": "b40c04287fec51456eeec7cf0b0bb099f1303f9ce524723a4f3894538f794879",
+    "manifest.json": "3deec375c309ec790b00a5bab6967983c291d6d58207279437eb1f0281c5ba88",
     "moduli/envelope.json": "6342e3ac215e2603789d97650b0a5df92d08d5d32e30865736f06e7df7accacf",
     "moduli/split.csv": "0d13bf923590ee862e7cc36d166d7495299ec46f2c83a4067ff5c271cf2766a3",
     "moduli/split.json": "88b5c141a844b953408e79eb1fe1ed56e183e2d595cbe3f9162740b46eed7ff2",
     "moduli/witness.csv": "1c72ec144ff235d1827c9cc802b9aefecc920473875ad29179f8a713d6cf8654",
     "moduli/witness.json": "e21ec145dd575433534ef40f695714f8bae18cd329919a89f353f14a69040ae9",
-    "verify_report.json": "1bc6c4e6d521d6b97b728f6bb67bb4566ea2088841fbb9d8bb36d806e206f106",
+    "verify_report.json": "46dff93d791406a85730613a6ee61981e0a1898b137cd556547a645ffabdff26",
 }
 
 GOLDEN = {
