@@ -20,6 +20,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 from . import obstruction
 from .characters import CharacterTable, build_group, verify_orthogonality
 from .discrepancy import (
+    RANDOM_SIGN_LEVEL,
+    RANDOM_SPLIT_LEVEL,
     CertifiedConstants,
     CharacterSplit,
     ConstructionData,
@@ -29,9 +31,11 @@ from .discrepancy import (
     cross_bound_scale,
     search_character_split,
     search_signs,
+    sign_draw,
     sign_objective,
     split_bound_scale,
     split_discrepancy,  # unused here; kept so profilers can wrap it by this name
+    split_draw,
     validate_partition,
 )
 from .errors import AplabError, BadParameter, CheckFailed, MissingArtifact
@@ -98,10 +102,10 @@ def build_levels(
 ) -> ConstructionData:
     """Search each level's split, then its signs, in level order.
 
-    Splits at levels <= 2 and signs at levels <= 3 are searched
-    exhaustively; they fix the constants.  Above them a random-restart
-    search stops at the first draw that raises neither running constant,
-    and the budgets are caps.  ``c_split`` is the largest split ratio so
+    Splits below ``RANDOM_SPLIT_LEVEL`` and signs below ``RANDOM_SIGN_LEVEL``
+    are searched exhaustively; they fix the constants.  From there on a
+    random-restart search stops at the first draw that raises neither
+    running constant, and the budgets are caps.  ``c_split`` is the largest split ratio so
     far, ``c_cross`` the largest cross-row ratio of any lower, middle or
     upper entry fixed so far (rows n >= 1, the top's included, so a level
     never depends on ``max_level``).  A split is held to ``c_cross`` too,
@@ -116,7 +120,7 @@ def build_levels(
         table = CharacterTable(build_group(n, max_level=max(24, max_level)))
         scale, cross_scale = split_bound_scale(n), cross_bound_scale(n)
         strategy, target = "exhaustive", -math.inf
-        if n > 2:
+        if n >= RANDOM_SPLIT_LEVEL:
             strategy, target = "random-restart", scale * min(c_split, 2.0 * c_cross)
         split = search_character_split(table, strategy, budget, seed, target=target)
         data.put(LevelData(table=table, split=split))
@@ -125,7 +129,7 @@ def build_levels(
             c_cross = max(c_cross, 2.0 ** (-n - 1) * split.discrepancy / cross_scale)
 
         strategy, target = "exhaustive", -math.inf
-        if n > 3:
+        if n >= RANDOM_SIGN_LEVEL:
             strategy, target = "random-restart", cross_scale * c_cross
         signs = search_signs(n, data, strategy, sign_budget, seed, target=target)
         data.set_signs(signs)
@@ -165,14 +169,40 @@ def _stored(path: str | Path) -> Iterator[None]:
         raise CheckFailed(f"{path}: {exc!r}") from exc
 
 
-def load_data(store: ArtifactStore, max_level: int) -> ConstructionData:
+def _draws_fit(split: CharacterSplit, signs: SignPattern, k: int, config: RunConfig) -> bool:
+    """Whether each search's ``draws`` fits how ``build_levels`` searched the level.
+
+    An exhaustive search takes all ``full`` candidates.  A random-restart
+    search (``full`` None) stops below its cap at the draw it keeps, or
+    takes the cap and keeps one of its draws.
+    """
+    n, m, seed = split.level, len(split.anchors), config.seed
+
+    def fits(draws: int, full: Optional[int], cap: int, kept: Callable) -> bool:
+        if full is not None:
+            return draws == full
+        if draws < cap:
+            return kept(draws - 1)
+        return draws == cap and any(map(kept, range(cap)))
+
+    return fits(
+        split.draws, math.comb(k, m) if n < RANDOM_SPLIT_LEVEL else None, config.budget,
+        lambda i: split_draw(seed, i, k).tolist() == list(split.anchors),
+    ) and fits(
+        signs.draws, 1 << m if n < RANDOM_SIGN_LEVEL else None, config.sign_budget,
+        lambda i: sign_draw(seed, i, m) == signs.signs,
+    )
+
+
+def load_data(store: ArtifactStore, config: RunConfig) -> ConstructionData:
     """Rebuild construction data from stored level payloads; a level file
-    that is not a split with signs, whose split is no partition, or whose
-    signs are not one +-1 per anchor, fails the check."""
+    that is not a split with signs, whose split is no partition, whose
+    signs are not one +-1 per anchor, or whose draws do not fit the
+    config's searches, fails the check."""
     data = ConstructionData()
-    for n in range(max_level + 1):
+    for n in range(config.max_level + 1):
         path = _level_path(n)
-        table = CharacterTable(build_group(n, max_level=max(24, max_level)))
+        table = CharacterTable(build_group(n, max_level=max(24, config.max_level)))
         with _stored(path):
             payload: Any = store.read_json(path)
             s, e = payload["split"], payload["signs"]
@@ -182,6 +212,11 @@ def load_data(store: ArtifactStore, max_level: int) -> ConstructionData:
                 raise CheckFailed(f"{path}: {len(e['signs'])} signs for {len(anchors)} anchors")
             validate_partition(split, table.order)
             signs = SignPattern(n, tuple(e["signs"]), float(e["objective"]), e["draws"])
+            if not _draws_fit(split, signs, table.order, config):
+                raise CheckFailed(
+                    f"{path}: split draws {split.draws} or sign draws {signs.draws} "
+                    "do not fit the searches config.json describes"
+                )
         data.put(LevelData(table=table, split=split, signs=signs))
     return data
 
@@ -245,6 +280,8 @@ def cmd_build(config: RunConfig) -> int:
 class _Audit:
     """What the verify checks read: the stored build and a fresh certification.
 
+    The certification recomputes the balance but reads the cross maxima
+    from the stored sign objectives; ``_sign_objectives`` rescores those.
     A check yields ``(check, level, measured, limit[, passed])``; without an
     explicit verdict a row passes when measured <= limit.
     """
@@ -292,16 +329,11 @@ def _cross_blocks(a: _Audit) -> Iterator[tuple]:
 
 
 def _sign_objectives(a: _Audit) -> Iterator[tuple]:
-    # certify_constants already scored every level: lower of cross row n is
-    # level n, upper of the last row is the top; a top of 1 has no cross rows
-    rows = a.fresh.cross_rows
-    fresh = {r.level: r.max_lower for r in rows}
-    if rows:
-        fresh[a.top] = rows[-1].max_upper
+    # the one rescoring of the stored objectives the cross rows read
     for n in range(1, a.top + 1):
         signs = a.data.require(n).require_signs()
-        value = fresh[n] if n in fresh else sign_objective(n, a.data, signs.signs)
-        yield "sign-objective-drift", n, abs(value - signs.objective), a.config.tol
+        drift = abs(sign_objective(n, a.data, signs.signs) - signs.objective)
+        yield "sign-objective-drift", n, drift, a.config.tol
 
 
 def _telescoping(a: _Audit) -> Iterator[tuple]:
@@ -358,7 +390,7 @@ def cmd_verify(config: RunConfig) -> int:
     """
     store = ArtifactStore(config.out)
     stale = store.manifest_mismatches(VERIFY_REPORT)  # verify rewrites its own report
-    data = load_data(store, config.max_level)
+    data = load_data(store, config)
     stored = _load_constants(store)
     fresh = certify_constants(range(config.max_level + 1), data)
     audit = _Audit(config, data, stored, fresh, stale)
@@ -394,7 +426,7 @@ def _require_intact(store: ArtifactStore, own: str) -> None:
 def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
     store = ArtifactStore(config.out)
     _require_intact(store, "ap/")
-    data = load_data(store, config.max_level)
+    data = load_data(store, config)
     constants = _load_constants(store)
 
     frame = obstruction.BasisFrame(data, config.schedule, config.max_level)

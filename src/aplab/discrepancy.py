@@ -23,13 +23,15 @@ candidates are scored by one FFT of the anchor indicator.
 
 The balance values are one inverse FFT of the weights (2 at anchors, -1
 at carriers), and both cross blocks come from the sign kernel.
-Certification reads the cross maxima from ``sign_objective`` and checks
-the balance against the split search's indicator route.  The literal
-double sums are test oracles in ``tests/oracles.py``.
+Certification reads the cross maxima from the objectives the sign search
+stored, which ``verify`` rescores, and checks the balance against the
+split search's indicator route.  The literal double sums are test oracles
+in ``tests/oracles.py``.
 
 Both searches take candidates in index order.  Randomized strategies draw
 each candidate from its own seed sequence keyed by (seed, stream, index),
-so results do not depend on the batch size.  Given a ``target``, a search
+so results do not depend on the batch size and ``split_draw`` and
+``sign_draw`` regenerate any draw on its own.  Given a ``target``, a search
 stops at the first candidate scoring at most the target and records how
 many it took (``draws``); ``build_levels`` sets the target from the
 constants the levels below have fixed.  Davie's lemma says a random draw
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -53,8 +55,11 @@ from .errors import (
     StrategyUnavailable,
 )
 
-EXHAUSTIVE_SPLIT_MAX_LEVEL = 4
-EXHAUSTIVE_SIGN_MAX_LEVEL = 4
+EXHAUSTIVE_MAX_LEVEL = 4
+# build_levels searches splits below RANDOM_SPLIT_LEVEL and signs below
+# RANDOM_SIGN_LEVEL exhaustively, and by random restarts from there on.
+RANDOM_SPLIT_LEVEL = 3
+RANDOM_SIGN_LEVEL = 4
 
 _SPLIT_STREAM = 101
 _SIGN_STREAM = 202
@@ -197,14 +202,21 @@ def _score_indicator_batch(ind: np.ndarray) -> np.ndarray:
     return 3.0 * np.abs(spectrum[:, 1:]).max(axis=1)
 
 
-def _complement(k: int, anchors: Sequence[int]) -> Tuple[int, ...]:
-    mask = np.ones(k, dtype=bool)
-    mask[list(anchors)] = False
-    return tuple(int(x) for x in np.nonzero(mask)[0])
-
-
 def _candidate_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream, index))))
+
+
+def split_draw(seed: int, index: int, k: int) -> np.ndarray:
+    """Sorted anchors of random-restart split draw ``index`` at order k."""
+    rng = _candidate_rng(seed, _SPLIT_STREAM, index)
+    # sorted, so the order numpy would shuffle them into is unused
+    return np.sort(rng.choice(k, size=_anchor_count(k), replace=False, shuffle=False))
+
+
+def sign_draw(seed: int, index: int, m: int) -> Tuple[int, ...]:
+    """Random-restart sign pattern draw ``index`` of length m."""
+    bits = _candidate_rng(seed, _SIGN_STREAM, index).integers(0, 2, size=m)
+    return tuple(1 if b == 0 else -1 for b in bits)
 
 
 _Candidate = TypeVar("_Candidate")
@@ -239,6 +251,21 @@ def _split_chunk_rows(k: int) -> int:
     return max(1, _SPLIT_CHUNK_ENTRIES // k)
 
 
+def _exhaustive(kind: str, strategy: str, n: int, budget: int, seed: int) -> bool:
+    """Check a search's arguments; whether it enumerates every candidate."""
+    if budget < 1:
+        raise BadParameter(f"budget must be >= 1, got {budget}")
+    if seed < 0:
+        raise BadParameter(f"seed must be nonnegative, got {seed}")
+    if strategy not in ("exhaustive", "random-restart"):
+        raise BadParameter(f"unknown {kind} search strategy {strategy!r}")
+    if strategy == "exhaustive" and n > EXHAUSTIVE_MAX_LEVEL:
+        raise StrategyUnavailable(
+            f"exhaustive {kind} search is limited to levels <= {EXHAUSTIVE_MAX_LEVEL}"
+        )
+    return strategy == "exhaustive"
+
+
 def _indicator(k: int, anchors: np.ndarray) -> np.ndarray:
     out = np.zeros((anchors.shape[0], k), dtype=np.float64)
     np.put_along_axis(out, anchors, 1.0, axis=1)
@@ -261,20 +288,10 @@ def search_character_split(
     earliest within a relative 1e-12 of the best, which on the exhaustive
     path is the lexicographically smallest anchor list among the near-ties.
     """
-    if budget < 1:
-        raise BadParameter(f"budget must be >= 1, got {budget}")
-    if seed < 0:
-        raise BadParameter(f"seed must be nonnegative, got {seed}")
-    k = table.order
-    n = table.group.level
+    k, n = table.order, table.group.level
     cnt = _anchor_count(k)
     step = _split_chunk_rows(k)
-
-    if strategy == "exhaustive":
-        if n > EXHAUSTIVE_SPLIT_MAX_LEVEL:
-            raise StrategyUnavailable(
-                f"exhaustive split search is limited to levels <= {EXHAUSTIVE_SPLIT_MAX_LEVEL}"
-            )
+    if _exhaustive("split", strategy, n, budget, seed):
         count = math.comb(k, cnt)
         flat = itertools.chain.from_iterable(itertools.combinations(range(k), cnt))
 
@@ -282,21 +299,11 @@ def search_character_split(
             taken = itertools.islice(flat, (hi - lo) * cnt)
             return np.fromiter(taken, dtype=np.int64).reshape(-1, cnt)
 
-    elif strategy == "random-restart":
+    else:
         count = budget
 
         def batch(lo: int, hi: int) -> np.ndarray:
-            # draws are sorted, so the order numpy would shuffle them into is unused
-            draws = [
-                _candidate_rng(seed, _SPLIT_STREAM, i).choice(
-                    k, size=cnt, replace=False, shuffle=False
-                )
-                for i in range(lo, hi)
-            ]
-            return np.sort(np.stack(draws), axis=1)
-
-    else:
-        raise BadParameter(f"unknown split search strategy {strategy!r}")
+            return np.stack([split_draw(seed, i, k) for i in range(lo, hi)])
 
     def scored() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         lo, size = 0, 1
@@ -307,12 +314,9 @@ def search_character_split(
 
     row, _, draws = _scan(scored(), target)
     winner = tuple(int(x) for x in row)
-    carriers = _complement(k, winner)
-    probe = CharacterSplit(level=n, anchors=winner, carriers=carriers, discrepancy=0.0)
-    return CharacterSplit(
-        level=n, anchors=winner, carriers=carriers,
-        discrepancy=split_discrepancy(probe, table), draws=draws,
-    )
+    carriers = tuple(sorted(set(range(k)) - set(winner)))
+    split = CharacterSplit(n, winner, carriers, discrepancy=0.0, draws=draws)
+    return replace(split, discrepancy=split_discrepancy(split, table))
 
 
 # ----------------------------------------------------------------------
@@ -429,35 +433,14 @@ def search_signs(
     the near-ties.  The objective is invariant under a global flip, so the
     exhaustive optimum starts with +1.
     """
-    if budget < 1:
-        raise BadParameter(f"budget must be >= 1, got {budget}")
-    if seed < 0:
-        raise BadParameter(f"seed must be nonnegative, got {seed}")
-    here = data.require(n)
+    exhaustive = _exhaustive("sign", strategy, n, budget, seed)
+    m = len(data.require(n).split.anchors)
     if n >= 1:
         data.require(n - 1).require_signs()  # sequential level order
-    m = len(here.split.anchors)
-
-    if strategy == "exhaustive":
-        if n > EXHAUSTIVE_SIGN_MAX_LEVEL:
-            raise StrategyUnavailable(
-                f"exhaustive sign search is limited to levels <= {EXHAUSTIVE_SIGN_MAX_LEVEL}"
-            )
-        count = 1 << m
-    elif strategy == "random-restart":
-        count = budget
-    else:
-        raise BadParameter(f"unknown sign search strategy {strategy!r}")
-
-    def draw(i: int) -> Tuple[int, ...]:
-        if strategy == "exhaustive":
-            return _signs_from_bits(i, m)
-        bits = _candidate_rng(seed, _SIGN_STREAM, i).integers(0, 2, size=m)
-        return tuple(1 if b == 0 else -1 for b in bits)
 
     def scored() -> Iterator[Tuple[np.ndarray, List[Tuple[int, ...]]]]:
-        for i in range(count):
-            signs = draw(i)
+        for i in range(1 << m if exhaustive else budget):
+            signs = _signs_from_bits(i, m) if exhaustive else sign_draw(seed, i, m)
             yield np.array([sign_objective(n, data, signs)]), [signs]
 
     signs, objective, draws = _scan(scored(), target)
@@ -518,14 +501,15 @@ def cross_bound_scale(n: int) -> float:
 
 
 def certify_constants(levels: Iterable[int], data: ConstructionData) -> CertifiedConstants:
-    """Recompute all bounds over the requested levels.
+    """Certify the bounds over the requested levels.
 
     Cross rows cover requested levels n >= 1 whose neighbour n+1 has been
-    built.  max |lower_n| and max |upper_n| = max |lower_{n+1}| are
-    ``sign_objective`` at n and n+1 on the stored signs; the middle block
-    is a circulant of the balance values, so its maximum is 2^{-n-1} d(n).
-    The identity residual compares that with the split search's route,
-    3 * max_{g != 0} |DFT of the anchor indicator|.
+    built.  max |lower_n| and max |upper_n| = max |lower_{n+1}| are the
+    stored sign objectives of levels n and n+1, scored once by the search
+    (``verify``'s sign-objective-drift rescores them); the middle block is
+    a circulant of the recomputed balance values, so its maximum is
+    2^{-n-1} d(n).  The identity residual compares that with the split
+    search's route, 3 * max_{g != 0} |DFT of the anchor indicator|.
     """
     level_list = sorted(set(int(n) for n in levels))
     if not level_list:
@@ -534,45 +518,25 @@ def certify_constants(levels: Iterable[int], data: ConstructionData) -> Certifie
     split_rows: List[SplitBoundRow] = []
     for n in level_list:
         item = data.require(n)
-        recomputed = split_discrepancy(item.split, item.table)
-        scale = split_bound_scale(n)
-        split_rows.append(
-            SplitBoundRow(
-                level=n,
-                stored=item.split.discrepancy,
-                recomputed=recomputed,
-                scale=scale,
-                ratio=recomputed / scale,
-            )
-        )
+        recomputed, scale = split_discrepancy(item.split, item.table), split_bound_scale(n)
+        stored = item.split.discrepancy
+        split_rows.append(SplitBoundRow(n, stored, recomputed, scale, recomputed / scale))
 
     balance = {r.level: r.recomputed for r in split_rows}
-    cross_levels = [n for n in level_list if n >= 1 and data.has(n + 1)]
-    objective = {
-        m: sign_objective(m, data, data.require(m).require_signs().signs)
-        for m in sorted({m for n in cross_levels for m in (n, n + 1)})
-    }
     cross_rows: List[CrossBoundRow] = []
-    for n in cross_levels:
+    for n in (n for n in level_list if n >= 1 and data.has(n + 1)):
         item = data.require(n)
         anchors = np.asarray([item.split.anchors], dtype=np.int64)
         indicator_score = float(_score_indicator_batch(_indicator(item.table.order, anchors))[0])
-        max_lower, max_upper = objective[n], objective[n + 1]
+        max_lower = item.require_signs().objective
+        max_upper = data.require(n + 1).require_signs().objective
         max_middle = 2.0 ** (-n - 1) * balance[n]
         overall = max(max_lower, max_middle, max_upper)
         scale = cross_bound_scale(n)
-        cross_rows.append(
-            CrossBoundRow(
-                level=n,
-                max_lower=max_lower,
-                max_middle=max_middle,
-                max_upper=max_upper,
-                overall=overall,
-                scale=scale,
-                ratio=overall / scale,
-                middle_identity_residual=abs(max_middle - 2.0 ** (-n - 1) * indicator_score),
-            )
-        )
+        residual = abs(max_middle - 2.0 ** (-n - 1) * indicator_score)
+        cross_rows.append(CrossBoundRow(
+            n, max_lower, max_middle, max_upper, overall, scale, overall / scale, residual
+        ))
 
     return CertifiedConstants(
         split_constant=max(r.ratio for r in split_rows),

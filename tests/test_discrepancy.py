@@ -9,6 +9,8 @@ from aplab import discrepancy
 from aplab.characters import CharacterTable, build_group
 from aplab.cli import build_levels
 from aplab.discrepancy import (
+    RANDOM_SIGN_LEVEL,
+    RANDOM_SPLIT_LEVEL,
     CharacterSplit,
     ConstructionData,
     LevelData,
@@ -24,10 +26,11 @@ from aplab.discrepancy import (
     middle_block,
     search_character_split,
     search_signs,
+    sign_draw,
     sign_objective,
     split_bound_scale,
     split_discrepancy,
-    _SIGN_STREAM,
+    split_draw,
     _SPLIT_STREAM,
 )
 from aplab.errors import (
@@ -127,18 +130,12 @@ def test_level3_exhaustive_breaks_near_ties_by_smallest_anchors():
 
 @pytest.mark.parametrize("k", [24, 1536, 12288])
 def test_sorted_split_draws_do_not_depend_on_the_shuffle(k):
-    # the split search sorts its draws and skips numpy's final shuffle; numpy
-    # picks the set first (Floyd's algorithm, or a tail shuffle above 10 000)
+    # split_draw sorts its draw and skips numpy's final shuffle; numpy picks
+    # the set first (Floyd's algorithm, or a tail shuffle above 10 000)
     for i in range(4):
-        draws = [
-            np.sort(
-                _candidate_rng(7, _SPLIT_STREAM, i).choice(
-                    k, size=k // 3, replace=False, shuffle=shuffle
-                )
-            )
-            for shuffle in (True, False)
-        ]
-        assert np.array_equal(*draws)
+        rng = _candidate_rng(7, _SPLIT_STREAM, i)
+        shuffled = rng.choice(k, size=k // 3, replace=False, shuffle=True)
+        assert np.array_equal(split_draw(7, i, k), np.sort(shuffled))
 
 
 def test_search_determinism():
@@ -363,6 +360,10 @@ def test_fft_blocks_and_balance_match_the_defining_sums(case):
 @given(constructions(max_top=6))
 def test_certify_rows_match_the_defining_sums(case):
     top, data = case
+    # certification reads the cross maxima from the stored scores, as a search leaves them
+    for n in range(1, top + 1):
+        signs = data.require(n).require_signs().signs
+        data.set_signs(SignPattern(n, signs, sign_objective(n, data, signs)))
     constants = certify_constants(range(top + 1), data)
     balance = {}
     for row in constants.split_rows:
@@ -476,16 +477,11 @@ def test_random_levels_keep_the_first_draw_that_keeps_the_running_constants(top,
     def within(value, limit):
         return value <= limit * (1.0 + 1e-12)
 
-    for n in range(3, top + 1):
+    for n in range(RANDOM_SPLIT_LEVEL, top + 1):
         item, k = data.require(n), data.require(n).table.order
         c_split, c_cross = max(split[m] for m in range(n)), max(below(n))
         assert 1 <= item.split.draws < budget
-        draws = [
-            tuple(sorted(int(a) for a in _candidate_rng(seed, _SPLIT_STREAM, i).choice(
-                k, size=k // 3, replace=False, shuffle=False
-            )))
-            for i in range(item.split.draws)
-        ]
+        draws = [tuple(split_draw(seed, i, k).tolist()) for i in range(item.split.draws)]
         keeps = [
             within(r, c_split) and within(r / 2.0, c_cross)
             for r in (split_ratio(n, anchors) for anchors in draws)
@@ -493,19 +489,17 @@ def test_random_levels_keep_the_first_draw_that_keeps_the_running_constants(top,
         assert keeps == [False] * (len(draws) - 1) + [True]
         assert item.split.anchors == draws[-1]
         assert within(middle[n], c_cross)
-    for n in range(4, top + 1):
+    for n in range(RANDOM_SIGN_LEVEL, top + 1):
         item, m = data.require(n), len(data.require(n).split.anchors)
         c_cross = max(below(n) + [middle[n]])
         assert 1 <= item.require_signs().draws < sign_budget
-        draws = [
-            tuple(1 if b == 0 else -1 for b in _candidate_rng(seed, _SIGN_STREAM, i).integers(0, 2, size=m))
-            for i in range(item.require_signs().draws)
-        ]
+        draws = [sign_draw(seed, i, m) for i in range(item.require_signs().draws)]
         keeps = [within(sign_objective(n, data, eps) / cross_bound_scale(n), c_cross) for eps in draws]
         assert keeps == [False] * (len(draws) - 1) + [True]
         assert item.require_signs().signs == draws[-1]
         assert within(lower[n], c_cross) and within(upper[n - 1], c_cross)
-    full, low = certify_constants(range(top + 1), data), certify_constants(range(4), data)
+    full = certify_constants(range(top + 1), data)
+    low = certify_constants(range(RANDOM_SIGN_LEVEL), data)
     assert (full.split_constant, full.cross_constant) == (low.split_constant, low.cross_constant)
 
 
@@ -523,12 +517,10 @@ def test_split_search_does_not_depend_on_the_batch_size(monkeypatch):
 def test_searches_stop_at_the_first_draw_meeting_the_target(small_data):
     table = CharacterTable(build_group(4))
     split = search_character_split(table, "random-restart", 30, 5, target=math.inf)
-    draw = _candidate_rng(5, _SPLIT_STREAM, 0).choice(48, size=16, replace=False, shuffle=False)
-    assert split.anchors == tuple(sorted(int(a) for a in draw)) and split.draws == 1
+    assert split.anchors == tuple(split_draw(5, 0, 48).tolist()) and split.draws == 1
 
     n, budget = 4, 24
-    bits = [_candidate_rng(9, _SIGN_STREAM, i).integers(0, 2, size=16) for i in range(budget)]
-    patterns = [tuple(1 if b == 0 else -1 for b in row) for row in bits]
+    patterns = [sign_draw(9, i, 16) for i in range(budget)]
     scores = [sign_objective(n, small_data, eps) for eps in patterns]
     # at the cap: the earliest draw within 1e-12 of the best
     capped = search_signs(n, small_data, "random-restart", budget, 9)

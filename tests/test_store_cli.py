@@ -2,11 +2,15 @@ import hashlib
 import importlib.util
 import json
 import shutil
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from aplab import cli, discrepancy
 from aplab.cli import main
 from aplab.errors import MissingArtifact
 from aplab.store import ArtifactStore, canonical_json
@@ -393,9 +397,10 @@ def test_cli_malformed_manifest_fails_the_check(tmp_path, capsys, text):
 
 
 def test_cli_refuses_a_stored_split_or_sign_list_that_does_not_fit(tmp_path, capsys):
-    # a re-hashed manifest hides each edit, so the level check must catch it
+    # a re-hashed manifest hides each edit, so the level check must catch it;
+    # level 4 holds a random-restart sign pattern (budgets 64 / 16)
     built = tmp_path / "built"
-    assert _run("build", *BUILD_ARGS, "--out", str(built)) == 0
+    assert _run("build", *BUILD_ARGS, "--max-level", "4", "--out", str(built)) == 0
 
     def repeat_anchor(payload):
         payload["split"]["anchors"][1] = payload["split"]["anchors"][0]
@@ -413,18 +418,26 @@ def test_cli_refuses_a_stored_split_or_sign_list_that_does_not_fit(tmp_path, cap
         del payload["signs"]
         return payload
 
-    def no_sign_draws(payload):
-        payload["signs"]["draws"] = 0
-        return payload
+    def draws(key, value):
+        def tamper(payload):
+            payload[key]["draws"] = value
+            return payload
+        return tamper
 
-    def fractional_split_draws(payload):
-        payload["split"]["draws"] = 1.5
-        return payload
+    def flipped_signs_at_the_cap(payload):
+        # a global flip keeps the objective but is none of the cap's draws
+        payload["signs"]["signs"] = [-e for e in payload["signs"]["signs"]]
+        return draws("signs", 16)(payload)
 
     tampers = (
         ("anchor", 2, repeat_anchor), ("sign", 3, drop_sign), ("value", 2, double_sign),
         ("no-signs", 3, drop_signs_key), ("list", 1, lambda payload: []),
-        ("sign-draws", 3, no_sign_draws), ("split-draws", 2, fractional_split_draws),
+        ("sign-draws", 3, draws("signs", 0)), ("split-draws", 2, draws("split", 1.5)),
+        # exhaustive levels take every candidate: C(12, 4) splits, 2^8 patterns
+        ("exhaustive-split", 2, draws("split", 494)), ("exhaustive-signs", 3, draws("signs", 1)),
+        # random levels: at most the cap, and the kept candidate is the last draw
+        ("split-past-cap", 3, draws("split", 1000000)), ("later-sign-draw", 4, draws("signs", 2)),
+        ("signs-at-cap", 4, flipped_signs_at_the_cap),
     )
     for name, level, tamper in tampers:
         out = tmp_path / name
@@ -442,6 +455,45 @@ def test_cli_refuses_a_stored_split_or_sign_list_that_does_not_fit(tmp_path, cap
             err = capsys.readouterr().err
             assert path in err and "manifest" not in err, (name, command)
             assert _snapshot(out) == before, (name, command)
+
+    # a search that took its whole cap may keep any of its draws: here draw 0
+    assert json.loads((built / "levels/level_04.json").read_text())["signs"]["draws"] == 1
+    _rehashed(built, "levels/level_04.json", draws("signs", 16))
+    assert _run("verify", "--out", str(built)) == 0
+
+
+def test_build_scores_each_pattern_once_and_verify_rescores_each_level(tmp_path, monkeypatch):
+    calls = []
+    score = discrepancy.sign_objective
+
+    def counted(n, data, signs):
+        calls.append(n)
+        return score(n, data, signs)
+
+    monkeypatch.setattr(discrepancy, "sign_objective", counted)
+    monkeypatch.setattr(cli, "sign_objective", counted)
+    out = tmp_path / "counted"
+    assert _run("build", "--max-level", "6", "--schedule", "log", "--seed", "7", "--out", str(out)) == 0
+    levels = [json.loads((out / f"levels/level_{n:02d}.json").read_text()) for n in range(7)]
+    assert len(calls) == sum(level["signs"]["draws"] for level in levels)
+    calls.clear()
+    assert _run("verify", "--out", str(out)) == 0
+    assert calls == list(range(1, 7))
+
+
+def test_verify_rescores_a_lowered_stored_objective(tmp_path, capsys):
+    # the top objective is the upper maximum of cross row 2, where the lower
+    # maximum dominates, so only the rescoring can see it lowered
+    out = tmp_path / "lowered"
+    assert _run("build", *BUILD_ARGS, "--out", str(out)) == 0
+    _rehashed(out, "levels/level_03.json", lambda p: {
+        **p, "signs": {**p["signs"], "objective": p["signs"]["objective"] / 2},
+    })
+    assert _run("verify", "--out", str(out)) == 1
+    rows = json.loads((out / "verify_report.json").read_text())["rows"]
+    assert [(r["check"], r["level"]) for r in rows if not r["passed"]] == [
+        ("sign-objective-drift", 3)
+    ]
 
 
 def _rehashed(out, relpath, edit):
@@ -572,3 +624,28 @@ def test_tracer_targets_resolve():
     spec.loader.exec_module(tracer)
     for owner, attr, _ in tracer._TARGETS:
         assert attr in tracer._resolve(owner).__dict__, f"{owner}.{attr}"
+
+
+def test_a_failing_property_test_is_reported_not_an_internal_error(tmp_path):
+    """Under the project's ``filterwarnings = error``, a failing ``@given``
+    test makes hypothesis import libcst, whose import warns; the run must
+    still report the failure and go on to the next test."""
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(derandomize=True, database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_passes():
+            pass
+    """))
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout
