@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import obstruction
 from .characters import CharacterTable, build_group, verify_orthogonality
 from .discrepancy import (
@@ -81,6 +83,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         counts = ("max_level", "seed", "budget", "sign_budget")
+        if any(isinstance(getattr(self, name), bool) for name in (*counts, "tol", "c1", "c2")):
+            raise BadParameter("config values must be numbers, not true or false")
         if not all(isinstance(getattr(self, name), int) for name in counts):
             raise BadParameter(f"{', '.join(counts)} must be integers")
         if self.max_level < 1:
@@ -338,10 +342,9 @@ def _sign_objectives(a: _Audit) -> Iterator[tuple]:
 
 def _telescoping(a: _Audit) -> Iterator[tuple]:
     t_top = min(a.top, 4)
-    ops = [obstruction.OperatorMatrix.identity(t_top)]
-    seed = a.config.seed
-    ops.extend(obstruction.OperatorMatrix.gaussian(t_top, seed=seed + i) for i in range(3))
     frame = obstruction.BasisFrame(a.data, a.config.schedule, t_top)
+    ops = [np.eye(frame.dim, dtype=np.complex128)]
+    ops.extend(obstruction.gaussian(t_top, seed=a.config.seed + i) for i in range(3))
     residuals = (obstruction.telescope_residual(op, n, frame) for op in ops for n in range(t_top))
     yield "telescoping-identity", t_top, max(residuals, default=0.0), a.config.tol
 

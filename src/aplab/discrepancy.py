@@ -74,7 +74,7 @@ _TIE_RTOL = 1e-12
 
 
 def _check_draws(draws: int) -> None:
-    if not isinstance(draws, int) or draws < 1:
+    if not isinstance(draws, int) or isinstance(draws, bool) or draws < 1:
         raise BadParameter(f"draws must be a positive integer, got {draws!r}")
 
 

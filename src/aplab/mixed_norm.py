@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -77,6 +78,8 @@ class ExponentSchedule:
 
     @classmethod
     def from_config(cls, spec: Mapping) -> "ExponentSchedule":
+        if not isinstance(spec, Mapping):
+            raise BadParameter(f"schedule config must be a JSON object, got {spec!r}")
         kind = spec.get("kind")
         if kind == "power":
             return cls.power(float(spec["alpha"]))

@@ -19,16 +19,18 @@ an average of T evaluated on the telescoping vectors:
 
 Scaled telescoping vectors form the compact test family, whose norms the
 schedule's decay sequence controls.  Flat basis indexing is (n, j) ->
-2^n - 1 + (j - 1); operator matrices hold the coefficient of basis b in the
-image of basis a at [a, b].
+2^n - 1 + (j - 1).  An operator is its d x d matrix (d = 2^{N+1} - 1 at
+truncation N), with the coefficient of basis b in the image of basis a at
+[a, b]; a function that also takes a frame requires d = frame.dim.
 
 Both maps the traces need are placed FFTs on one level's group, and no
 dense coordinate or telescoping product is formed (``BasisFrame``).  The
 frame matrices and the two deviations built on them are test references,
-not verify rows (see ``cli.cmd_verify``); the literal one-vector sums live
-in ``tests/oracles.py``.
+not verify rows (see ``cli.cmd_verify``); ``ap`` uses them only through
+``BasisFrame.identity_trace``.  The literal one-vector sums are in
+``tests/oracles.py``.
 
-Everything here is pure and operates on immutable inputs.
+Everything here is pure: no function writes to an array it is given.
 """
 
 from __future__ import annotations
@@ -183,91 +185,33 @@ def check_norm_bound(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Operator on the basis span truncated at ``max_level``.
+def gaussian(max_level: int, seed: int) -> np.ndarray:
+    """Seeded d x d operator matrix with standard complex Gaussian entries."""
+    d = basis_dimension(max_level)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 404))))
+    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
 
-    ``matrix[a, b]`` is the coefficient of basis b in the image of basis a.
+
+def rank_one_sum(
+    max_level: int, terms: Sequence[Tuple[Tuple[int, int], np.ndarray]]
+) -> np.ndarray:
+    """Operator matrix of a sum of functional (x) vector terms.
+
+    Each term ((n, j), coeffs) maps x to alpha_{n,j}(x) * y where y has
+    basis coefficients ``coeffs`` (padded with zeros up to the
+    truncation); by biorthogonality this fills row (n, j).
     """
-
-    max_level: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.matrix, dtype=np.complex128)  # never freeze or alias a caller's array
-        d = basis_dimension(self.max_level)
-        if arr.shape != (d, d):
-            raise BadParameter(f"matrix must be {d}x{d} for max level {self.max_level}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
-
-    @classmethod
-    def _adopt(cls, max_level: int, arr: np.ndarray) -> "OperatorMatrix":
-        """The operator on ``arr``, a d x d complex array built for it: frozen, not copied."""
-        arr.flags.writeable = False
-        op = cls.__new__(cls)
-        object.__setattr__(op, "max_level", max_level)
-        object.__setattr__(op, "matrix", arr)
-        return op
-
-    @property
-    def dim(self) -> int:
-        return basis_dimension(self.max_level)
-
-    @classmethod
-    def zeros(cls, max_level: int) -> "OperatorMatrix":
-        d = basis_dimension(max_level)
-        return cls._adopt(max_level, np.zeros((d, d), dtype=np.complex128))
-
-    @classmethod
-    def identity(cls, max_level: int) -> "OperatorMatrix":
-        return cls._adopt(max_level, np.eye(basis_dimension(max_level), dtype=np.complex128))
-
-    @classmethod
-    def diagonal(cls, max_level: int, entries: Sequence[complex]) -> "OperatorMatrix":
-        d = basis_dimension(max_level)
-        if len(entries) != d:
-            raise BadParameter(f"need {d} diagonal entries")
-        return cls._adopt(max_level, np.diag(np.asarray(entries, dtype=np.complex128)))
-
-    @classmethod
-    def gaussian(cls, max_level: int, seed: int) -> "OperatorMatrix":
-        d = basis_dimension(max_level)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 404))))
-        mat = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
-        return cls._adopt(max_level, mat)
-
-    @classmethod
-    def rank_one_sum(
-        cls,
-        max_level: int,
-        terms: Sequence[Tuple[Tuple[int, int], np.ndarray]],
-    ) -> "OperatorMatrix":
-        """Sum of functional (x) vector terms.
-
-        Each term ((n, j), coeffs) maps x to alpha_{n,j}(x) * y where y has
-        basis coefficients ``coeffs`` (padded with zeros up to the
-        truncation); by biorthogonality this fills row (n, j).
-        """
-        d = basis_dimension(max_level)
-        mat = np.zeros((d, d), dtype=np.complex128)
-        for (n, j), coeffs in terms:
-            row = basis_index(n, j)
-            if row >= d:
-                raise TruncationTooSmall(f"functional level {n} exceeds truncation {max_level}")
-            arr = np.asarray(coeffs, dtype=np.complex128)
-            if len(arr) > d:
-                raise TruncationTooSmall("vector coefficients exceed the truncation")
-            mat[row, : len(arr)] += arr
-        return cls._adopt(max_level, mat)
-
-    def scale(self, factor: complex) -> "OperatorMatrix":
-        return OperatorMatrix._adopt(self.max_level, factor * self.matrix)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if other.max_level != self.max_level:
-            raise BadParameter("cannot add operators with different truncations")
-        return OperatorMatrix._adopt(self.max_level, self.matrix + other.matrix)
+    d = basis_dimension(max_level)
+    mat = np.zeros((d, d), dtype=np.complex128)
+    for (n, j), coeffs in terms:
+        row = basis_index(n, j)
+        if row >= d:
+            raise TruncationTooSmall(f"functional level {n} exceeds truncation {max_level}")
+        arr = np.asarray(coeffs, dtype=np.complex128)
+        if len(arr) > d:
+            raise TruncationTooSmall("vector coefficients exceed the truncation")
+        mat[row, : len(arr)] += arr
+    return mat
 
 
 class BasisFrame:
@@ -294,9 +238,9 @@ class BasisFrame:
 
     The frame holds only each level's placement (order, anchors, carriers,
     signs).  The matrices below are test references (``functional_matrix``
-    also feeds ``level_trace``'s coordinate route) that perfbench's tracer
-    wraps by name, built per call and cut to their nonzero band; p_m =
-    2^m + 2^{m+1} basis vectors of levels m and m+1 (2^m at the top):
+    also feeds ``identity_trace``) that perfbench's tracer wraps by name,
+    built per call and cut to their nonzero band; p_m = 2^m + 2^{m+1}
+    basis vectors of levels m and m+1 (2^m at the top):
 
     coord_matrix(m)             p_m x k_m      row b: coordinates of basis b on level m
     telescope_coeff_matrix(n)   k_n x p_n      row g: basis coefficients of tele_{n,g}
@@ -363,6 +307,13 @@ class BasisFrame:
         cols = _pair_slice(n, self.max_level)  # every other basis coefficient is zero here
         return self.telescope_image(np.eye(self.dim, cols.stop - cols.start, -cols.start), n)
 
+    def identity_trace(self, n: int) -> complex:
+        """2^{-n} sum_j alpha_{n,j}(e_{n,j}): the own-form functionals on the
+        realized level-n basis vectors, which biorthogonality makes 1."""
+        # the level-n rows of the identity, dropped before the functionals are built
+        coords = self.coords_at(np.eye(1 << n, self.dim, (1 << n) - 1, dtype=np.complex128), n)
+        return complex(2.0 ** (-n) * (self.functional_matrix(n) * coords).sum())
+
     def coords_of(self, coeff_rows: np.ndarray) -> Dict[int, np.ndarray]:
         """Coordinate blocks of vectors given by basis-coefficient rows.
 
@@ -391,14 +342,17 @@ def biorthogonality_deviation(frame: BasisFrame) -> float:
     test reference, not a verify row (see ``cli.cmd_verify``).
     """
     worst = 0.0
+    below = None  # coord_matrix(n - 1), built once as the previous level
     for n in range(frame.max_level + 1):
-        gram_own = frame.functional_matrix(n) @ frame.coord_matrix(n).T
+        coords = frame.coord_matrix(n)
+        gram_own = frame.functional_matrix(n) @ coords.T
         expected = np.eye(*gram_own.shape)  # level n leads the pair
         worst = max(worst, float(np.abs(gram_own - expected).max()))
-        if n >= 1:
-            gram_low = frame.lower_functional_matrix(n) @ frame.coord_matrix(n - 1).T
+        if below is not None:
+            gram_low = frame.lower_functional_matrix(n) @ below.T
             expected = np.eye(*gram_low.shape, 1 << (n - 1))  # level n follows n-1
             worst = max(worst, float(np.abs(gram_low - expected).max()))
+        below = coords
     return worst
 
 
@@ -420,44 +374,38 @@ def form_agreement_deviation(frame: BasisFrame, n: int) -> float:
     return dev
 
 
-def level_trace(
-    op: OperatorMatrix,
-    n: int,
-    frame: Optional[BasisFrame] = None,
-    via: str = "matrix",
-) -> complex:
-    """Normalized level trace 2^{-n} sum_j alpha_{n,j}(T e_{n,j}).
+def _require_operator(matrix: np.ndarray, frame: BasisFrame) -> None:
+    if matrix.shape != (frame.dim, frame.dim):
+        raise BadParameter(f"operator matrix must be {frame.dim}x{frame.dim}, got {matrix.shape}")
 
-    via="matrix" reduces to the diagonal block through biorthogonality;
-    via="coordinates" evaluates the functionals on the realized images.
+
+def level_trace(matrix: np.ndarray, n: int) -> complex:
+    """Normalized level trace 2^{-n} sum_j alpha_{n,j}(T e_{n,j}) of T's matrix.
+
+    Biorthogonality reduces it to the level-n diagonal block; the
+    truncation N is read from the square 2^{N+1} - 1 shape.
     """
     if n < 0:
         raise BadParameter(f"level must be nonnegative, got {n}")
-    if n > op.max_level:
-        raise TruncationTooSmall(f"level {n} exceeds truncation {op.max_level}")
+    d = matrix.shape[0] if matrix.ndim == 2 else 0
+    if matrix.shape != (d, d) or d < 1 or (d + 1) & d:
+        raise BadParameter(f"operator matrix must be square of side 2^(N+1)-1, got {matrix.shape}")
+    top = d.bit_length() - 1
+    if n > top:
+        raise TruncationTooSmall(f"level {n} exceeds truncation {top}")
     sl = level_slice(n)
-    if via == "matrix":
-        return complex(2.0 ** (-n) * np.trace(op.matrix[sl, sl]))
-    if via == "coordinates":
-        if frame is None:
-            raise BadParameter("the coordinate route needs a basis frame")
-        coords = frame.coords_at(op.matrix[sl, :], n)
-        return complex(2.0 ** (-n) * (frame.functional_matrix(n) * coords).sum())
-    raise BadParameter(f"unknown trace route {via!r}")
+    return complex(2.0 ** (-n) * np.trace(matrix[sl, sl]))
 
 
-def telescope_residual(op: OperatorMatrix, n: int, frame: BasisFrame) -> float:
+def telescope_residual(matrix: np.ndarray, n: int, frame: BasisFrame) -> float:
     """Defect of the telescoping identity between levels n and n+1.
 
     | trace_{n+1}(T) - trace_n(T) - (3*2^n)^{-1} sum_g T(tele_{n,g})(g) |
     """
-    if n + 1 > op.max_level:
-        raise TruncationTooSmall(
-            f"telescoping at level {n} needs level {n + 1} <= truncation {op.max_level}"
-        )
-    lhs = level_trace(op, n + 1) - level_trace(op, n)
+    _require_operator(matrix, frame)
+    lhs = level_trace(matrix, n + 1) - level_trace(matrix, n)  # level n + 1 > N raises
     k = block_size(n)
-    image_coords = frame.coords_at(frame.telescope_image(op.matrix, n), n)  # (k, k)
+    image_coords = frame.coords_at(frame.telescope_image(matrix, n), n)  # (k, k)
     rhs = complex(np.trace(image_coords) / k)
     return abs(lhs - rhs)
 
@@ -472,23 +420,24 @@ class TraceLimit:
     family_max_level: int
 
 
-def trace_limit(op: OperatorMatrix, frame: BasisFrame) -> TraceLimit:
+def trace_limit(matrix: np.ndarray, frame: BasisFrame) -> TraceLimit:
     """Level trace at the truncation with a tail bound from the test family.
 
     The tail of the telescoping series is dominated by
     sum_{n >= N} (n+1)^{-2} * sup_x ||T x|| over the compact family; the
     supremum is estimated on the family members inside the truncation.
     """
-    top = op.max_level
-    estimate = level_trace(op, top)
+    _require_operator(matrix, frame)
+    top = frame.max_level
+    estimate = level_trace(matrix, top)
     sups: List[float] = []
     e0 = basis_index(0, 1)
-    sups.append(float(frame.mixed_norms(op.matrix[e0 : e0 + 1])[0]))
+    sups.append(float(frame.mixed_norms(matrix[e0 : e0 + 1])[0]))
     for n in range(1, top):
-        if not op.matrix[_pair_slice(n, top)].any():
+        if not matrix[_pair_slice(n, top)].any():
             sups.append(0.0)  # T(tele_{n,g}) = 0 for every g
             continue
-        norms = frame.mixed_norms(frame.telescope_image(op.matrix, n))
+        norms = frame.mixed_norms(frame.telescope_image(matrix, n))
         sups.append(float((n + 1) ** 2 * norms.max()))
     family_sup = max(sups)
     tail_factor = math.pi**2 / 6.0 - math.fsum(1.0 / m**2 for m in range(1, top + 1))
@@ -553,7 +502,7 @@ def random_finite_rank_operator(
     support_level: int,
     rank: int,
     seed: int,
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Random sum of coefficient-functional (x) vector terms inside a level cap."""
     if support_level > max_level:
         raise TruncationTooSmall("support level exceeds the truncation")
@@ -567,13 +516,13 @@ def random_finite_rank_operator(
             rng.standard_normal(d_support) + 1j * rng.standard_normal(d_support)
         ) / math.sqrt(2.0)
         terms.append(((n, j), coeffs))
-    return OperatorMatrix.rank_one_sum(max_level, terms)
+    return rank_one_sum(max_level, terms)
 
 
 def experiment_operators(
     max_level: int, support_cap: int, operator_count: int, max_rank: int, seed: int
-) -> Iterator[Tuple[int, int, OperatorMatrix]]:
-    """The (support level, rank, operator) triples ``ap_experiment`` reports on."""
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """The (support level, rank, operator matrix) triples ``ap_experiment`` reports on."""
     for i in range(operator_count):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 505, i))))
         support = int(rng.integers(0, support_cap + 1))
@@ -582,12 +531,11 @@ def experiment_operators(
 
 
 def _finite_rank_row(
-    i: int, support: int, rank: int, op: OperatorMatrix, frame: BasisFrame
+    i: int, support: int, rank: int, matrix: np.ndarray, frame: BasisFrame
 ) -> FiniteRankRow:
-    top = frame.max_level
-    traces = tuple(level_trace(op, n) for n in range(top + 1))
+    limit = trace_limit(matrix, frame)
+    traces = tuple(level_trace(matrix, n) for n in range(frame.max_level + 1))
     beyond = [abs(t) for n, t in enumerate(traces) if n > support]
-    limit = trace_limit(op, frame)
     return FiniteRankRow(
         operator=i,
         rank=rank,
@@ -624,11 +572,13 @@ def ap_experiment(
     if max_rank < 1 or operator_count < 0:
         raise BadParameter(f"need rank >= 1 and operators >= 0, got {max_rank}, {operator_count}")
 
-    ident = OperatorMatrix.identity(top)
+    # the functional traces run before the dense identity exists, so their
+    # products never share the peak with it
+    functional_traces = [frame.identity_trace(n) for n in range(top + 1)]
+    ident = np.eye(frame.dim, dtype=np.complex128)
     identity_rows = []
-    for n in range(top + 1):
+    for n, coordinates in enumerate(functional_traces):
         matrix = level_trace(ident, n)
-        coordinates = level_trace(ident, n, frame=frame, via="coordinates")
         deviation = max(abs(matrix - 1.0), abs(coordinates - 1.0))
         identity_rows.append(IdentityTraceRow(n, matrix, coordinates, deviation))
     identity_residuals = tuple(

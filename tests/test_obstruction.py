@@ -158,7 +158,7 @@ def test_a_repeated_anchor_breaks_biorthogonality(small_data, log_schedule):
 def test_telescoping_identity_on_random_splits(case, seed):
     top, data = case
     frame = ob.BasisFrame(data, ExponentSchedule.log_rate(), top)
-    op = ob.OperatorMatrix.gaussian(top, seed=seed)
+    op = ob.gaussian(top, seed=seed)
     assert max(ob.telescope_residual(op, n, frame) for n in range(top)) < 1e-9
 
 
@@ -330,17 +330,16 @@ def test_norm_two_routes_agree(small_data, log_schedule):
 
 
 def test_identity_trace_is_one(frame5):
-    ident = ob.OperatorMatrix.identity(5)
+    ident = np.eye(frame5.dim, dtype=np.complex128)
     for n in range(6):
         assert ob.level_trace(ident, n) == 1.0
-        coords = ob.level_trace(ident, n, frame=frame5, via="coordinates")
-        assert coords == pytest.approx(1.0, abs=1e-12)
+        assert frame5.identity_trace(n) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rank_one_trace(small_data):
     coeffs = np.zeros(1, dtype=np.complex128)
     coeffs[0] = 1.0
-    op = ob.OperatorMatrix.rank_one_sum(4, [((0, 1), coeffs)])
+    op = ob.rank_one_sum(4, [((0, 1), coeffs)])
     assert ob.level_trace(op, 0) == pytest.approx(1.0, abs=1e-15)
     for n in range(1, 5):
         assert abs(ob.level_trace(op, n)) == 0.0
@@ -348,56 +347,50 @@ def test_rank_one_trace(small_data):
 
 def test_diagonal_trace():
     entries = np.arange(1, ob.basis_dimension(3) + 1).astype(np.complex128)
-    op = ob.OperatorMatrix.diagonal(3, entries)
+    op = np.diag(entries)
     assert ob.level_trace(op, 1) == pytest.approx((entries[1] + entries[2]) / 2.0)
 
 
 def test_trace_linearity():
-    s = ob.OperatorMatrix.gaussian(3, seed=1)
-    t = ob.OperatorMatrix.gaussian(3, seed=2)
+    s = ob.gaussian(3, seed=1)
+    t = ob.gaussian(3, seed=2)
     a, b = 1.3 - 0.2j, -0.7 + 2.1j
     for n in range(4):
-        combined = ob.level_trace(s.scale(a) + t.scale(b), n)
+        combined = ob.level_trace(a * s + b * t, n)
         reference = a * ob.level_trace(s, n) + b * ob.level_trace(t, n)
         assert combined == pytest.approx(reference, abs=1e-10)
 
 
 def test_trace_truncation_guard():
-    op = ob.OperatorMatrix.identity(3)
+    op = np.eye(ob.basis_dimension(3))
     with pytest.raises(TruncationTooSmall):
         ob.level_trace(op, 4)
-
-
-def test_trace_unknown_route():
-    op = ob.OperatorMatrix.identity(2)
-    with pytest.raises(BadParameter):
-        ob.level_trace(op, 0, via="sideways")
 
 
 # ---------------------------------------------------------------- telescoping identity
 
 
 def test_telescope_identity_for_identity(frame5):
-    ident = ob.OperatorMatrix.identity(5)
+    ident = np.eye(frame5.dim, dtype=np.complex128)
     for n in range(5):
         assert ob.telescope_residual(ident, n, frame5) < 1e-10
 
 
 def test_telescope_identity_random_operators(frame4):
     for seed in range(100):
-        op = ob.OperatorMatrix.gaussian(4, seed=seed)
+        op = ob.gaussian(4, seed=seed)
         for n in range(4):
             assert ob.telescope_residual(op, n, frame4) < 1e-9
 
 
 def test_telescope_identity_zero_operator(frame4):
-    zero = ob.OperatorMatrix.zeros(4)
+    zero = np.zeros((frame4.dim, frame4.dim), dtype=np.complex128)
     for n in range(4):
         assert ob.telescope_residual(zero, n, frame4) == 0.0
 
 
 def test_telescope_truncation_guard(frame4):
-    op = ob.OperatorMatrix.identity(4)
+    op = np.eye(frame4.dim)
     with pytest.raises(TruncationTooSmall):
         ob.telescope_residual(op, 4, frame4)
 
@@ -415,7 +408,7 @@ def test_finite_rank_traces_vanish_above_support(frame5):
 
 
 def test_trace_limit_identity(frame5):
-    limit = ob.trace_limit(ob.OperatorMatrix.identity(5), frame5)
+    limit = ob.trace_limit(np.eye(frame5.dim, dtype=np.complex128), frame5)
     assert limit.estimate == pytest.approx(1.0, abs=1e-12)
     assert limit.tail_factor <= 1.0 / 5.0
     assert limit.tail_bound == pytest.approx(limit.tail_factor * limit.family_sup, abs=1e-12)
@@ -428,13 +421,13 @@ def _trace_limit_every_level(op, frame):
     def norms(coeffs):
         return z_norms_rows(schedule, {m: frame.coords_at(coeffs, m) for m in range(top + 1)})
 
-    sups = [float(norms(op.matrix[:1])[0])]
+    sups = [float(norms(op[:1])[0])]
     for n in range(1, top):
         item = frame.data.require(n)
         signs = np.asarray(item.require_signs().signs, dtype=np.float64)
         v = np.zeros((item.table.order, frame.dim), dtype=np.complex128)
-        v[list(item.split.anchors)] = -(2.0 ** (-n)) * signs[:, None] * op.matrix[ob.level_slice(n)]
-        v[list(item.split.carriers)] = 2.0 ** (-n - 1) * op.matrix[ob.level_slice(n + 1)]
+        v[list(item.split.anchors)] = -(2.0 ** (-n)) * signs[:, None] * op[ob.level_slice(n)]
+        v[list(item.split.carriers)] = 2.0 ** (-n - 1) * op[ob.level_slice(n + 1)]
         sups.append(float((n + 1) ** 2 * norms(np.fft.fft(v, axis=0)).max()))
     estimate = ob.level_trace(op, top)
     family_sup = max(sups)
@@ -461,9 +454,9 @@ def test_trace_limit_equals_every_level_reference_on_edge_operators(frame4, fram
         top_row = np.zeros((frame.dim, frame.dim), dtype=np.complex128)
         top_row[ob.basis_index(top, 1), 1::2] = 0.5 - 2.0j
         ops = [
-            ob.OperatorMatrix.zeros(top),
-            ob.OperatorMatrix.identity(top),
-            ob.OperatorMatrix(top, top_row),
+            np.zeros((frame.dim, frame.dim), dtype=np.complex128),
+            np.eye(frame.dim, dtype=np.complex128),
+            top_row,
         ]
         for op in ops:
             assert ob.trace_limit(op, frame) == _trace_limit_every_level(op, frame)
@@ -492,24 +485,13 @@ def test_experiment_empty_family(frame5):
     assert len(report.identity_trace) == 6
 
 
-def test_operator_copies_a_callers_array_and_adopts_its_own():
+def test_operator_constructors_allocate_one_matrix():
+    # the identity and rank_one_sum each build one d x d array and nothing more
     top = 6
     d = ob.basis_dimension(top)
-    given = np.zeros((d, d), dtype=np.complex128)
-    op = ob.OperatorMatrix(top, given)
-    # a caller's array is neither frozen nor aliased
-    assert given.flags.writeable
-    assert not np.shares_memory(op.matrix, given)
-    given[0, 0] = 1.0
-    assert op.matrix[0, 0] == 0.0
-    # the constructors hand over the one d x d array they build, frozen in place
     builds = {
-        "zeros": lambda: ob.OperatorMatrix.zeros(top),
-        "identity": lambda: ob.OperatorMatrix.identity(top),
-        "diagonal": lambda: ob.OperatorMatrix.diagonal(top, [1.0] * d),
-        "rank_one_sum": lambda: ob.OperatorMatrix.rank_one_sum(top, [((1, 1), np.ones(3))]),
-        "scale": lambda: op.scale(2.0),
-        "add": lambda: op + op,
+        "identity": lambda: np.eye(d, dtype=np.complex128),
+        "rank_one_sum": lambda: ob.rank_one_sum(top, [((1, 1), np.ones(3))]),
     }
     for name, build in builds.items():
         tracemalloc.start()
@@ -518,15 +500,42 @@ def test_operator_copies_a_callers_array_and_adopts_its_own():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert built.shape == (d, d), name
         assert peak < 1.5 * d * d * 16, name
-        assert not built.matrix.flags.writeable, name
 
 
-def test_operator_validation(frame4):
-    with pytest.raises(BadParameter):
-        ob.OperatorMatrix(2, np.zeros((3, 3)))
+def test_operator_validation(frame4, frame5):
+    # an operator matrix must be square of side 2^(N+1) - 1, and match the frame
+    for bad in (np.eye(ob.basis_dimension(3)), np.eye(ob.basis_dimension(5))):
+        with pytest.raises(BadParameter):
+            ob.telescope_residual(bad, 0, frame4)
+        with pytest.raises(BadParameter):
+            ob.trace_limit(bad, frame4)
+    for bad in (np.zeros((3, 7)), np.zeros((4, 4)), np.zeros(7), np.zeros((0, 0))):
+        with pytest.raises(BadParameter):
+            ob.level_trace(bad, 0)
     for bad in ({"max_rank": 0}, {"operator_count": -1}):
         with pytest.raises(BadParameter):
             ob.ap_experiment(frame4, cross_constant=2.0, **bad)
     with pytest.raises(TruncationTooSmall):
         ob.random_finite_rank_operator(2, support_level=3, rank=1, seed=0)
+
+
+def test_traces_do_not_write_to_their_inputs(small_data, log_schedule):
+    frame = ob.BasisFrame(small_data, log_schedule, 4)
+    for placed in frame._placed.values():
+        for arr in placed[1:]:
+            arr.flags.writeable = False
+    ops = [np.eye(frame.dim, dtype=np.complex128), ob.gaussian(4, seed=3)]
+    copies = [op.copy() for op in ops]
+    for op in ops:
+        op.flags.writeable = False
+        for n in range(5):
+            ob.level_trace(op, n)
+        for n in range(4):
+            ob.telescope_residual(op, n, frame)
+        ob.trace_limit(op, frame)
+    for n in range(5):
+        assert frame.identity_trace(n) == pytest.approx(1.0, abs=1e-12)
+    for op, copy in zip(ops, copies):
+        assert np.array_equal(op, copy)

@@ -146,10 +146,14 @@ def test_cli_stored_defects_tiny_build(tmp_path):
     assert stored[2] == pytest.approx(6.0, abs=1e-9)
 
 
-def test_cli_json_schedule_spec(capsys):
+def test_cli_json_schedule_spec(tmp_path, capsys):
     code = _run("split", "--schedule", '{"kind":"power","alpha":0.5}', "--depth", "2")
     assert code == 0
     assert "2*5^3" in capsys.readouterr().out
+    # JSON that is no object is a configuration error, not a crash
+    for spec in ('"log"', "[1]", "5", "null"):
+        assert _run("build", "--schedule", spec, "--out", str(tmp_path / "s")) == 2, spec
+        assert not (tmp_path / "s").exists()
 
 
 def test_cli_out_env_default(tmp_path, monkeypatch, capsys):
@@ -438,6 +442,8 @@ def test_cli_refuses_a_stored_split_or_sign_list_that_does_not_fit(tmp_path, cap
         # random levels: at most the cap, and the kept candidate is the last draw
         ("split-past-cap", 3, draws("split", 1000000)), ("later-sign-draw", 4, draws("signs", 2)),
         ("signs-at-cap", 4, flipped_signs_at_the_cap),
+        # JSON true is no count, though Python's True == 1 is draw 0 here
+        ("split-draws-true", 4, draws("split", True)), ("sign-draws-true", 4, draws("signs", True)),
     )
     for name, level, tamper in tampers:
         out = tmp_path / name
@@ -506,7 +512,11 @@ def _rehashed(out, relpath, edit):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("tol", "x"), ("tol", 0), ("budget", 2.5), ("c1", None), ("max_level", 0)]
+    "key, value",
+    [
+        ("tol", "x"), ("tol", 0), ("budget", 2.5), ("c1", None), ("max_level", 0),
+        ("schedule", "log"), ("schedule", None), ("seed", True), ("tol", True),
+    ],
 )
 def test_cli_refuses_a_stored_config_value_of_wrong_type_or_domain(tmp_path, capsys, key, value):
     out = tmp_path / "cfg"
@@ -624,6 +634,39 @@ def test_tracer_targets_resolve():
     spec.loader.exec_module(tracer)
     for owner, attr, _ in tracer._TARGETS:
         assert attr in tracer._resolve(owner).__dict__, f"{owner}.{attr}"
+
+
+def test_traced_commands_report_every_layer_metric_and_write_the_same_store(tmp_path):
+    """``--trace 1`` runs the commands under perfbench's tracer, whose notes
+    read the wrapped calls' arguments; the untraced worker adds
+    ``trace.overhead_s`` itself."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", root / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    args = (*BUILD_ARGS, "--max-level", "4")
+    moduli_args = ("--m-samples", "32,1024", "--depth", "2")
+
+    def run_all(out):
+        for command in ("build", "verify", "ap"):
+            assert _run(command, *args, "--out", str(out)) == 0, command
+        assert _run("moduli", *args, *moduli_args, "--out", str(out)) == 0
+
+    tracer = tracer_module.Tracer(4)
+    tracer.run = "traced"
+    tracer.install()
+    try:
+        run_all(tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+    run_all(tmp_path / "plain")
+    declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    expected = {m["name"] for m in declared} - {"trace.overhead_s"}
+    metrics = tracer.metrics("traced")
+    assert expected <= set(metrics)
+    assert all(metrics[f"cli.self_s.{c}"] > 0 for c in ("build", "verify", "ap", "moduli"))
+    manifests = [(tmp_path / name / "manifest.json").read_bytes() for name in ("traced", "plain")]
+    assert manifests[0] == manifests[1]
 
 
 def test_a_failing_property_test_is_reported_not_an_internal_error(tmp_path):
