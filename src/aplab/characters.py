@@ -3,7 +3,7 @@
 Level n carries the additive group Z/(3*2^n).  Character c sends element g
 to exp(2*pi*i*(c*g mod k)/k) with k the group order, so characters are
 stored as integer exponent indices: every group-law identity is exact and
-floating point enters only when sums of values are formed.
+floating point enters only when the cached roots are gathered or summed.
 
 All objects here are immutable after construction and all operations are
 pure, so concurrent readers are safe.
@@ -16,16 +16,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, IndexOutOfRange, LevelTooLarge
-
-DEFAULT_MAX_LEVEL = 24
-
-# The orthogonality check gathers about this many roots at a time.
-_ORTHOGONALITY_CHUNK_ENTRIES = 1 << 20
+from .errors import BadParameter, IndexOutOfRange
 
 
 def block_size(n: int) -> int:
-    """Dimension 3*2^n of the level-n block."""
+    """Dimension 3*2^n of the level-n block; a negative level is refused here."""
     if n < 0:
         raise BadParameter(f"level must be nonnegative, got {n}")
     return 3 * (1 << n)
@@ -39,27 +34,21 @@ class Group:
     order: int
 
     def __post_init__(self) -> None:
-        if self.level < 0:
-            raise BadParameter(f"level must be nonnegative, got {self.level}")
         if self.order != block_size(self.level):
             raise BadParameter(f"group order {self.order} != 3*2^{self.level}")
 
 
-def build_group(n: int, max_level: int = DEFAULT_MAX_LEVEL) -> Group:
-    """Return the level-n group; levels above ``max_level`` are refused."""
-    if n < 0:
-        raise BadParameter(f"level must be nonnegative, got {n}")
-    if n > max_level:
-        raise LevelTooLarge(f"level {n} exceeds the configured budget {max_level}")
+def build_group(n: int) -> Group:
+    """Return the level-n group Z/(3*2^n)."""
     return Group(level=n, order=block_size(n))
 
 
 class CharacterTable:
     """All k characters of a level group, addressed by index 0..k-1.
 
-    Exponents follow the cyclic formula e(c, g) = c*g mod k and are computed
-    on demand, so no k x k table is ever stored.  The roots array is cached
-    and read-only.
+    Rows of values are gathers of the cached, read-only roots at the exact
+    exponents c*g mod k (``rows``) or -c*g mod k (``rows_at_inverse``), so
+    no k x k table is stored and chi_c(-g) is bitwise conj(chi_c(g)).
     """
 
     def __init__(self, group: Group) -> None:
@@ -79,16 +68,6 @@ class CharacterTable:
             self._root_cache = roots
         return self._root_cache
 
-    def exponent(self, c: int, g: int) -> int:
-        """Exact exponent index e with chi_c(g) = exp(2*pi*i*e/k)."""
-        for idx, name in ((c, "character"), (g, "element")):
-            if not 0 <= idx < self.group.order:
-                raise IndexOutOfRange(f"{name} index {idx} outside [0, {self.group.order})")
-        return (c * g) % self.group.order
-
-    def value(self, c: int, g: int) -> complex:
-        return complex(self.roots()[self.exponent(c, g)])
-
     def _exponent_rows(self, cs: Sequence[int]) -> np.ndarray:
         """Exponent indices e[c, g], one row per c in ``cs``, every index checked."""
         k = self.group.order
@@ -98,18 +77,12 @@ class CharacterTable:
             raise IndexOutOfRange(f"character index {int(bad[0])} outside [0, {k})")
         return np.outer(idx, np.arange(k)) % k
 
-    def row(self, c: int) -> np.ndarray:
-        """Values chi_c(g), g = 0..k-1."""
-        return self.roots()[self._exponent_rows([c])[0]]
-
-    def row_at_inverse(self, c: int) -> np.ndarray:
-        """Values chi_c(-g) = conj(chi_c(g)), g = 0..k-1, exact in exponents."""
-        return self.roots()[-self._exponent_rows([c])[0] % self.group.order]
-
     def rows(self, cs: Sequence[int]) -> np.ndarray:
+        """Values chi_c(g), one row per c in ``cs``, g = 0..k-1."""
         return self.roots()[self._exponent_rows(cs)]
 
     def rows_at_inverse(self, cs: Sequence[int]) -> np.ndarray:
+        """Values chi_c(-g), one row per c in ``cs``, g = 0..k-1."""
         return self.roots()[-self._exponent_rows(cs) % self.group.order]
 
 
@@ -125,22 +98,17 @@ def verify_orthogonality(table: CharacterTable, tol: float) -> OrthogonalityRepo
     """Largest deviation of sum_g chi_c(g)*conj(chi_d(g)) from k*delta_cd.
 
     Exponents are exact, so the sum depends only on r = c - d: it is
-    S_r = sum_g roots[(r*g) mod k], a floating-point sum of the stored
-    roots.  The k sums are formed a chunk of rows r at a time, O(k^2) time
-    and O(chunk * k) memory.  Passes when the deviation is at most ``tol``.
+    S_r = sum_g roots[(r*g) mod k].  With d = gcd(r, k), {r*g mod k} runs
+    d times over the subgroup dZ/k, so S_r = d * sum_{t < k/d} roots[t*d].
+    k = 3*2^n has the 2(n+1) divisors 2^i and 3*2^i; each takes one strided
+    sum, and the d = k sum is compared with k.  The d = 1 sum holds every
+    root once.  Passes when the deviation is at most ``tol``.
     """
     if tol <= 0:
         raise BadParameter(f"tolerance must be positive, got {tol}")
-    k = table.order
+    k, n = table.order, table.group.level
     roots = table.roots()
-    g = np.arange(k)
-    step = max(1, _ORTHOGONALITY_CHUNK_ENTRIES // k)
     dev = 0.0
-    for lo in range(0, k, step):
-        sums = roots[np.outer(np.arange(lo, min(lo + step, k)), g) % k].sum(axis=1)
-        if lo == 0:
-            sums[0] -= k
-        dev = max(dev, float(np.abs(sums).max()))
-    return OrthogonalityReport(
-        level=table.group.level, max_deviation=dev, tolerance=tol, passed=dev <= tol
-    )
+    for d in (m << i for i in range(n + 1) for m in (1, 3)):
+        dev = max(dev, float(abs(d * roots[::d].sum() - (k if d == k else 0))))
+    return OrthogonalityReport(level=n, max_deviation=dev, tolerance=tol, passed=dev <= tol)

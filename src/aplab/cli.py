@@ -31,6 +31,7 @@ from .discrepancy import (
     SignPattern,
     certify_constants,
     cross_bound_scale,
+    is_int,
     search_character_split,
     search_signs,
     sign_draw,
@@ -121,7 +122,7 @@ def build_levels(
     data = ConstructionData()
     c_split = c_cross = 0.0
     for n in range(max_level + 1):
-        table = CharacterTable(build_group(n, max_level=max(24, max_level)))
+        table = CharacterTable(build_group(n))
         scale, cross_scale = split_bound_scale(n), cross_bound_scale(n)
         strategy, target = "exhaustive", -math.inf
         if n >= RANDOM_SPLIT_LEVEL:
@@ -200,15 +201,19 @@ def _draws_fit(split: CharacterSplit, signs: SignPattern, k: int, config: RunCon
 
 def load_data(store: ArtifactStore, config: RunConfig) -> ConstructionData:
     """Rebuild construction data from stored level payloads; a level file
-    that is not a split with signs, whose split is no partition, whose
-    signs are not one +-1 per anchor, or whose draws do not fit the
-    config's searches, fails the check."""
+    whose level or order is not the integer it should be, that is not a
+    split with signs, whose split is no partition of the integers 0..k-1,
+    whose signs are not one integer +-1 per anchor, or whose draws do not
+    fit the config's searches, fails the check."""
     data = ConstructionData()
     for n in range(config.max_level + 1):
         path = _level_path(n)
-        table = CharacterTable(build_group(n, max_level=max(24, config.max_level)))
+        table = CharacterTable(build_group(n))
         with _stored(path):
             payload: Any = store.read_json(path)
+            for key, want in (("level", n), ("order", table.order)):
+                if not is_int(payload[key]) or payload[key] != want:
+                    raise CheckFailed(f"{path}: {key} {payload[key]!r} is not {want}")
             s, e = payload["split"], payload["signs"]
             anchors, carriers = tuple(s["anchors"]), tuple(s["carriers"])
             split = CharacterSplit(n, anchors, carriers, float(s["discrepancy"]), s["draws"])

@@ -73,8 +73,13 @@ _SIGN_CHUNK_ROWS = 32
 _TIE_RTOL = 1e-12
 
 
+def is_int(x: object) -> bool:
+    """Whether ``x`` is an integer; a bool (JSON true) or a float (1.0) is not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_draws(draws: int) -> None:
-    if not isinstance(draws, int) or isinstance(draws, bool) or draws < 1:
+    if not is_int(draws) or draws < 1:
         raise BadParameter(f"draws must be a positive integer, got {draws!r}")
 
 
@@ -101,8 +106,8 @@ class SignPattern:
     draws: int = 1
 
     def __post_init__(self) -> None:
-        if any(s not in (-1, 1) for s in self.signs):
-            raise BadParameter("signs must be +1 or -1")
+        if not all(is_int(s) and s in (-1, 1) for s in self.signs):
+            raise BadParameter("signs must be the integers +1 or -1")
         _check_draws(self.draws)
 
 
@@ -162,15 +167,15 @@ def _anchor_count(k: int) -> int:
 
 
 def validate_partition(split: CharacterSplit, k: int) -> None:
-    """Raise PartitionInvalid unless k/3 anchors and 2k/3 carriers cover 0..k-1 once."""
+    """Raise PartitionInvalid unless k/3 anchors and 2k/3 carriers are 0..k-1, each once."""
     anchors, carriers = split.anchors, split.carriers
     if len(anchors) != _anchor_count(k) or len(carriers) != 2 * _anchor_count(k):
         raise PartitionInvalid(
             f"expected {_anchor_count(k)} anchors and {2 * _anchor_count(k)} carriers"
         )
-    merged = sorted(anchors + carriers)
-    if merged != list(range(k)):
-        raise PartitionInvalid("anchors and carriers must partition the index set")
+    merged = anchors + carriers
+    if not all(map(is_int, merged)) or sorted(merged) != list(range(k)):
+        raise PartitionInvalid("anchors and carriers must partition the integers 0..k-1")
 
 
 def balance_values(table: CharacterTable, split: CharacterSplit) -> np.ndarray:

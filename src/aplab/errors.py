@@ -9,10 +9,6 @@ class BadParameter(AplabError, ValueError):
     """A configuration or argument value is outside its documented domain."""
 
 
-class LevelTooLarge(AplabError, ValueError):
-    """A requested level exceeds the configured size budget."""
-
-
 class IndexOutOfRange(AplabError, IndexError):
     """A character, element, or basis index is outside its valid range."""
 

@@ -103,11 +103,11 @@ def basis_vector(
     here = data.require(n)
     signs = here.require_signs().signs
     blocks: Dict[int, np.ndarray] = {
-        n: signs[j - 1] * here.table.row(here.split.anchors[j - 1])
+        n: signs[j - 1] * here.table.rows([here.split.anchors[j - 1]])[0]
     }
     if n >= 1:
         below = data.require(n - 1)
-        blocks[n - 1] = below.table.row(below.split.carriers[j - 1]).copy()
+        blocks[n - 1] = below.table.rows([below.split.carriers[j - 1]])[0]
     return MixedNormVector(schedule=schedule, blocks=blocks)
 
 

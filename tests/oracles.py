@@ -46,7 +46,7 @@ def coeff_functional(
         blk = f.block(n)
         if blk is None:
             return 0.0 + 0.0j
-        row = here.table.row_at_inverse(here.split.anchors[j - 1])
+        row = here.table.rows_at_inverse([here.split.anchors[j - 1]])[0]
         eps = here.require_signs().signs[j - 1]
         return complex(eps * (row @ blk) / here.table.order)
     if via == "lower":
@@ -56,7 +56,7 @@ def coeff_functional(
         blk = f.block(n - 1)
         if blk is None:
             return 0.0 + 0.0j
-        row = below.table.row_at_inverse(below.split.carriers[j - 1])
+        row = below.table.rows_at_inverse([below.split.carriers[j - 1]])[0]
         return complex((row @ blk) / below.table.order)
     raise BadParameter(f"unknown functional form {via!r}")
 

@@ -60,10 +60,11 @@ def brute_force_discrepancy(table, anchors):
     """Independent oracle: defining double sum via plain Python complex math."""
     k = table.order
     carriers = [c for c in range(k) if c not in anchors]
+    values = table.rows(range(k)).tolist()  # values[c][g] = chi_c(g), Python complex
     worst = 0.0
     for g in range(k):
-        total = 2.0 * sum(table.value(c, g) for c in anchors)
-        total -= sum(table.value(c, g) for c in carriers)
+        total = 2.0 * sum(values[c][g] for c in anchors)
+        total -= sum(values[c][g] for c in carriers)
         worst = max(worst, abs(total))
     return worst
 
@@ -304,9 +305,9 @@ def test_cross_block_manual_double_sum():
         for h in range(3):
             total = 0.0 + 0.0j
             for j in range(2):
-                total += here.table.value(here.split.anchors[j], (6 - g) % 6) * below.table.value(
-                    below.split.carriers[j], h
-                )
+                anchor = here.table.rows([here.split.anchors[j]])[0]
+                carrier = below.table.rows([below.split.carriers[j]])[0]
+                total += anchor[(6 - g) % 6] * carrier[h]
             assert abs(lower[g, h] - (-0.5) * total) < 1e-12
 
 

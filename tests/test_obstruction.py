@@ -54,7 +54,7 @@ def test_basis_vector_level0(small_data, log_schedule):
     vec = ob.basis_vector(0, 1, small_data, log_schedule)
     assert vec.support_levels() == (0,)
     item = small_data.require(0)
-    expected = item.require_signs().signs[0] * item.table.row(item.split.anchors[0])
+    expected = item.require_signs().signs[0] * item.table.rows([item.split.anchors[0]])[0]
     assert np.abs(vec.block(0) - expected).max() == 0.0
 
 
@@ -62,7 +62,7 @@ def test_basis_vector_lower_block_carries_previous_level(small_data, log_schedul
     vec = ob.basis_vector(1, 1, small_data, log_schedule)
     assert vec.support_levels() == (0, 1)
     below = small_data.require(0)
-    carrier_row = below.table.row(below.split.carriers[0])
+    carrier_row = below.table.rows([below.split.carriers[0]])[0]
     assert np.abs(vec.block(0) - carrier_row).max() == 0.0
     assert np.abs(np.abs(vec.block(0)) - 1.0).max() < 1e-15
     assert np.abs(np.abs(vec.block(1)) - 1.0).max() < 1e-15
@@ -249,12 +249,12 @@ def test_telescope_vector_coefficients(small_data, log_schedule):
     k = item.table.order
     signs = item.require_signs().signs
     for j in (1, 2, 3, 4):
-        expected = -(2.0 ** (-n)) * signs[j - 1] * item.table.value(
-            item.split.anchors[j - 1], (k - g) % k
-        )
+        row = item.table.rows([item.split.anchors[j - 1]])[0]
+        expected = -(2.0 ** (-n)) * signs[j - 1] * row[(k - g) % k]
         assert tele.own_coefficients[j - 1] == pytest.approx(expected, abs=1e-15)
     for j in (1, 8):
-        expected = (2.0 ** (-n - 1)) * item.table.value(item.split.carriers[j - 1], (k - g) % k)
+        row = item.table.rows([item.split.carriers[j - 1]])[0]
+        expected = (2.0 ** (-n - 1)) * row[(k - g) % k]
         assert tele.upper_coefficients[j - 1] == pytest.approx(expected, abs=1e-15)
 
 

@@ -428,6 +428,20 @@ def test_cli_refuses_a_stored_split_or_sign_list_that_does_not_fit(tmp_path, cap
             return payload
         return tamper
 
+    def one_as(key, field, value):
+        # the first stored 1 in a sign or anchor list, given as another JSON value
+        def tamper(payload):
+            items = payload[key][field]
+            items[items.index(1)] = value
+            return payload
+        return tamper
+
+    def header(key, value):
+        def tamper(payload):
+            payload[key] = value
+            return payload
+        return tamper
+
     def flipped_signs_at_the_cap(payload):
         # a global flip keeps the objective but is none of the cap's draws
         payload["signs"]["signs"] = [-e for e in payload["signs"]["signs"]]
@@ -444,6 +458,14 @@ def test_cli_refuses_a_stored_split_or_sign_list_that_does_not_fit(tmp_path, cap
         ("signs-at-cap", 4, flipped_signs_at_the_cap),
         # JSON true is no count, though Python's True == 1 is draw 0 here
         ("split-draws-true", 4, draws("split", True)), ("sign-draws-true", 4, draws("signs", True)),
+        # nor is true or 1.0 a sign or a character index, though each equals 1
+        ("sign-true", 4, one_as("signs", "signs", True)),
+        ("sign-float", 4, one_as("signs", "signs", 1.0)),
+        ("anchor-true", 4, one_as("split", "anchors", True)),
+        ("anchor-float", 4, one_as("split", "anchors", 1.0)),
+        # the level and order a level file states must be the ones it is read as
+        ("order", 2, header("order", 7)), ("level", 2, header("level", 99)),
+        ("no-level", 2, lambda payload: {k: v for k, v in payload.items() if k != "level"}),
     )
     for name, level, tamper in tampers:
         out = tmp_path / name
@@ -559,13 +581,13 @@ GOLDEN_SHA256 = {
     "levels/level_01.json": "aaab13f1fbb2ba17e8f213169ac3577d9cb08bee11d94cc7d48c229f77935952",
     "levels/level_02.json": "3f7f0e6c14cb8c85c2043827289ef1c7c104ffb5730176f90d2b87dd5b1e6c90",
     "levels/level_03.json": "bf1b21efcf7a9d74570e035d8f6e34332b1e074c48820f8b4621a1e1cb8c8ee4",
-    "manifest.json": "23709490135856f284eee5e00cb330a322a1a8e0c97d592210dad5f01093fa11",
+    "manifest.json": "127576769a631cfd2cb4f864524100f046bfb8c4f71aa759abf26512f7f08609",
     "moduli/envelope.json": "5177e769440daa1954a92043fe60ab2019ec6961ccfc4fb6ff2913361b0d4660",
     "moduli/split.csv": "9e16f25507d1bcdff3b6e747593e33ae5deffc94ca59ca766341b99fc8a560c0",
     "moduli/split.json": "248a8981596b60173faed3dce65fb1796013d0860d3056c3da18321a7336a417",
     "moduli/witness.csv": "56964e2227cca3631b37952561b678d3632ec1e543cf0fddd0092d0648bd04a0",
     "moduli/witness.json": "8109acc2a73535457367e590782417037d3158a31975e00b24ff066d84080195",
-    "verify_report.json": "f9166396e910b4be11dfc5c81b42294615e8a0bb63e146d4e89fe1fd02be20f8",
+    "verify_report.json": "12b92eeecd04cf79d3e2e53640f1dbae652c185abbe37052c627ba21e6ea5954",
 }
 
 
@@ -587,13 +609,13 @@ GOLDEN_POWER_SHA256 = {
     "levels/level_02.json": "3f7f0e6c14cb8c85c2043827289ef1c7c104ffb5730176f90d2b87dd5b1e6c90",
     "levels/level_03.json": "bc950975ea4fdfdb468ff0bb5c0fb7ea90f9a32ba36cdfda929db63867badb17",
     "levels/level_04.json": "b40c04287fec51456eeec7cf0b0bb099f1303f9ce524723a4f3894538f794879",
-    "manifest.json": "3deec375c309ec790b00a5bab6967983c291d6d58207279437eb1f0281c5ba88",
+    "manifest.json": "7b53180e839cb5e9e19e9dda0db6dd63117192a238b4927c786ac495740f5edf",
     "moduli/envelope.json": "6342e3ac215e2603789d97650b0a5df92d08d5d32e30865736f06e7df7accacf",
     "moduli/split.csv": "0d13bf923590ee862e7cc36d166d7495299ec46f2c83a4067ff5c271cf2766a3",
     "moduli/split.json": "88b5c141a844b953408e79eb1fe1ed56e183e2d595cbe3f9162740b46eed7ff2",
     "moduli/witness.csv": "1c72ec144ff235d1827c9cc802b9aefecc920473875ad29179f8a713d6cf8654",
     "moduli/witness.json": "e21ec145dd575433534ef40f695714f8bae18cd329919a89f353f14a69040ae9",
-    "verify_report.json": "46dff93d791406a85730613a6ee61981e0a1898b137cd556547a645ffabdff26",
+    "verify_report.json": "0d8e49036c613bb96e0d214275cf5f876549b6e1a15bd318cfb154d11fc41c6d",
 }
 
 GOLDEN = {
