@@ -32,6 +32,7 @@ from .discrepancy import (
     certify_constants,
     cross_bound_scale,
     is_int,
+    is_number,
     search_character_split,
     search_signs,
     sign_draw,
@@ -174,6 +175,12 @@ def _stored(path: str | Path) -> Iterator[None]:
         raise CheckFailed(f"{path}: {exc!r}") from exc
 
 
+def _number(value: Any, test: Callable[[object], bool] = is_number) -> Any:
+    if not test(value):  # inside ``_stored``, the failure names the file
+        raise TypeError(f"{value!r} fails {test.__name__}")
+    return value
+
+
 def _draws_fit(split: CharacterSplit, signs: SignPattern, k: int, config: RunConfig) -> bool:
     """Whether each search's ``draws`` fits how ``build_levels`` searched the level.
 
@@ -203,8 +210,9 @@ def load_data(store: ArtifactStore, config: RunConfig) -> ConstructionData:
     """Rebuild construction data from stored level payloads; a level file
     whose level or order is not the integer it should be, that is not a
     split with signs, whose split is no partition of the integers 0..k-1,
-    whose signs are not one integer +-1 per anchor, or whose draws do not
-    fit the config's searches, fails the check."""
+    whose signs are not one integer +-1 per anchor, whose discrepancy or
+    objective is no JSON number, or whose draws do not fit the config's
+    searches, fails the check."""
     data = ConstructionData()
     for n in range(config.max_level + 1):
         path = _level_path(n)
@@ -216,11 +224,11 @@ def load_data(store: ArtifactStore, config: RunConfig) -> ConstructionData:
                     raise CheckFailed(f"{path}: {key} {payload[key]!r} is not {want}")
             s, e = payload["split"], payload["signs"]
             anchors, carriers = tuple(s["anchors"]), tuple(s["carriers"])
-            split = CharacterSplit(n, anchors, carriers, float(s["discrepancy"]), s["draws"])
+            split = CharacterSplit(n, anchors, carriers, _number(s["discrepancy"]), s["draws"])
             if len(e["signs"]) != len(anchors):
                 raise CheckFailed(f"{path}: {len(e['signs'])} signs for {len(anchors)} anchors")
             validate_partition(split, table.order)
-            signs = SignPattern(n, tuple(e["signs"]), float(e["objective"]), e["draws"])
+            signs = SignPattern(n, tuple(e["signs"]), _number(e["objective"]), e["draws"])
             if not _draws_fit(split, signs, table.order, config):
                 raise CheckFailed(
                     f"{path}: split draws {split.draws} or sign draws {signs.draws} "
@@ -245,12 +253,14 @@ def _load_constants(store: ArtifactStore) -> _StoredConstants:
     with _stored(path):
         raw: Any = store.read_json(path)
         return _StoredConstants(
-            cross_constant=float(raw["cross_constant"]),
+            cross_constant=_number(raw["cross_constant"]),
             split_rows={
-                int(r["level"]): (float(r["scale"]), float(r["recomputed"]))
+                _number(r["level"], is_int): (_number(r["scale"]), _number(r["recomputed"]))
                 for r in raw["split_rows"]
             },
-            cross_overall={int(r["level"]): float(r["overall"]) for r in raw["cross_rows"]},
+            cross_overall={
+                _number(r["level"], is_int): _number(r["overall"]) for r in raw["cross_rows"]
+            },
         )
 
 

@@ -22,7 +22,8 @@ conjugated, and rows h = 0..k_below//2 already hold every modulus.  Split
 candidates are scored by one FFT of the anchor indicator.
 
 The balance values are one inverse FFT of the weights (2 at anchors, -1
-at carriers), and both cross blocks come from the sign kernel.
+at carriers), and both cross blocks come from the sign kernel
+(``lower_rows``), as do the compact family's norms in ``obstruction``.
 Certification reads the cross maxima from the objectives the sign search
 stored, which ``verify`` rescores, and checks the balance against the
 split search's indicator route.  The literal double sums are test oracles
@@ -76,6 +77,11 @@ _TIE_RTOL = 1e-12
 def is_int(x: object) -> bool:
     """Whether ``x`` is an integer; a bool (JSON true) or a float (1.0) is not."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_number(x: object) -> bool:
+    """Whether ``x`` is an integer or a float; a bool (JSON true) or a string is not."""
+    return is_int(x) or isinstance(x, float)
 
 
 def _check_draws(draws: int) -> None:
@@ -329,7 +335,7 @@ def search_character_split(
 # ----------------------------------------------------------------------
 
 
-def _lower_rows(
+def lower_rows(
     n: int, data: ConstructionData, eps: np.ndarray, rows: int
 ) -> Iterator[Tuple[int, np.ndarray]]:
     """Rows h = 0..rows-1 of lower_n^T / (-2^{-n}), as (first row, chunk) pairs.
@@ -363,7 +369,7 @@ def cross_lower_matrix(n: int, data: ConstructionData) -> np.ndarray:
     eps = np.asarray(data.require(n).require_signs().signs, dtype=np.float64)
     k, k_below = data.require(n).table.order, data.require(n - 1).table.order
     lower_t = np.empty((k_below, k), dtype=np.complex128)
-    for start, spectrum in _lower_rows(n, data, eps, k_below):
+    for start, spectrum in lower_rows(n, data, eps, k_below):
         lower_t[start : start + len(spectrum)] = spectrum
     lower_t *= -(2.0 ** (-n))
     return lower_t.T
@@ -396,7 +402,7 @@ def sign_objective(n: int, data: ConstructionData, signs: Sequence[int]) -> floa
     """Largest cross-block magnitude the level-n pattern controls.
 
     |upper_{n-1}| is the transpose of |lower_n|, so only lower_n is formed,
-    one FFT per row of lower_n^T (``_lower_rows``).  Row k_below - h is row
+    one FFT per row of lower_n^T (``lower_rows``).  Row k_below - h is row
     h conjugated and read at -g (eps is real, chi(-x) = conj(chi(x))), so
     it has the same largest modulus and only rows 0..k_below//2 are
     transformed.
@@ -408,7 +414,7 @@ def sign_objective(n: int, data: ConstructionData, signs: Sequence[int]) -> floa
         raise BadParameter("sign pattern length must match the anchor count")
     rows = data.require(n - 1).table.order // 2 + 1
     worst = 0.0
-    for _, spectrum in _lower_rows(n, data, eps, rows):
+    for _, spectrum in lower_rows(n, data, eps, rows):
         worst = max(worst, float(np.abs(spectrum).max()))
     return 2.0 ** (-n) * worst
 

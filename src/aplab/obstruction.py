@@ -18,10 +18,12 @@ an average of T evaluated on the telescoping vectors:
     trace_{n+1}(T) - trace_n(T) = (3 * 2^n)^{-1} sum_{g in level n} T(tele_{n,g})(g).
 
 Scaled telescoping vectors form the compact test family, whose norms the
-schedule's decay sequence controls.  Flat basis indexing is (n, j) ->
-2^n - 1 + (j - 1).  An operator is its d x d matrix (d = 2^{N+1} - 1 at
-truncation N), with the coefficient of basis b in the image of basis a at
-[a, b]; a function that also takes a frame requires d = frame.dim.
+schedule's decay sequence controls; their blocks are rows of the three
+cross blocks, read from the sign kernel (``telescope_norms``).  Flat basis
+indexing is (n, j) -> 2^n - 1 + (j - 1).  An operator is its d x d matrix
+(d = 2^{N+1} - 1 at truncation N), with the coefficient of basis b in the
+image of basis a at [a, b]; a function that also takes a frame requires
+d = frame.dim.
 
 Both maps the traces need are placed FFTs on one level's group, and no
 dense coordinate or telescoping product is formed (``BasisFrame``).  The
@@ -44,8 +46,10 @@ import numpy as np
 from .characters import block_size
 from .discrepancy import (
     ConstructionData,
+    balance_values,
     cross_lower_matrix,
     cross_upper_matrix,  # unused here; kept so profilers can wrap it by this name
+    lower_rows,
     middle_block,
     split_discrepancy,  # unused here; kept so profilers can wrap it by this name
     cross_bound_scale,
@@ -65,9 +69,6 @@ from .mixed_norm import (
 )
 
 NORM_CHAIN_FACTOR = 3.0 * math.sqrt(2.0)
-
-# Telescoping norms take rows g in chunks of about this many upper-block entries.
-_NORM_CHUNK_ENTRIES = 1 << 20
 
 
 def basis_dimension(max_level: int) -> int:
@@ -116,27 +117,26 @@ def telescope_norms(
 ) -> np.ndarray:
     """Mixed norms of every level-n telescoping vector, indexed by g.
 
-    tele_{n,g} has basis coefficients -2^{-n} eps^n_j chi_{anchor^n_j}(-g)
-    on level n and 2^{-n-1} chi_{carrier^n_j}(-g) on level n+1, so its
-    blocks on levels n-1, n, n+1 (rows g of the lower, middle and upper
-    cross blocks) are ``BasisFrame.coords_at`` of those rows.  Rows g go
-    about ``_NORM_CHUNK_ENTRIES // k_{n+1}`` at a time.
+    Its blocks on levels n-1, n and n+1 are rows g of the lower, middle and
+    upper cross blocks.  The middle block is the circulant -2^{-n-1}
+    balance(h - g), one norm for every g.  In modulus, row g of lower_n is
+    2^{-n} times column g of ``lower_rows(n)``, and row g of upper_n =
+    -conj(lower_{n+1})^T is 2^{-n-1} times row g of ``lower_rows(n + 1)``.
     """
-    frame = BasisFrame(data, schedule, n + 1)
-    k, anchors, carriers, signs = frame._placed[n]
-    own = -(2.0 ** (-n)) * signs
-    table = data.require(n).table
-    step = max(1, _NORM_CHUNK_ENTRIES // block_size(n + 1))
-    norms = np.empty(k)
-    for lo in range(0, k, step):
-        g = range(lo, min(lo + step, k))
-        inverse = table.rows_at_inverse(g)  # chi_g(-c) = chi_c(-g)
-        coeffs = np.zeros((len(g), frame.dim), dtype=np.complex128)
-        coeffs[:, level_slice(n)] = own * inverse[:, anchors]
-        coeffs[:, level_slice(n + 1)] = 2.0 ** (-n - 1) * inverse[:, carriers]
-        blocks = {m: frame.coords_at(coeffs, m) for m in range(max(n - 1, 0), n + 2)}
-        norms[lo : lo + len(g)] = z_norms_rows(schedule, blocks)
-    return norms
+    def power_sums(m: int, p: float, axis: int) -> Iterator[np.ndarray]:
+        # sum |2^{-m} lower_m^T|^p along ``axis``, a chunk of its rows at a time
+        eps = np.asarray(data.require(m).require_signs().signs, dtype=np.float64)
+        for _, spectrum in lower_rows(m, data, eps, data.require(m - 1).table.order):
+            yield ((2.0 ** (-m) * np.abs(spectrum)) ** p).sum(axis=axis)
+
+    here, p = data.require(n), schedule.p(n)
+    middle = ((2.0 ** (-n - 1) * np.abs(balance_values(here.table, here.split))) ** p).sum()
+    total = np.full(here.table.order, middle ** (2.0 / p))
+    if n >= 1:
+        p = schedule.p(n - 1)
+        total = sum(power_sums(n, p, 0)) ** (2.0 / p) + total
+    p = schedule.p(n + 1)
+    return np.sqrt(total + np.concatenate([*power_sums(n + 1, p, 1)]) ** (2.0 / p))
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,7 @@ def check_norm_bound(
     """
     if n < 1:
         raise BadParameter("norm bound reports start at level 1")
-    norms = telescope_norms(n, data, schedule)
-    max_norm = float(norms.max())
+    max_norm = float(telescope_norms(n, data, schedule).max())
     gap_next = schedule.gap(n + 1)
     bound = NORM_CHAIN_FACTOR * constant * math.sqrt(n + 1.0) * 2.0 ** (-n * gap_next)
     point = (constant * cross_bound_scale(n)) ** 2
@@ -552,7 +551,6 @@ def ap_experiment(
     cross_constant: float,
     operator_count: int = 5,
     max_rank: int = 5,
-    support_cap: Optional[int] = None,
     seed: int = 0,
     provenance: Optional[Dict[str, object]] = None,
 ) -> ObstructionReport:
@@ -565,10 +563,6 @@ def ap_experiment(
     decay sequence scaled by the same constant.
     """
     top = frame.max_level
-    if support_cap is None:
-        support_cap = max(0, top - 1)
-    if support_cap >= top:
-        raise BadParameter("the support cap must stay below the truncation level")
     if max_rank < 1 or operator_count < 0:
         raise BadParameter(f"need rank >= 1 and operators >= 0, got {max_rank}, {operator_count}")
 
@@ -584,44 +578,33 @@ def ap_experiment(
     identity_residuals = tuple(
         telescope_residual(ident, n, frame) for n in range(top)
     )
-    # Drop the dense d x d operators before the compact family, whose
-    # telescoping norms need the most memory; the comprehension's ``op`` ends
-    # with it, so the last finite-rank operator goes too.
+    # Drop the dense identity before the finite-rank stage; the last
+    # finite-rank operator ends with the comprehension that holds ``op``.
     del ident
     rank_rows = [
         _finite_rank_row(i, support, rank, op, frame)
         for i, (support, rank, op) in enumerate(
-            experiment_operators(top, support_cap, operator_count, max_rank, seed)
+            experiment_operators(top, max(0, top - 1), operator_count, max_rank, seed)
         )
     ]
 
-    base_norm = z_norm(basis_vector(0, 1, frame.data, frame.schedule))
-    compact_rows = []
-    for n in range(1, top):
-        norms = telescope_norms(n, frame.data, frame.schedule)
-        scaled = float((n + 1) ** 2 * norms.max())
-        envelope = (
-            NORM_CHAIN_FACTOR
-            * cross_constant
-            * (n + 1) ** 2.5
-            * 2.0 ** (-n * frame.schedule.gap(n + 1))
+    scale = NORM_CHAIN_FACTOR * cross_constant
+    compact_rows = [
+        CompactFamilyRow(
+            level=n,
+            max_scaled_norm=float((n + 1) ** 2 * telescope_norms(n, frame.data, frame.schedule).max()),
+            envelope=scale * (n + 1) ** 2.5 * 2.0 ** (-n * frame.schedule.gap(n + 1)),
+            rate_reference=scale * compactness_sequence(frame.schedule, n),
         )
-        rate_ref = NORM_CHAIN_FACTOR * cross_constant * compactness_sequence(frame.schedule, n)
-        compact_rows.append(
-            CompactFamilyRow(
-                level=n,
-                max_scaled_norm=scaled,
-                envelope=envelope,
-                rate_reference=rate_ref,
-            )
-        )
+        for n in range(1, top)
+    ]
 
     return ObstructionReport(
         max_level=top,
         identity_trace=tuple(identity_rows),
         identity_telescope_residuals=identity_residuals,
         finite_rank=tuple(rank_rows),
-        base_vector_norm=base_norm,
+        base_vector_norm=z_norm(basis_vector(0, 1, frame.data, frame.schedule)),
         compact_family=tuple(compact_rows),
         cross_constant=cross_constant,
         provenance=dict(provenance or {}),

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aplab import discrepancy
 from aplab import obstruction as ob
 from aplab.discrepancy import (
     ConstructionData,
@@ -301,11 +303,17 @@ def test_norm_bound_report(small_data, log_schedule, power_schedule):
 
 @given(constructions(min_top=2, max_top=5))
 def test_chunked_telescope_norms_match_the_defining_blocks(case):
-    # chunks of 100 // k_{n+1} rows g, so levels 2..4 run several chunks and a tail
+    # the sign kernel goes 2 rows at a time, so both of its blocks run several
+    # chunks, and the 3 rows of level 0 leave a tail of 1; the explicit
+    # schedule gives each level its own exponent, which the built-in ones,
+    # at p = 3 on every level drawn here, do not
     top, data = case
-    schedule = ExponentSchedule.log_rate()
-    with mock.patch.object(ob, "_NORM_CHUNK_ENTRIES", 100):
-        for n in range(top):
+    schedules = (
+        ExponentSchedule.log_rate(),
+        ExponentSchedule.explicit([3.0, 2.8, 2.6, 2.5, 2.4, 2.3, 2.2]),
+    )
+    with mock.patch.object(discrepancy, "_SIGN_CHUNK_ROWS", 2):
+        for n, schedule in itertools.product(range(top), schedules):
             item = data.require(n)
             k = item.table.order
             bal = balance_oracle(item.table, item.split)
