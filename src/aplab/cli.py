@@ -36,7 +36,7 @@ from .discrepancy import (
     search_character_split,
     search_signs,
     sign_draw,
-    sign_objective,
+    sign_objective,  # unused here; kept so profilers can wrap it by this name
     split_bound_scale,
     split_discrepancy,  # unused here; kept so profilers can wrap it by this name
     split_draw,
@@ -297,18 +297,22 @@ def cmd_build(config: RunConfig) -> int:
 
 @dataclass(frozen=True)
 class _Audit:
-    """What the verify checks read: the stored build and a fresh certification.
+    """What the verify checks read: the stored build, a fresh certification
+    and one pass of the sign kernel per level.
 
     The certification recomputes the balance but reads the cross maxima
-    from the stored sign objectives; ``_sign_objectives`` rescores those.
-    A check yields ``(check, level, measured, limit[, passed])``; without an
-    explicit verdict a row passes when measured <= limit.
+    from the stored sign objectives.  ``family`` reads each lower_m once:
+    ``_sign_objectives`` rescores the stored objectives from its maxima,
+    and ``_compact_family`` bounds its norms.  A check yields
+    ``(check, level, measured, limit[, passed])``; without an explicit
+    verdict a row passes when measured <= limit.
     """
 
     config: RunConfig
     data: ConstructionData
     stored: _StoredConstants
     fresh: CertifiedConstants
+    family: obstruction.TelescopeFamily
     stale: List[str]  # files whose bytes no longer match the manifest
 
     @property
@@ -350,8 +354,7 @@ def _cross_blocks(a: _Audit) -> Iterator[tuple]:
 def _sign_objectives(a: _Audit) -> Iterator[tuple]:
     # the one rescoring of the stored objectives the cross rows read
     for n in range(1, a.top + 1):
-        signs = a.data.require(n).require_signs()
-        drift = abs(sign_objective(n, a.data, signs.signs) - signs.objective)
+        drift = abs(a.family.objectives[n] - a.data.require(n).require_signs().objective)
         yield "sign-objective-drift", n, drift, a.config.tol
 
 
@@ -366,7 +369,9 @@ def _telescoping(a: _Audit) -> Iterator[tuple]:
 
 def _compact_family(a: _Audit) -> Iterator[tuple]:
     for n in range(1, a.top):
-        report = obstruction.check_norm_bound(n, a.data, a.config.schedule, a.stored.cross_constant)
+        report = obstruction.check_norm_bound(
+            n, a.family.norms[n], a.config.schedule, a.stored.cross_constant
+        )
         yield "telescope-norm-envelope", n, report.max_norm, report.bound, report.passed
     horizon = {"power": 5000, "log": 10**6}.get(a.config.schedule.kind)
     if horizon is not None:
@@ -411,7 +416,8 @@ def cmd_verify(config: RunConfig) -> int:
     data = load_data(store, config)
     stored = _load_constants(store)
     fresh = certify_constants(range(config.max_level + 1), data)
-    audit = _Audit(config, data, stored, fresh, stale)
+    family = obstruction.telescope_norms(data, config.schedule, config.max_level)
+    audit = _Audit(config, data, stored, fresh, family, stale)
     rows = [_row(*row) for check in VERIFY_CHECKS for row in check(audit)]
     store.write_json(VERIFY_REPORT, {"rows": rows})
 

@@ -27,10 +27,11 @@ d = frame.dim.
 
 Both maps the traces need are placed FFTs on one level's group, and no
 dense coordinate or telescoping product is formed (``BasisFrame``).  The
-frame matrices and the two deviations built on them are test references,
-not verify rows (see ``cli.cmd_verify``); ``ap`` uses them only through
-``BasisFrame.identity_trace``.  The literal one-vector sums are in
-``tests/oracles.py``.
+identity's functional traces and the telescoping residuals go a chunk of
+anchors or band columns at a time.  The frame matrices and the two
+deviations built on them are test references, not verify rows (see
+``cli.cmd_verify``), and no command builds them.  The literal one-vector
+sums are in ``tests/oracles.py``.
 
 Everything here is pure: no function writes to an array it is given.
 """
@@ -43,6 +44,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import discrepancy
 from .characters import block_size
 from .discrepancy import (
     ConstructionData,
@@ -112,31 +114,65 @@ def basis_vector(
     return MixedNormVector(schedule=schedule, blocks=blocks)
 
 
-def telescope_norms(
-    n: int, data: ConstructionData, schedule: ExponentSchedule
-) -> np.ndarray:
-    """Mixed norms of every level-n telescoping vector, indexed by g.
+@dataclass(frozen=True)
+class TelescopeFamily:
+    """What one pass of the sign kernel per level m = 1..top gives.
 
-    Its blocks on levels n-1, n and n+1 are rows g of the lower, middle and
-    upper cross blocks.  The middle block is the circulant -2^{-n-1}
-    balance(h - g), one norm for every g.  In modulus, row g of lower_n is
-    2^{-n} times column g of ``lower_rows(n)``, and row g of upper_n =
-    -conj(lower_{n+1})^T is 2^{-n-1} times row g of ``lower_rows(n + 1)``.
+    ``objectives[m]`` is ``sign_objective(m)`` of the stored signs, bit for
+    bit (0.0 at m = 0).  ``norms[n]`` holds the mixed norms of the level-n
+    telescoping vectors, indexed by g, for n = 0..top-1.
     """
-    def power_sums(m: int, p: float, axis: int) -> Iterator[np.ndarray]:
-        # sum |2^{-m} lower_m^T|^p along ``axis``, a chunk of its rows at a time
-        eps = np.asarray(data.require(m).require_signs().signs, dtype=np.float64)
-        for _, spectrum in lower_rows(m, data, eps, data.require(m - 1).table.order):
-            yield ((2.0 ** (-m) * np.abs(spectrum)) ** p).sum(axis=axis)
 
-    here, p = data.require(n), schedule.p(n)
-    middle = ((2.0 ** (-n - 1) * np.abs(balance_values(here.table, here.split))) ** p).sum()
-    total = np.full(here.table.order, middle ** (2.0 / p))
-    if n >= 1:
-        p = schedule.p(n - 1)
-        total = sum(power_sums(n, p, 0)) ** (2.0 / p) + total
-    p = schedule.p(n + 1)
-    return np.sqrt(total + np.concatenate([*power_sums(n + 1, p, 1)]) ** (2.0 / p))
+    objectives: Tuple[float, ...]
+    norms: Tuple[np.ndarray, ...]
+
+
+def telescope_norms(
+    data: ConstructionData, schedule: ExponentSchedule, top: int
+) -> TelescopeFamily:
+    """The compact family's norms below ``top`` and the sign objectives through it.
+
+    The blocks of tele_{n,g} on levels n-1, n and n+1 are rows g of the
+    lower, middle and upper cross blocks.  The middle block is the
+    circulant -2^{-n-1} balance(h - g), one norm for every g.  In modulus,
+    row g of lower_n is 2^{-n} times column g of ``lower_rows(n)``, and row
+    g of upper_n = -conj(lower_{n+1})^T is 2^{-n-1} times row g of
+    ``lower_rows(n + 1)``.  So one pass of ``lower_rows(m)`` over its
+    k_{m-1} rows gives together the column sums of (2^{-m}|x|)^{p(m-1)}
+    (level m's lower blocks), the row sums of (2^{-m}|x|)^{p(m)} (level
+    m-1's upper blocks) and the largest |x| over rows 0..k_{m-1}//2, which
+    is the set ``sign_objective`` reads.  The top pass skips the column
+    sums, which only level top's norms would read.
+    """
+    objectives: List[float] = [0.0]
+    norms: List[np.ndarray] = []
+    lower = None  # column sums of the previous pass, for its level's norms
+    for m in range(1, top + 1):
+        eps = np.asarray(data.require(m).require_signs().signs, dtype=np.float64)
+        rows = data.require(m - 1).table.order
+        half = rows // 2 + 1  # the rows sign_objective transforms
+        p_lower, p_upper = schedule.p(m - 1), schedule.p(m)
+        worst, columns, upper = 0.0, np.zeros(data.require(m).table.order), []
+        for start, spectrum in lower_rows(m, data, eps, rows):
+            modulus = np.abs(spectrum)
+            del spectrum  # freed before the powers are formed
+            if start < half:
+                worst = max(worst, float(modulus[: half - start].max()))
+            modulus *= 2.0 ** (-m)
+            if m < top:
+                columns += (modulus ** p_lower).sum(axis=0)
+            upper.append((modulus ** p_upper).sum(axis=1))
+        objectives.append(2.0 ** (-m) * worst)
+
+        n, here = m - 1, data.require(m - 1)
+        p = schedule.p(n)
+        middle = ((2.0 ** (-n - 1) * np.abs(balance_values(here.table, here.split))) ** p).sum()
+        total = np.full(here.table.order, middle ** (2.0 / p))
+        if lower is not None:
+            total = lower ** (2.0 / schedule.p(n - 1)) + total
+        norms.append(np.sqrt(total + np.concatenate(upper) ** (2.0 / p_upper)))
+        lower = columns
+    return TelescopeFamily(tuple(objectives), tuple(norms))
 
 
 @dataclass(frozen=True)
@@ -151,18 +187,19 @@ class NormBoundReport:
 
 def check_norm_bound(
     n: int,
-    data: ConstructionData,
+    norms: np.ndarray,
     schedule: ExponentSchedule,
     constant: float,
 ) -> NormBoundReport:
-    """Check the mixed-norm envelope of the level-n telescoping vectors.
+    """Check the mixed-norm envelope of the level-n telescoping vectors,
+    given their ``norms`` (``telescope_norms(...).norms[n]``).
 
     The bound is 3*sqrt(2)*constant*(n+1)^{1/2} * 2^{-n * gap(n+1)}; the
     three-block chain that produces it is recomputed for display.
     """
     if n < 1:
         raise BadParameter("norm bound reports start at level 1")
-    max_norm = float(telescope_norms(n, data, schedule).max())
+    max_norm = float(norms.max())
     gap_next = schedule.gap(n + 1)
     bound = NORM_CHAIN_FACTOR * constant * math.sqrt(n + 1.0) * 2.0 ** (-n * gap_next)
     point = (constant * cross_bound_scale(n)) ** 2
@@ -236,10 +273,9 @@ class BasisFrame:
     |0|^p = 0 and x + 0.0 == x), so the norms do not change by a bit.
 
     The frame holds only each level's placement (order, anchors, carriers,
-    signs).  The matrices below are test references (``functional_matrix``
-    also feeds ``identity_trace``) that perfbench's tracer wraps by name,
-    built per call and cut to their nonzero band; p_m = 2^m + 2^{m+1}
-    basis vectors of levels m and m+1 (2^m at the top):
+    signs).  The matrices below are test references that perfbench's
+    tracer wraps by name, built per call and cut to their nonzero band;
+    p_m = 2^m + 2^{m+1} basis vectors of levels m and m+1 (2^m at the top):
 
     coord_matrix(m)             p_m x k_m      row b: coordinates of basis b on level m
     telescope_coeff_matrix(n)   k_n x p_n      row g: basis coefficients of tele_{n,g}
@@ -277,7 +313,8 @@ class BasisFrame:
         return np.fft.ifft(w, axis=1, norm="forward", out=w)
 
     def telescope_image(self, op_matrix: np.ndarray, n: int) -> np.ndarray:
-        """Row g holds the basis coefficients of T(tele_{n,g}); ``op_matrix`` is T's matrix."""
+        """Row g holds the basis coefficients of T(tele_{n,g}); ``op_matrix`` is
+        T's matrix, or a block of its columns (those coefficients alone)."""
         if not 0 <= n <= self.max_level - 1:
             raise TruncationTooSmall(
                 f"telescoping at level {n} needs level {n + 1} inside the truncation"
@@ -308,10 +345,23 @@ class BasisFrame:
 
     def identity_trace(self, n: int) -> complex:
         """2^{-n} sum_j alpha_{n,j}(e_{n,j}): the own-form functionals on the
-        realized level-n basis vectors, which biorthogonality makes 1."""
-        # the level-n rows of the identity, dropped before the functionals are built
-        coords = self.coords_at(np.eye(1 << n, self.dim, (1 << n) - 1, dtype=np.complex128), n)
-        return complex(2.0 ** (-n) * (self.functional_matrix(n) * coords).sum())
+        realized level-n basis vectors, which biorthogonality makes 1.
+
+        A chunk of anchors at a time: the exact-exponent rows
+        eps_j chi_{a_j}(-g) / k of the chunk meet the level-n coordinates
+        of the same identity rows, so memory stays O(chunk * k).
+        """
+        if not 0 <= n <= self.max_level:
+            raise IndexOutOfRange(f"level {n} outside truncation 0..{self.max_level}")
+        k, anchors, _, signs = self._placed[n]
+        table, chunk = self.data.require(n).table, discrepancy._SIGN_CHUNK_ROWS
+        sums = []
+        for start in range(0, 1 << n, chunk):
+            js = slice(start, min(start + chunk, 1 << n))
+            rows = np.eye(js.stop - start, self.dim, (1 << n) - 1 + start, dtype=np.complex128)
+            functionals = signs[js, None] * table.rows_at_inverse(anchors[js]) / k
+            sums.append((functionals * self.coords_at(rows, n)).sum())
+        return complex(2.0 ** (-n) * np.sum(sums))
 
     def coords_of(self, coeff_rows: np.ndarray) -> Dict[int, np.ndarray]:
         """Coordinate blocks of vectors given by basis-coefficient rows.
@@ -400,12 +450,31 @@ def telescope_residual(matrix: np.ndarray, n: int, frame: BasisFrame) -> float:
     """Defect of the telescoping identity between levels n and n+1.
 
     | trace_{n+1}(T) - trace_n(T) - (3*2^n)^{-1} sum_g T(tele_{n,g})(g) |
+
+    The level-n coordinate at g reads only the basis coefficients b of
+    levels n and n+1, the band of k columns: basis (n, j) is
+    eps_j chi_{a_j} and basis (n+1, j) is chi_{c_j} there, with a_j and c_j
+    the anchors and carriers of level n.  So the sum is
+    sum_g sum_b image[g, b] w_b chi_{c_b}(g), with c_b the anchor or carrier
+    that takes column b and w_b its sign or 1.  It goes a chunk of band
+    columns at a time: one forward FFT of their placed rows of T
+    (``telescope_image``), then one gather of the exact-exponent roots.
+    No k x d image or k x k coordinate array is formed.
     """
     _require_operator(matrix, frame)
     lhs = level_trace(matrix, n + 1) - level_trace(matrix, n)  # level n + 1 > N raises
-    k = block_size(n)
-    image_coords = frame.coords_at(frame.telescope_image(matrix, n), n)  # (k, k)
-    rhs = complex(np.trace(image_coords) / k)
+    k, anchors, carriers, signs = frame._placed[n]
+    takes = np.concatenate([anchors, carriers])
+    weights = np.concatenate([signs, np.ones(len(carriers))])
+    roots, g = frame.data.require(n).table.roots(), np.arange(k)
+    band, chunk = level_slice(n).start, discrepancy._SIGN_CHUNK_ROWS
+    sums = []
+    for start in range(0, k, chunk):
+        bs = slice(start, min(start + chunk, k))
+        image = frame.telescope_image(matrix[:, band + start : band + bs.stop], n)
+        phases = weights[bs] * roots[np.outer(g, takes[bs]) % k]
+        sums.append((image * phases).sum())
+    rhs = complex(np.sum(sums) / k)
     return abs(lhs - rhs)
 
 
@@ -566,13 +635,10 @@ def ap_experiment(
     if max_rank < 1 or operator_count < 0:
         raise BadParameter(f"need rank >= 1 and operators >= 0, got {max_rank}, {operator_count}")
 
-    # the functional traces run before the dense identity exists, so their
-    # products never share the peak with it
-    functional_traces = [frame.identity_trace(n) for n in range(top + 1)]
     ident = np.eye(frame.dim, dtype=np.complex128)
     identity_rows = []
-    for n, coordinates in enumerate(functional_traces):
-        matrix = level_trace(ident, n)
+    for n in range(top + 1):
+        matrix, coordinates = level_trace(ident, n), frame.identity_trace(n)
         deviation = max(abs(matrix - 1.0), abs(coordinates - 1.0))
         identity_rows.append(IdentityTraceRow(n, matrix, coordinates, deviation))
     identity_residuals = tuple(
@@ -589,10 +655,11 @@ def ap_experiment(
     ]
 
     scale = NORM_CHAIN_FACTOR * cross_constant
+    family = telescope_norms(frame.data, frame.schedule, top)
     compact_rows = [
         CompactFamilyRow(
             level=n,
-            max_scaled_norm=float((n + 1) ** 2 * telescope_norms(n, frame.data, frame.schedule).max()),
+            max_scaled_norm=float((n + 1) ** 2 * family.norms[n].max()),
             envelope=scale * (n + 1) ** 2.5 * 2.0 ** (-n * frame.schedule.gap(n + 1)),
             rate_reference=scale * compactness_sequence(frame.schedule, n),
         )

@@ -9,6 +9,12 @@ indices at once as placed FFTs; these loops are what it is checked against.
 ``orthogonality_deviation``, ``balance_oracle`` and the matmul cross blocks
 are the dense routes that ``aplab.characters`` and ``aplab.discrepancy``
 replaced with difference sums and placed FFTs.
+
+``telescope_norms_oracle``, ``identity_trace_oracle`` and
+``telescope_residual_oracle`` are the routes ``aplab.obstruction`` took
+before it read each sign kernel once and chunked the identity stage: one
+pair of kernel passes per level, and dense functional and k x k coordinate
+products.
 """
 
 from __future__ import annotations
@@ -18,11 +24,11 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from aplab.characters import CharacterTable
-from aplab.discrepancy import CharacterSplit, ConstructionData
+from aplab.characters import CharacterTable, block_size
+from aplab.discrepancy import CharacterSplit, ConstructionData, balance_values, lower_rows
 from aplab.errors import BadParameter, FormUnavailable, IndexOutOfRange
 from aplab.mixed_norm import ExponentSchedule, MixedNormVector
-from aplab.obstruction import basis_index
+from aplab.obstruction import BasisFrame, basis_index, level_trace
 
 
 def coeff_functional(
@@ -153,3 +159,35 @@ def cross_upper_oracle(n: int, data: ConstructionData) -> np.ndarray:
     left = here.table.rows_at_inverse(here.split.carriers)
     right = above.table.rows(above.split.anchors)
     return cross_matrix_from_values(left, right, above.require_signs().signs, 2.0 ** (-n - 1))
+
+
+def telescope_norms_oracle(
+    n: int, data: ConstructionData, schedule: ExponentSchedule
+) -> np.ndarray:
+    """Level-n telescoping norms by g, from passes of ``lower_rows(n)`` and ``lower_rows(n + 1)``."""
+    def power_sums(m: int, p: float, axis: int):
+        eps = np.asarray(data.require(m).require_signs().signs, dtype=np.float64)
+        for _, spectrum in lower_rows(m, data, eps, data.require(m - 1).table.order):
+            yield ((2.0 ** (-m) * np.abs(spectrum)) ** p).sum(axis=axis)
+
+    here, p = data.require(n), schedule.p(n)
+    middle = ((2.0 ** (-n - 1) * np.abs(balance_values(here.table, here.split))) ** p).sum()
+    total = np.full(here.table.order, middle ** (2.0 / p))
+    if n >= 1:
+        p = schedule.p(n - 1)
+        total = sum(power_sums(n, p, 0)) ** (2.0 / p) + total
+    p = schedule.p(n + 1)
+    return np.sqrt(total + np.concatenate([*power_sums(n + 1, p, 1)]) ** (2.0 / p))
+
+
+def identity_trace_oracle(frame: BasisFrame, n: int) -> complex:
+    """2^{-n} sum of the functional rows times the coordinates of all level-n identity rows."""
+    coords = frame.coords_at(np.eye(1 << n, frame.dim, (1 << n) - 1, dtype=np.complex128), n)
+    return complex(2.0 ** (-n) * (frame.functional_matrix(n) * coords).sum())
+
+
+def telescope_residual_oracle(matrix: np.ndarray, n: int, frame: BasisFrame) -> float:
+    """The residual from the trace of the full k x k coordinates of the k x d image."""
+    lhs = level_trace(matrix, n + 1) - level_trace(matrix, n)
+    image_coords = frame.coords_at(frame.telescope_image(matrix, n), n)
+    return abs(lhs - complex(np.trace(image_coords) / block_size(n)))

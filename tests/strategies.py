@@ -17,7 +17,12 @@ def constructions(draw, min_top: int = 1, max_top: int = 4):
     from one drawn seed, which keeps each example cheap to generate.
     """
     top = draw(st.integers(min_top, max_top))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return top, random_construction(top, draw(st.integers(0, 2**32 - 1)))
+
+
+def random_construction(top: int, seed: int) -> ConstructionData:
+    """Levels 0..top with a seeded random split and sign pattern at each level."""
+    rng = np.random.default_rng(seed)
     data = ConstructionData()
     for n in range(top + 1):
         table = CharacterTable(build_group(n))
@@ -26,4 +31,4 @@ def constructions(draw, min_top: int = 1, max_top: int = 4):
         split = CharacterSplit(n, order[: k // 3], order[k // 3 :], 0.0)
         signs = tuple(int(s) for s in rng.choice((1, -1), size=k // 3))
         data.put(LevelData(table=table, split=split, signs=SignPattern(n, signs, 0.0)))
-    return top, data
+    return data

@@ -125,8 +125,9 @@ def test_06_telescope_norm_bound(full_bundle, log_schedule, power_schedule):
     worst_ratio = 0.0
     ok = True
     for schedule in (power_schedule, log_schedule):
+        family = ob.telescope_norms(data, schedule, 9)
         for n in range(1, 9):
-            report = ob.check_norm_bound(n, data, schedule, constants.cross_constant)
+            report = ob.check_norm_bound(n, family.norms[n], schedule, constants.cross_constant)
             ok &= report.passed
             worst_ratio = max(worst_ratio, report.max_norm / report.bound)
     _report(

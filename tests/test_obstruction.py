@@ -34,9 +34,12 @@ from oracles import (
     coeff_functional,
     cross_lower_oracle,
     cross_upper_oracle,
+    identity_trace_oracle,
+    telescope_norms_oracle,
+    telescope_residual_oracle,
     telescope_vector,
 )
-from strategies import constructions
+from strategies import constructions, random_construction
 
 
 @pytest.fixture(scope="module")
@@ -295,8 +298,9 @@ def test_pointwise_bound_report(small_data):
 
 def test_norm_bound_report(small_data, log_schedule, power_schedule):
     for schedule in (log_schedule, power_schedule):
+        family = ob.telescope_norms(small_data, schedule, 5)
         for n in (1, 2, 3, 4):
-            report = ob.check_norm_bound(n, small_data, schedule, 2.0)
+            report = ob.check_norm_bound(n, family.norms[n], schedule, 2.0)
             assert report.passed
             assert report.max_norm <= report.chain_bound
 
@@ -313,6 +317,7 @@ def test_chunked_telescope_norms_match_the_defining_blocks(case):
         ExponentSchedule.explicit([3.0, 2.8, 2.6, 2.5, 2.4, 2.3, 2.2]),
     )
     with mock.patch.object(discrepancy, "_SIGN_CHUNK_ROWS", 2):
+        families = {schedule: ob.telescope_norms(data, schedule, top) for schedule in schedules}
         for n, schedule in itertools.product(range(top), schedules):
             item = data.require(n)
             k = item.table.order
@@ -322,13 +327,37 @@ def test_chunked_telescope_norms_match_the_defining_blocks(case):
             if n >= 1:
                 blocks[n - 1] = cross_lower_oracle(n, data)
             expected = z_norms_rows(schedule, blocks)
-            norms = ob.telescope_norms(n, data, schedule)
+            norms = families[schedule].norms[n]
             assert np.abs(norms - expected).max() <= 1e-12 * expected.max()
 
 
+@given(constructions(min_top=2, max_top=5))
+def test_one_kernel_pass_gives_the_sign_objectives_and_the_per_level_norms(case):
+    # chunks of 2 and 3 rows put the last row sign_objective reads
+    # (k_{m-1}//2) at a chunk's end and inside one, and the explicit
+    # schedule gives each level its own exponent
+    top, data = case
+    schedules = (
+        ExponentSchedule.log_rate(),
+        ExponentSchedule.power(0.5),
+        ExponentSchedule.explicit([3.0, 2.8, 2.6, 2.5, 2.4, 2.3, 2.2]),
+    )
+    for chunk, schedule in itertools.product((2, 3), schedules):
+        with mock.patch.object(discrepancy, "_SIGN_CHUNK_ROWS", chunk):
+            family = ob.telescope_norms(data, schedule, top)
+            assert family.objectives[0] == 0.0
+            for m in range(1, top + 1):
+                signs = data.require(m).require_signs().signs
+                assert family.objectives[m] == discrepancy.sign_objective(m, data, signs)
+            assert len(family.norms) == top
+            for n in range(top):
+                assert np.array_equal(family.norms[n], telescope_norms_oracle(n, data, schedule))
+
+
 def test_norm_two_routes_agree(small_data, log_schedule):
+    family = ob.telescope_norms(small_data, log_schedule, 4)
     for n in (1, 2, 3):
-        norms = ob.telescope_norms(n, small_data, log_schedule)
+        norms = family.norms[n]
         for g in (0, 2):
             tele = telescope_vector(n, g, small_data, log_schedule)
             assert norms[g] == pytest.approx(z_norm(tele.vector), abs=1e-10)
@@ -342,6 +371,9 @@ def test_identity_trace_is_one(frame5):
     for n in range(6):
         assert ob.level_trace(ident, n) == 1.0
         assert frame5.identity_trace(n) == pytest.approx(1.0, abs=1e-12)
+    for n in (-1, 6):
+        with pytest.raises(IndexOutOfRange):
+            frame5.identity_trace(n)
 
 
 def test_rank_one_trace(small_data):
@@ -389,6 +421,45 @@ def test_telescope_identity_random_operators(frame4):
         op = ob.gaussian(4, seed=seed)
         for n in range(4):
             assert ob.telescope_residual(op, n, frame4) < 1e-9
+
+
+@given(constructions(max_top=5), st.integers(0, 2**16))
+def test_chunked_identity_stage_matches_the_dense_routes(case, seed):
+    # chunks of 2 and 3 anchors or band columns leave tails at most levels
+    top, data = case
+    frame = ob.BasisFrame(data, ExponentSchedule.log_rate(), top)
+    gaussian = ob.gaussian(top, seed=seed)
+    band = ob._pair_slice(seed % top, top)  # basis levels n, n+1 for one n < top
+    single = np.zeros_like(gaussian)
+    single[band, band] = gaussian[band, band]
+    ops = [np.eye(frame.dim, dtype=np.complex128), gaussian, single]
+    for chunk in (2, 3):
+        with mock.patch.object(discrepancy, "_SIGN_CHUNK_ROWS", chunk):
+            for n in range(top + 1):
+                assert abs(frame.identity_trace(n) - identity_trace_oracle(frame, n)) <= 1e-15
+            for op, n in itertools.product(ops, range(top)):
+                residual = ob.telescope_residual(op, n, frame)
+                assert abs(residual - telescope_residual_oracle(op, n, frame)) <= 1e-15
+
+
+def test_identity_stage_memory_stays_bounded_at_level_10():
+    # a chunk of anchors or band columns at a time: 5.8 MiB traced here,
+    # set by identity_trace(10).  The dense routes traced 144 MiB: the
+    # 2^n x k functional and coordinate products, and the k x d image with
+    # its k x k coordinates
+    top = 10
+    frame = ob.BasisFrame(random_construction(top, 7), ExponentSchedule.log_rate(), top)
+    ident = np.eye(frame.dim, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        traces = [frame.identity_trace(n) for n in range(top + 1)]
+        residuals = [ob.telescope_residual(ident, n, frame) for n in range(top)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(abs(t - 1.0) for t in traces) <= 1e-10
+    assert max(residuals) <= 1e-9
+    assert peak < 8 * 2**20
 
 
 def test_telescope_identity_zero_operator(frame4):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from aplab import cli, discrepancy
+from aplab import cli, discrepancy, obstruction
 from aplab.cli import main
 from aplab.errors import MissingArtifact
 from aplab.store import ArtifactStore, canonical_json
@@ -81,11 +81,11 @@ def test_cli_verify_passes(built_store, capsys):
 
 
 def test_verify_memory_stays_bounded_at_level_10(tmp_path, capsys):
-    # verify builds no frame matrix; its heaviest checks, the sign rescoring
-    # and the compact family, read the cross blocks 32 rows at a time and
-    # trace about 5 MiB each here (a 5.2 MiB peak; 8 MiB leaves 2.8 MiB of
-    # margin).  The compact family's frame route traced 80 MiB, and the
-    # dense frame rows alone took 150 MiB
+    # verify builds no frame matrix; its heaviest step, the one pass of the
+    # sign kernel per level that the sign rescoring and the compact family
+    # share, reads the cross blocks 32 rows at a time (a 5.2 MiB peak here;
+    # 8 MiB leaves 2.8 MiB of margin).  The compact family's frame route
+    # traced 80 MiB, and the dense frame rows alone took 150 MiB
     out = tmp_path / "l10"
     assert _run(
         "build", "--max-level", "10", "--schedule", "log",
@@ -518,9 +518,22 @@ def test_build_scores_each_pattern_once_and_verify_rescores_each_level(tmp_path,
     assert _run("build", "--max-level", "6", "--schedule", "log", "--seed", "7", "--out", str(out)) == 0
     levels = [json.loads((out / f"levels/level_{n:02d}.json").read_text()) for n in range(7)]
     assert len(calls) == sum(level["signs"]["draws"] for level in levels)
+
+    # verify reads each lower_m once: its rescoring and the compact family
+    # share one pass of the sign kernel per level
+    passes = []
+    kernel = discrepancy.lower_rows
+
+    def counted_pass(n, data, eps, rows):
+        passes.append(n)
+        return kernel(n, data, eps, rows)
+
+    monkeypatch.setattr(discrepancy, "lower_rows", counted_pass)
+    monkeypatch.setattr(obstruction, "lower_rows", counted_pass)
     calls.clear()
     assert _run("verify", "--out", str(out)) == 0
-    assert calls == list(range(1, 7))
+    assert sorted(passes) == list(range(1, 7))
+    assert calls == []
 
 
 def test_verify_rescores_a_lowered_stored_objective(tmp_path, capsys):
@@ -613,20 +626,20 @@ GOLDEN_SHA256 = {
     "ap/compact_family.csv": "24d024672a356a319f84e93765851c039d99669f2d5b9a04a8a779d12392495c",
     "ap/finite_rank.csv": "2dab412454a7e3f4190239f4c6e04d1f7f02a544504da0c3cbe61b82322a02da",
     "ap/identity_trace.csv": "04fc08f6277927fb9e58a535f83036c0b071448354033bed266c8520f10c5394",
-    "ap/obstruction.json": "d5866d6b529f14b07110353f612259c6bfbc1a3ec77f1ea41a6801fffe66e655",
+    "ap/obstruction.json": "3d8021884e0b0d24a8682cab090c2491fc9ac8e760a4262c3d07baabd916e42e",
     "config.json": "06f5511f78b42f869929e02990ddbaf25442fdfeb5ab4acbf478473fccb6e5b4",
     "constants.json": "aa5a35b0af9377998793e3ebe447481f4c962bad0d27176eeb74adf3b07513fc",
     "levels/level_00.json": "c0f6a657ee3ec73f3fa36ec51731c48e10c52b0435f5d9b299044a8fc9f68e5b",
     "levels/level_01.json": "aaab13f1fbb2ba17e8f213169ac3577d9cb08bee11d94cc7d48c229f77935952",
     "levels/level_02.json": "3f7f0e6c14cb8c85c2043827289ef1c7c104ffb5730176f90d2b87dd5b1e6c90",
     "levels/level_03.json": "bf1b21efcf7a9d74570e035d8f6e34332b1e074c48820f8b4621a1e1cb8c8ee4",
-    "manifest.json": "127576769a631cfd2cb4f864524100f046bfb8c4f71aa759abf26512f7f08609",
+    "manifest.json": "edf53911c03e08250b7d1ad48c735c9b7fcd413ca7f322dc3d70fcfe2be7d0ea",
     "moduli/envelope.json": "5177e769440daa1954a92043fe60ab2019ec6961ccfc4fb6ff2913361b0d4660",
     "moduli/split.csv": "9e16f25507d1bcdff3b6e747593e33ae5deffc94ca59ca766341b99fc8a560c0",
     "moduli/split.json": "248a8981596b60173faed3dce65fb1796013d0860d3056c3da18321a7336a417",
     "moduli/witness.csv": "56964e2227cca3631b37952561b678d3632ec1e543cf0fddd0092d0648bd04a0",
     "moduli/witness.json": "8109acc2a73535457367e590782417037d3158a31975e00b24ff066d84080195",
-    "verify_report.json": "12b92eeecd04cf79d3e2e53640f1dbae652c185abbe37052c627ba21e6ea5954",
+    "verify_report.json": "891181ebd310605b7ef565a77d73e94da8b80edc5659b320108a3bdfd6276666",
 }
 
 
@@ -640,7 +653,7 @@ GOLDEN_POWER_SHA256 = {
     "ap/compact_family.csv": "6960988c5d773970b7d46385ebb3efa96c05496006ffcbf5fe6215f028ad8524",
     "ap/finite_rank.csv": "e569df860eee095f9890ca62c99314f09b4db1595d498a880f6479e7ab1aa1d8",
     "ap/identity_trace.csv": "6075de2386f482bf3dd768e3c98cf31e201c06ac7eba45d60e274b92d1e0dae0",
-    "ap/obstruction.json": "bdcc810de8876207692b392de83a7f775d0d4a4962dc5a2bb8c35abcd159d018",
+    "ap/obstruction.json": "e10e627bc317703ae70eed969a6db06a1af38033efe10a6c54e09e14380d97ad",
     "config.json": "4f0a17047962cedda7e42d0c5ce123dbcd1e87b7c251f59d0c11eac283c9c8af",
     "constants.json": "7bca43adc23ef4ecb3958f185591f5a8ccf07a36a72933ad929fdb63c2b090d3",
     "levels/level_00.json": "c0f6a657ee3ec73f3fa36ec51731c48e10c52b0435f5d9b299044a8fc9f68e5b",
@@ -648,13 +661,13 @@ GOLDEN_POWER_SHA256 = {
     "levels/level_02.json": "3f7f0e6c14cb8c85c2043827289ef1c7c104ffb5730176f90d2b87dd5b1e6c90",
     "levels/level_03.json": "bc950975ea4fdfdb468ff0bb5c0fb7ea90f9a32ba36cdfda929db63867badb17",
     "levels/level_04.json": "b40c04287fec51456eeec7cf0b0bb099f1303f9ce524723a4f3894538f794879",
-    "manifest.json": "7b53180e839cb5e9e19e9dda0db6dd63117192a238b4927c786ac495740f5edf",
+    "manifest.json": "8d47aa4237a315af6bd4425ddeab010cbe4b2536f10a0d6569dc611db6705bce",
     "moduli/envelope.json": "6342e3ac215e2603789d97650b0a5df92d08d5d32e30865736f06e7df7accacf",
     "moduli/split.csv": "0d13bf923590ee862e7cc36d166d7495299ec46f2c83a4067ff5c271cf2766a3",
     "moduli/split.json": "88b5c141a844b953408e79eb1fe1ed56e183e2d595cbe3f9162740b46eed7ff2",
     "moduli/witness.csv": "1c72ec144ff235d1827c9cc802b9aefecc920473875ad29179f8a713d6cf8654",
     "moduli/witness.json": "e21ec145dd575433534ef40f695714f8bae18cd329919a89f353f14a69040ae9",
-    "verify_report.json": "0d8e49036c613bb96e0d214275cf5f876549b6e1a15bd318cfb154d11fc41c6d",
+    "verify_report.json": "4da5565e5934fe755cee5bc4e3c54b72790a929056b99ad5e73ad895379efd53",
 }
 
 GOLDEN = {
