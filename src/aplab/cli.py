@@ -17,8 +17,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import obstruction
 from .characters import CharacterTable, build_group, verify_orthogonality
 from .discrepancy import (
@@ -361,10 +359,11 @@ def _sign_objectives(a: _Audit) -> Iterator[tuple]:
 def _telescoping(a: _Audit) -> Iterator[tuple]:
     t_top = min(a.top, 4)
     frame = obstruction.BasisFrame(a.data, a.config.schedule, t_top)
-    ops = [np.eye(frame.dim, dtype=np.complex128)]
-    ops.extend(obstruction.gaussian(t_top, seed=a.config.seed + i) for i in range(3))
-    residuals = (obstruction.telescope_residual(op, n, frame) for op in ops for n in range(t_top))
-    yield "telescoping-identity", t_top, max(residuals, default=0.0), a.config.tol
+    residuals = list(obstruction.identity_stage(frame)[1])
+    for i in range(3):
+        op = obstruction.gaussian(t_top, seed=a.config.seed + i)
+        residuals.extend(obstruction.telescope_residual(op, n, frame) for n in range(t_top))
+    yield "telescoping-identity", t_top, max(residuals), a.config.tol
 
 
 def _compact_family(a: _Audit) -> Iterator[tuple]:

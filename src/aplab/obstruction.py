@@ -28,10 +28,12 @@ d = frame.dim.
 Both maps the traces need are placed FFTs on one level's group, and no
 dense coordinate or telescoping product is formed (``BasisFrame``).  The
 identity's functional traces and the telescoping residuals go a chunk of
-anchors or band columns at a time.  The frame matrices and the two
-deviations built on them are test references, not verify rows (see
-``cli.cmd_verify``), and no command builds them.  The literal one-vector
-sums are in ``tests/oracles.py``.
+anchors or band columns at a time, and the identity itself is made only
+a chunk of band columns at a time (``identity_stage``), so no d x d
+identity is formed.  The frame matrices and the two deviations built on
+them are test references, not verify rows (see ``cli.cmd_verify``), and
+no command builds them.  The literal one-vector sums are in
+``tests/oracles.py``.
 
 Everything here is pure: no function writes to an array it is given.
 """
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -314,7 +316,8 @@ class BasisFrame:
 
     def telescope_image(self, op_matrix: np.ndarray, n: int) -> np.ndarray:
         """Row g holds the basis coefficients of T(tele_{n,g}); ``op_matrix`` is
-        T's matrix, or a block of its columns (those coefficients alone)."""
+        T's matrix, or a block of its columns (those coefficients alone),
+        with at least the rows of basis levels 0..n+1."""
         if not 0 <= n <= self.max_level - 1:
             raise TruncationTooSmall(
                 f"telescoping at level {n} needs level {n + 1} inside the truncation"
@@ -428,6 +431,11 @@ def _require_operator(matrix: np.ndarray, frame: BasisFrame) -> None:
         raise BadParameter(f"operator matrix must be {frame.dim}x{frame.dim}, got {matrix.shape}")
 
 
+def _diagonal_trace(diagonal: np.ndarray, n: int) -> complex:
+    """2^{-n} times the sum of the level-n diagonal entries: the level trace."""
+    return complex(2.0 ** (-n) * diagonal.sum())
+
+
 def level_trace(matrix: np.ndarray, n: int) -> complex:
     """Normalized level trace 2^{-n} sum_j alpha_{n,j}(T e_{n,j}) of T's matrix.
 
@@ -443,13 +451,18 @@ def level_trace(matrix: np.ndarray, n: int) -> complex:
     if n > top:
         raise TruncationTooSmall(f"level {n} exceeds truncation {top}")
     sl = level_slice(n)
-    return complex(2.0 ** (-n) * np.trace(matrix[sl, sl]))
+    return _diagonal_trace(matrix[sl, sl].diagonal(), n)
 
 
-def telescope_residual(matrix: np.ndarray, n: int, frame: BasisFrame) -> float:
-    """Defect of the telescoping identity between levels n and n+1.
+def _band_pass(
+    columns: Callable[[int, int, int], np.ndarray], n: int, frame: BasisFrame
+) -> Tuple[complex, complex, float]:
+    """T's level traces n and n+1, and the defect of the telescoping identity
 
-    | trace_{n+1}(T) - trace_n(T) - (3*2^n)^{-1} sum_g T(tele_{n,g})(g) |
+        | trace_{n+1}(T) - trace_n(T) - (3*2^n)^{-1} sum_g T(tele_{n,g})(g) |
+
+    between them.  ``columns(rows, lo, hi)`` gives rows 0..rows-1 of T's
+    columns lo..hi-1.
 
     The level-n coordinate at g reads only the basis coefficients b of
     levels n and n+1, the band of k columns: basis (n, j) is
@@ -457,25 +470,61 @@ def telescope_residual(matrix: np.ndarray, n: int, frame: BasisFrame) -> float:
     the anchors and carriers of level n.  So the sum is
     sum_g sum_b image[g, b] w_b chi_{c_b}(g), with c_b the anchor or carrier
     that takes column b and w_b its sign or 1.  It goes a chunk of band
-    columns at a time: one forward FFT of their placed rows of T
-    (``telescope_image``), then one gather of the exact-exponent roots.
-    No k x d image or k x k coordinate array is formed.
+    columns at a time, through the rows of basis level n+1: one forward FFT
+    of their placed rows (``telescope_image``), then one gather of the
+    exact-exponent roots.  The band holds the diagonals of both levels, so
+    the traces sum the entries that pass with the chunks.  No k x d image
+    or k x k coordinate array is formed.
     """
-    _require_operator(matrix, frame)
-    lhs = level_trace(matrix, n + 1) - level_trace(matrix, n)  # level n + 1 > N raises
+    if n < 0:
+        raise BadParameter(f"level must be nonnegative, got {n}")
+    if n >= frame.max_level:
+        raise TruncationTooSmall(f"level {n + 1} exceeds truncation {frame.max_level}")
     k, anchors, carriers, signs = frame._placed[n]
     takes = np.concatenate([anchors, carriers])
     weights = np.concatenate([signs, np.ones(len(carriers))])
     roots, g = frame.data.require(n).table.roots(), np.arange(k)
     band, chunk = level_slice(n).start, discrepancy._SIGN_CHUNK_ROWS
-    sums = []
+    diagonal, sums = [], []
     for start in range(0, k, chunk):
         bs = slice(start, min(start + chunk, k))
-        image = frame.telescope_image(matrix[:, band + start : band + bs.stop], n)
+        block = columns(band + k, band + start, band + bs.stop)
+        # a copy, not a view, so that the block is freed with its chunk
+        diagonal.append(block[band + start : band + bs.stop].diagonal().copy())
+        image = frame.telescope_image(block, n)
         phases = weights[bs] * roots[np.outer(g, takes[bs]) % k]
         sums.append((image * phases).sum())
-    rhs = complex(np.sum(sums) / k)
-    return abs(lhs - rhs)
+    diagonal = np.concatenate(diagonal)
+    here = _diagonal_trace(diagonal[: 1 << n], n)
+    above = _diagonal_trace(diagonal[1 << n :], n + 1)
+    return here, above, abs(above - here - complex(np.sum(sums) / k))
+
+
+def telescope_residual(matrix: np.ndarray, n: int, frame: BasisFrame) -> float:
+    """Defect of the telescoping identity between levels n and n+1 of T's
+    matrix, read from its band columns a chunk at a time (``_band_pass``)."""
+    _require_operator(matrix, frame)
+    return _band_pass(lambda rows, lo, hi: matrix[:rows, lo:hi], n, frame)[2]
+
+
+def identity_stage(frame: BasisFrame) -> Tuple[Tuple[complex, ...], Tuple[float, ...]]:
+    """The identity's level traces 0..N and its telescoping residuals 0..N-1.
+
+    The identity goes through the residual kernel like any operator, but
+    only the chunk of band columns in hand is made, through the rows the
+    kernel reads, so memory stays O(2^n * chunk) and no d x d array exists.
+    Level n's trace comes from the pass at n, level N's from the pass at N-1.
+    """
+    if frame.max_level < 1:
+        raise TruncationTooSmall("the identity stage telescopes levels 0 and 1")
+    traces, residuals = [], []
+    for n in range(frame.max_level):
+        here, above, residual = _band_pass(
+            lambda rows, lo, hi: np.eye(rows, hi - lo, -lo, dtype=np.complex128), n, frame
+        )
+        traces.append(here)
+        residuals.append(residual)
+    return (*traces, above), tuple(residuals)
 
 
 @dataclass(frozen=True)
@@ -623,30 +672,28 @@ def ap_experiment(
     seed: int = 0,
     provenance: Optional[Dict[str, object]] = None,
 ) -> ObstructionReport:
-    """Assemble the obstruction evidence at one truncation.
+    """Assemble the obstruction evidence at one truncation N >= 1.
 
-    The identity keeps level trace 1 at every level, random finite-rank
-    operators built from the coefficient functionals have exactly zero
-    trace above their support, and the compact-family norms stay under the
-    certified envelope; the rate reference column shows the schedule's
-    decay sequence scaled by the same constant.
+    The identity keeps level trace 1 at every level: its matrix traces and
+    telescoping residuals come from ``identity_stage``, which makes the
+    identity a chunk of band columns at a time and never as a d x d array,
+    and its functional traces from ``BasisFrame.identity_trace``, through
+    the realized basis.  Random finite-rank operators built from the
+    coefficient functionals have exactly zero trace above their support,
+    and the compact-family norms stay under the certified envelope; the
+    rate reference column shows the schedule's decay sequence scaled by
+    the same constant.
     """
     top = frame.max_level
     if max_rank < 1 or operator_count < 0:
         raise BadParameter(f"need rank >= 1 and operators >= 0, got {max_rank}, {operator_count}")
 
-    ident = np.eye(frame.dim, dtype=np.complex128)
+    traces, identity_residuals = identity_stage(frame)
     identity_rows = []
-    for n in range(top + 1):
-        matrix, coordinates = level_trace(ident, n), frame.identity_trace(n)
+    for n, matrix in enumerate(traces):
+        coordinates = frame.identity_trace(n)
         deviation = max(abs(matrix - 1.0), abs(coordinates - 1.0))
         identity_rows.append(IdentityTraceRow(n, matrix, coordinates, deviation))
-    identity_residuals = tuple(
-        telescope_residual(ident, n, frame) for n in range(top)
-    )
-    # Drop the dense identity before the finite-rank stage; the last
-    # finite-rank operator ends with the comprehension that holds ``op``.
-    del ident
     rank_rows = [
         _finite_rank_row(i, support, rank, op, frame)
         for i, (support, rank, op) in enumerate(

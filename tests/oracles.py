@@ -14,13 +14,14 @@ replaced with difference sums and placed FFTs.
 ``telescope_residual_oracle`` are the routes ``aplab.obstruction`` took
 before it read each sign kernel once and chunked the identity stage: one
 pair of kernel passes per level, and dense functional and k x k coordinate
-products.
+products.  ``identity_stage_oracle`` is the dense d x d identity that
+``identity_stage`` no longer forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from aplab.characters import CharacterTable, block_size
 from aplab.discrepancy import CharacterSplit, ConstructionData, balance_values, lower_rows
 from aplab.errors import BadParameter, FormUnavailable, IndexOutOfRange
 from aplab.mixed_norm import ExponentSchedule, MixedNormVector
-from aplab.obstruction import BasisFrame, basis_index, level_trace
+from aplab.obstruction import BasisFrame, basis_index, level_trace, telescope_residual
 
 
 def coeff_functional(
@@ -191,3 +192,10 @@ def telescope_residual_oracle(matrix: np.ndarray, n: int, frame: BasisFrame) -> 
     lhs = level_trace(matrix, n + 1) - level_trace(matrix, n)
     image_coords = frame.coords_at(frame.telescope_image(matrix, n), n)
     return abs(lhs - complex(np.trace(image_coords) / block_size(n)))
+
+
+def identity_stage_oracle(frame: BasisFrame) -> Tuple[Tuple[complex, ...], Tuple[float, ...]]:
+    """The identity's level traces and telescoping residuals from the dense d x d identity."""
+    ident = np.eye(frame.dim, dtype=np.complex128)
+    traces = tuple(level_trace(ident, n) for n in range(frame.max_level + 1))
+    return traces, tuple(telescope_residual(ident, n, frame) for n in range(frame.max_level))

@@ -34,6 +34,7 @@ from oracles import (
     coeff_functional,
     cross_lower_oracle,
     cross_upper_oracle,
+    identity_stage_oracle,
     identity_trace_oracle,
     telescope_norms_oracle,
     telescope_residual_oracle,
@@ -460,6 +461,44 @@ def test_identity_stage_memory_stays_bounded_at_level_10():
     assert max(abs(t - 1.0) for t in traces) <= 1e-10
     assert max(residuals) <= 1e-9
     assert peak < 8 * 2**20
+
+
+@given(constructions(min_top=1, max_top=6))
+def test_identity_stage_equals_the_dense_identity_bit_for_bit(case):
+    # the band of level n is k = 3 * 2^n columns, 2^n of level n and then
+    # those of level n+1: chunks of 3 columns straddle that boundary at
+    # every level, chunks of 2 at level 0, and the default chunk of 32
+    # takes each band below level 4 in one piece
+    top, data = case
+    for schedule in (ExponentSchedule.log_rate(), ExponentSchedule.power(0.5)):
+        frame = ob.BasisFrame(data, schedule, top)
+        for chunk in (discrepancy._SIGN_CHUNK_ROWS, 2, 3):
+            with mock.patch.object(discrepancy, "_SIGN_CHUNK_ROWS", chunk):
+                assert ob.identity_stage(frame) == identity_stage_oracle(frame)
+
+
+def test_identity_stage_needs_two_levels(small_data, log_schedule):
+    frame = ob.BasisFrame(small_data, log_schedule, 0)
+    with pytest.raises(TruncationTooSmall):
+        ob.identity_stage(frame)
+    with pytest.raises(TruncationTooSmall):
+        ob.ap_experiment(frame, cross_constant=2.0, operator_count=0)
+
+
+def test_ap_identity_stage_forms_no_dense_identity(full_bundle, log_schedule):
+    # the dense identity alone is d * d * 16 bytes (16.7 MB at d = 1023);
+    # with it, ap_experiment traced 18.9 MiB (1.18 of that) here, and with
+    # the identity a chunk of band columns at a time 2.9 MiB (0.18)
+    frame = ob.BasisFrame(full_bundle["data"], log_schedule, 9)
+    cross_constant = full_bundle["constants"].cross_constant
+    tracemalloc.start()
+    try:
+        report = ob.ap_experiment(frame, cross_constant, operator_count=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(row.deviation for row in report.identity_trace) <= 1e-10
+    assert peak < frame.dim * frame.dim * 16 / 4
 
 
 def test_telescope_identity_zero_operator(frame4):
