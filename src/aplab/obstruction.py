@@ -139,32 +139,39 @@ def telescope_norms(
     circulant -2^{-n-1} balance(h - g), one norm for every g.  In modulus,
     row g of lower_n is 2^{-n} times column g of ``lower_rows(n)``, and row
     g of upper_n = -conj(lower_{n+1})^T is 2^{-n-1} times row g of
-    ``lower_rows(n + 1)``.  So one pass of ``lower_rows(m)`` over its
-    k_{m-1} rows gives together the column sums of (2^{-m}|x|)^{p(m-1)}
-    (level m's lower blocks), the row sums of (2^{-m}|x|)^{p(m)} (level
-    m-1's upper blocks) and the largest |x| over rows 0..k_{m-1}//2, which
-    is the set ``sign_objective`` reads.  The top pass skips the column
-    sums, which only level top's norms would read.
+    ``lower_rows(n + 1)``.  Row K - h of ``lower_rows(m)``, K = k_{m-1}, is
+    row h conjugated and read at -g (eps is real, chi(-x) = conj(chi(x))),
+    so one pass over rows h = 0..K//2, the rows ``sign_objective``
+    transforms, gives together the column sums of (2^{-m}|x|)^{p(m-1)}
+    (level m's lower blocks; each row h with 0 < h < K/2 also adds its
+    column -g to column g, for its mirror), the row sums of
+    (2^{-m}|x|)^{p(m)} (level m-1's upper blocks; row K - h has row h's
+    sum) and the largest |x|, bit for bit ``sign_objective``.  The top
+    pass skips the column sums, which only level top's norms would read.
     """
     objectives: List[float] = [0.0]
     norms: List[np.ndarray] = []
     lower = None  # column sums of the previous pass, for its level's norms
     for m in range(1, top + 1):
         eps = np.asarray(data.require(m).require_signs().signs, dtype=np.float64)
-        rows = data.require(m - 1).table.order
-        half = rows // 2 + 1  # the rows sign_objective transforms
+        rows, k = data.require(m - 1).table.order, data.require(m).table.order
+        half = rows // 2 + 1  # rows 0..rows//2; the others are their mirrors
         p_lower, p_upper = schedule.p(m - 1), schedule.p(m)
-        worst, columns, upper = 0.0, np.zeros(data.require(m).table.order), []
-        for start, spectrum in lower_rows(m, data, eps, rows):
+        worst, columns, mirrored, upper = 0.0, np.zeros(k), np.zeros(k), []
+        for start, spectrum in lower_rows(m, data, eps, half):
             modulus = np.abs(spectrum)
             del spectrum  # freed before the powers are formed
-            if start < half:
-                worst = max(worst, float(modulus[: half - start].max()))
+            worst = max(worst, float(modulus.max()))
             modulus *= 2.0 ** (-m)
             if m < top:
-                columns += (modulus ** p_lower).sum(axis=0)
+                powered = modulus ** p_lower
+                columns += powered.sum(axis=0)
+                # rows h with 0 < h < rows/2 have a mirror row rows - h
+                mirrored += powered[max(1 - start, 0) : (rows + 1) // 2 - start].sum(axis=0)
             upper.append((modulus ** p_upper).sum(axis=1))
         objectives.append(2.0 ** (-m) * worst)
+        h = np.arange(rows)
+        upper = np.concatenate(upper)[np.minimum(h, rows - h)]  # row rows - h is row h's
 
         n, here = m - 1, data.require(m - 1)
         p = schedule.p(n)
@@ -172,8 +179,8 @@ def telescope_norms(
         total = np.full(here.table.order, middle ** (2.0 / p))
         if lower is not None:
             total = lower ** (2.0 / schedule.p(n - 1)) + total
-        norms.append(np.sqrt(total + np.concatenate(upper) ** (2.0 / p_upper)))
-        lower = columns
+        norms.append(np.sqrt(total + upper ** (2.0 / p_upper)))
+        lower = columns + mirrored[-np.arange(k) % k]
     return TelescopeFamily(tuple(objectives), tuple(norms))
 
 

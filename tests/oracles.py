@@ -165,7 +165,7 @@ def cross_upper_oracle(n: int, data: ConstructionData) -> np.ndarray:
 def telescope_norms_oracle(
     n: int, data: ConstructionData, schedule: ExponentSchedule
 ) -> np.ndarray:
-    """Level-n telescoping norms by g, from passes of ``lower_rows(n)`` and ``lower_rows(n + 1)``."""
+    """Level-n telescoping norms by g, from every row of ``lower_rows(n)`` and ``lower_rows(n + 1)``."""
     def power_sums(m: int, p: float, axis: int):
         eps = np.asarray(data.require(m).require_signs().signs, dtype=np.float64)
         for _, spectrum in lower_rows(m, data, eps, data.require(m - 1).table.order):
