@@ -359,7 +359,7 @@ def _sign_objectives(a: _Audit) -> Iterator[tuple]:
 def _telescoping(a: _Audit) -> Iterator[tuple]:
     t_top = min(a.top, 4)
     frame = obstruction.BasisFrame(a.data, a.config.schedule, t_top)
-    residuals = list(obstruction.identity_stage(frame)[1])
+    residuals = list(obstruction.identity_stage(frame)[2])
     for i in range(3):
         op = obstruction.gaussian(t_top, seed=a.config.seed + i)
         residuals.extend(obstruction.telescope_residual(op, n, frame) for n in range(t_top))
@@ -447,6 +447,8 @@ def _require_intact(store: ArtifactStore, own: str) -> None:
 
 
 def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
+    """Tabulate the obstruction evidence; as in verify, an identity trace or
+    residual off by more than ``tol`` exits 1 and leaves the manifest as it was."""
     store = ArtifactStore(config.out)
     _require_intact(store, "ap/")
     data = load_data(store, config)
@@ -486,10 +488,16 @@ def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
             for r in report.compact_family
         ],
     )
+    residuals = (*report.identity_telescope_residuals, 0.0)  # none at the truncation
+    for row, residual in zip(report.identity_trace, residuals):
+        if max(row.deviation, residual) > config.tol:
+            print(f"ap: first failure identity-trace at level {row.level}: deviation "
+                  f"{row.deviation:.3g}, residual {residual:.3g}, tol {config.tol:.3g}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
     store.update_manifest()
     print(
-        f"ap: identity trace holds at 1 through level {config.max_level}; "
-        f"{len(report.finite_rank)} finite-rank operators tabulated"
+        f"ap: identity trace holds at 1 through level {config.max_level} "
+        f"within {config.tol:.3g}; {len(report.finite_rank)} finite-rank operators tabulated"
     )
     return EXIT_OK
 

@@ -20,20 +20,19 @@ an average of T evaluated on the telescoping vectors:
 Scaled telescoping vectors form the compact test family, whose norms the
 schedule's decay sequence controls; their blocks are rows of the three
 cross blocks, read from the sign kernel (``telescope_norms``).  Flat basis
-indexing is (n, j) -> 2^n - 1 + (j - 1).  An operator is its d x d matrix
-(d = 2^{N+1} - 1 at truncation N), with the coefficient of basis b in the
-image of basis a at [a, b]; a function that also takes a frame requires
-d = frame.dim.
+indexing is (n, j) -> 2^n - 1 + (j - 1), d = 2^{N+1} - 1 at truncation N.
 
-Both maps the traces need are placed FFTs on one level's group, and no
-dense coordinate or telescoping product is formed (``BasisFrame``).  The
-identity's functional traces and the telescoping residuals go a chunk of
-anchors or band columns at a time, and the identity itself is made only
-a chunk of band columns at a time (``identity_stage``), so no d x d
-identity is formed.  The frame matrices and the two deviations built on
-them are test references, not verify rows (see ``cli.cmd_verify``), and
-no command builds them.  The literal one-vector sums are in
-``tests/oracles.py``.
+An operator is its filled rows (rows, values), values r x d, with
+T(x) = sum_i alpha_{rows[i]}(x) values[i]: row rows[i] of T's matrix (the
+coefficient of basis b in the image of basis a at [a, b]) gains values[i].
+A d x d matrix M is (arange(d), M).  One row kernel (``_band_pass``) reads
+T's rows of basis levels n and n+1 a chunk at a time for the telescoping
+residual, the level traces and the coordinate trace; the identity feeds it
+identity rows (``identity_stage``), and ``trace_limit`` reads the family
+through the coordinates of T's values, so no d x d or k x d array is formed
+for an operator given by its rows.  The frame matrices and the deviations
+built on them are test references (see ``cli.cmd_verify``); the literal
+one-vector sums are in ``tests/oracles.py``.
 
 Everything here is pure: no function writes to an array it is given.
 """
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -163,12 +162,14 @@ def telescope_norms(
             del spectrum  # freed before the powers are formed
             worst = max(worst, float(modulus.max()))
             modulus *= 2.0 ** (-m)
+            powered = modulus ** p_upper
+            upper.append(powered.sum(axis=1))
             if m < top:
-                powered = modulus ** p_lower
+                if p_lower != p_upper:  # equal at every computed level of the log schedule
+                    powered = modulus ** p_lower
                 columns += powered.sum(axis=0)
                 # rows h with 0 < h < rows/2 have a mirror row rows - h
                 mirrored += powered[max(1 - start, 0) : (rows + 1) // 2 - start].sum(axis=0)
-            upper.append((modulus ** p_upper).sum(axis=1))
         objectives.append(2.0 ** (-m) * worst)
         h = np.arange(rows)
         upper = np.concatenate(upper)[np.minimum(h, rows - h)]  # row rows - h is row h's
@@ -226,8 +227,10 @@ def check_norm_bound(
 
 
 # ----------------------------------------------------------------------
-# operator matrices and traces
+# operators and traces
 # ----------------------------------------------------------------------
+
+Operator = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]
 
 
 def gaussian(max_level: int, seed: int) -> np.ndarray:
@@ -237,49 +240,21 @@ def gaussian(max_level: int, seed: int) -> np.ndarray:
     return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
 
 
-def rank_one_sum(
-    max_level: int, terms: Sequence[Tuple[Tuple[int, int], np.ndarray]]
-) -> np.ndarray:
-    """Operator matrix of a sum of functional (x) vector terms.
-
-    Each term ((n, j), coeffs) maps x to alpha_{n,j}(x) * y where y has
-    basis coefficients ``coeffs`` (padded with zeros up to the
-    truncation); by biorthogonality this fills row (n, j).
-    """
-    d = basis_dimension(max_level)
-    mat = np.zeros((d, d), dtype=np.complex128)
-    for (n, j), coeffs in terms:
-        row = basis_index(n, j)
-        if row >= d:
-            raise TruncationTooSmall(f"functional level {n} exceeds truncation {max_level}")
-        arr = np.asarray(coeffs, dtype=np.complex128)
-        if len(arr) > d:
-            raise TruncationTooSmall("vector coefficients exceed the truncation")
-        mat[row, : len(arr)] += arr
-    return mat
-
-
 class BasisFrame:
-    """Level-local placed FFTs for one truncation.
+    """Level-local maps for one truncation: placed FFTs and exact-exponent gathers.
 
-    Both maps the trace needs are sparse DFTs on a single level's group
-    Z/k.  Coordinates on level m of the vectors with basis-coefficient rows C
-    depend only on basis levels m and m+1:
+    Coordinates on level m of the vectors with basis-coefficient rows C
+    depend only on basis levels m and m+1, the band of k_m columns:
 
         w[:, anchors_m] = eps^m * C[:, level m],   w[:, carriers_m] = C[:, level m+1],
         coords_at(C, m)[:, g] = sum_c w[:, c] chi_c(g)   (an unscaled inverse FFT).
 
-    The basis coefficients of T(tele_{n,g}), for the operator matrix M of T,
-    are one forward FFT along the columns:
-
-        v[anchors_n] = -2^{-n} eps^n M[level n rows],   v[carriers_n] = 2^{-n-1} M[level n+1 rows],
-        telescope_image(M, n)[g] = sum_c v[c] chi_c(-g)   (a forward FFT).
-
-    Both skip exact zeros: ``coords_of`` leaves out every level m whose
-    basis levels m and m+1 are zero in all rows, and ``trace_limit`` skips
-    every level n whose level-n and level-(n+1) rows of T are all zero.  A
-    skipped term was an exact zero before (the FFT of zeros is zero,
-    |0|^p = 0 and x + 0.0 == x), so the norms do not change by a bit.
+    The basis coefficients of tele_{n,g} are gathers of the cached roots at
+    exact exponents (``tele_coeffs``): -2^{-n} eps_j chi_{a_j}(-g) on basis
+    (n, j) and 2^{-n-1} chi_{c_j}(-g) on basis (n+1, j).  ``coords_of``
+    leaves out every level m whose basis levels m and m+1 are zero in all
+    rows; a left-out block was an exact zero (|0|^p = 0 and x + 0.0 == x),
+    so no norm moves by a bit.
 
     The frame holds only each level's placement (order, anchors, carriers,
     signs).  The matrices below are test references that perfbench's
@@ -287,7 +262,7 @@ class BasisFrame:
     p_m = 2^m + 2^{m+1} basis vectors of levels m and m+1 (2^m at the top):
 
     coord_matrix(m)             p_m x k_m      row b: coordinates of basis b on level m
-    telescope_coeff_matrix(n)   k_n x p_n      row g: basis coefficients of tele_{n,g}
+    telescope_coeff_matrix(n)   k_n x p_n      row g: tele_{n,g}'s coefficients (``telescope_image``)
     functional_matrix(n)        2^n x k_n      own-form functional rows
     lower_functional_matrix(n)  2^n x k_{n-1}  lower-form functional rows
     """
@@ -312,14 +287,25 @@ class BasisFrame:
 
     def coords_at(self, coeff_rows: np.ndarray, m: int) -> np.ndarray:
         """Level-m coordinates of the vectors with basis-coefficient rows ``coeff_rows``."""
-        if not 0 <= m <= self.max_level:
-            raise IndexOutOfRange(f"level {m} outside truncation 0..{self.max_level}")
+        return self.band_coords(coeff_rows[:, _pair_slice(m, self.max_level)], m)
+
+    def band_coords(self, band_rows: np.ndarray, m: int) -> np.ndarray:
+        """Level-m coordinates of the vectors with coefficient rows ``band_rows``
+        on the band of basis levels m and m+1 (level m alone at the top)."""
         k, anchors, carriers, signs = self._placed[m]
-        w = np.zeros((coeff_rows.shape[0], k), dtype=np.complex128)
-        w[:, anchors] = signs * coeff_rows[:, level_slice(m)]
+        w = np.zeros((band_rows.shape[0], k), dtype=np.complex128)
+        w[:, anchors] = signs * band_rows[:, : 1 << m]
         if m < self.max_level:
-            w[:, carriers] = coeff_rows[:, level_slice(m + 1)]
+            w[:, carriers] = band_rows[:, 1 << m :]
         return np.fft.ifft(w, axis=1, norm="forward", out=w)
+
+    def tele_coeffs(self, n: int, b: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Entry [i, t] is the coefficient of band position b[i] (basis
+        (n, j) at j - 1, basis (n+1, j) at 2^n + j - 1) in tele_{n,g[t]}."""
+        k, anchors, carriers, signs = self._placed[n]
+        takes = np.concatenate([anchors, carriers])[b]
+        weights = np.concatenate([-(2.0 ** (-n)) * signs, np.full(carriers.size, 2.0 ** (-n - 1))])
+        return weights[b, None] * self.data.require(n).table.roots()[-np.outer(takes, g) % k]
 
     def telescope_image(self, op_matrix: np.ndarray, n: int) -> np.ndarray:
         """Row g holds the basis coefficients of T(tele_{n,g}); ``op_matrix`` is
@@ -353,26 +339,6 @@ class BasisFrame:
         cols = _pair_slice(n, self.max_level)  # every other basis coefficient is zero here
         return self.telescope_image(np.eye(self.dim, cols.stop - cols.start, -cols.start), n)
 
-    def identity_trace(self, n: int) -> complex:
-        """2^{-n} sum_j alpha_{n,j}(e_{n,j}): the own-form functionals on the
-        realized level-n basis vectors, which biorthogonality makes 1.
-
-        A chunk of anchors at a time: the exact-exponent rows
-        eps_j chi_{a_j}(-g) / k of the chunk meet the level-n coordinates
-        of the same identity rows, so memory stays O(chunk * k).
-        """
-        if not 0 <= n <= self.max_level:
-            raise IndexOutOfRange(f"level {n} outside truncation 0..{self.max_level}")
-        k, anchors, _, signs = self._placed[n]
-        table, chunk = self.data.require(n).table, discrepancy._SIGN_CHUNK_ROWS
-        sums = []
-        for start in range(0, 1 << n, chunk):
-            js = slice(start, min(start + chunk, 1 << n))
-            rows = np.eye(js.stop - start, self.dim, (1 << n) - 1 + start, dtype=np.complex128)
-            functionals = signs[js, None] * table.rows_at_inverse(anchors[js]) / k
-            sums.append((functionals * self.coords_at(rows, n)).sum())
-        return complex(2.0 ** (-n) * np.sum(sums))
-
     def coords_of(self, coeff_rows: np.ndarray) -> Dict[int, np.ndarray]:
         """Coordinate blocks of vectors given by basis-coefficient rows.
 
@@ -385,11 +351,6 @@ class BasisFrame:
             for m in range(self.max_level + 1)
             if live[_pair_slice(m, self.max_level)].any()
         }
-
-    def mixed_norms(self, coeff_rows: np.ndarray) -> np.ndarray:
-        # all-zero rows still need one (zero) block to give every row a norm
-        blocks = self.coords_of(coeff_rows) or {0: self.coords_at(coeff_rows, 0)}
-        return z_norms_rows(self.schedule, blocks)
 
 
 def biorthogonality_deviation(frame: BasisFrame) -> float:
@@ -433,9 +394,31 @@ def form_agreement_deviation(frame: BasisFrame, n: int) -> float:
     return dev
 
 
-def _require_operator(matrix: np.ndarray, frame: BasisFrame) -> None:
-    if matrix.shape != (frame.dim, frame.dim):
-        raise BadParameter(f"operator matrix must be {frame.dim}x{frame.dim}, got {matrix.shape}")
+def _filled_rows(op: Operator, dim: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, values)`` of an operator: r row indices and an r x d array,
+    d = 2^{N+1} - 1 (``dim`` when given)."""
+    if isinstance(op, tuple):
+        rows, values = np.asarray(op[0], dtype=np.int64), op[1]
+    elif op.ndim == 2 and op.shape[0] == op.shape[1]:
+        rows, values = np.arange(op.shape[0]), op
+    else:
+        raise BadParameter(f"operator matrix must be square of side 2^(N+1)-1, got {op.shape}")
+    d = values.shape[-1] if values.ndim == 2 else 0
+    if rows.ndim != 1 or values.shape != (rows.size, d) or d < 1 or (d + 1) & d:
+        raise BadParameter(f"operator rows must be r x (2^(N+1)-1) for r indices, got {values.shape}")
+    if dim is not None and d != dim:
+        raise BadParameter(f"operator must act on {dim} basis vectors, got {d}")
+    if rows.size and not 0 <= rows.min() <= rows.max() < d:
+        raise IndexOutOfRange(f"operator rows must lie in 0..{d - 1}")
+    return rows, values
+
+
+def _diagonal(rows: np.ndarray, values: np.ndarray, sl: slice) -> np.ndarray:
+    """Diagonal entries ``sl`` of T's matrix, each summed over its rows in order."""
+    diagonal = np.zeros(sl.stop - sl.start, dtype=np.complex128)
+    hit = (rows >= sl.start) & (rows < sl.stop)
+    np.add.at(diagonal, rows[hit] - sl.start, values[hit, rows[hit]])
+    return diagonal
 
 
 def _diagonal_trace(diagonal: np.ndarray, n: int) -> complex:
@@ -443,95 +426,91 @@ def _diagonal_trace(diagonal: np.ndarray, n: int) -> complex:
     return complex(2.0 ** (-n) * diagonal.sum())
 
 
-def level_trace(matrix: np.ndarray, n: int) -> complex:
-    """Normalized level trace 2^{-n} sum_j alpha_{n,j}(T e_{n,j}) of T's matrix.
+def level_trace(op: Operator, n: int) -> complex:
+    """Normalized level trace 2^{-n} sum_j alpha_{n,j}(T e_{n,j}) of T.
 
-    Biorthogonality reduces it to the level-n diagonal block; the
-    truncation N is read from the square 2^{N+1} - 1 shape.
+    Biorthogonality reduces it to the level-n diagonal of T's matrix, read
+    from the filled rows; the truncation N is read from the row width.
     """
     if n < 0:
         raise BadParameter(f"level must be nonnegative, got {n}")
-    d = matrix.shape[0] if matrix.ndim == 2 else 0
-    if matrix.shape != (d, d) or d < 1 or (d + 1) & d:
-        raise BadParameter(f"operator matrix must be square of side 2^(N+1)-1, got {matrix.shape}")
-    top = d.bit_length() - 1
+    rows, values = _filled_rows(op)
+    top = values.shape[1].bit_length() - 1
     if n > top:
         raise TruncationTooSmall(f"level {n} exceeds truncation {top}")
-    sl = level_slice(n)
-    return _diagonal_trace(matrix[sl, sl].diagonal(), n)
+    return _diagonal_trace(_diagonal(rows, values, level_slice(n)), n)
+
+
+def _band_rows(rows: np.ndarray, values: np.ndarray, band: slice) -> Iterator[Tuple[np.ndarray, ...]]:
+    """(band positions, rows cut to the band columns) of T's rows in the band, by chunks."""
+    (picked,) = np.nonzero((rows >= band.start) & (rows < band.stop))
+    chunk = discrepancy._SIGN_CHUNK_ROWS
+    for start in range(0, picked.size, chunk):
+        i = picked[start : start + chunk]
+        yield rows[i] - band.start, values[i, band]
 
 
 def _band_pass(
-    columns: Callable[[int, int, int], np.ndarray], n: int, frame: BasisFrame
-) -> Tuple[complex, complex, float]:
-    """T's level traces n and n+1, and the defect of the telescoping identity
+    blocks: Iterable[Tuple[np.ndarray, np.ndarray]], n: int, frame: BasisFrame
+) -> Tuple[complex, complex, complex, float]:
+    """T's level traces n and n+1, coordinate trace at n and the defect
 
-        | trace_{n+1}(T) - trace_n(T) - (3*2^n)^{-1} sum_g T(tele_{n,g})(g) |
+        | trace_{n+1}(T) - trace_n(T) - (3*2^n)^{-1} sum_g T(tele_{n,g})(g) |,
 
-    between them.  ``columns(rows, lo, hi)`` gives rows 0..rows-1 of T's
-    columns lo..hi-1.
-
-    The level-n coordinate at g reads only the basis coefficients b of
-    levels n and n+1, the band of k columns: basis (n, j) is
-    eps_j chi_{a_j} and basis (n+1, j) is chi_{c_j} there, with a_j and c_j
-    the anchors and carriers of level n.  So the sum is
-    sum_g sum_b image[g, b] w_b chi_{c_b}(g), with c_b the anchor or carrier
-    that takes column b and w_b its sign or 1.  It goes a chunk of band
-    columns at a time, through the rows of basis level n+1: one forward FFT
-    of their placed rows (``telescope_image``), then one gather of the
-    exact-exponent roots.  The band holds the diagonals of both levels, so
-    the traces sum the entries that pass with the chunks.  No k x d image
-    or k x k coordinate array is formed.
+    from ``blocks`` of (band positions b, T's rows there cut to the band
+    columns, the only ones the level-n coordinates read).  The sum is
+    sum_b sum_g c_{g,b} coords_n(T e_b)[g], c the tele coefficients.  The
+    own-form functional of basis (n, j) is -2^n c_{g,(n,j)} / k, so the
+    level-n rows' share is the coordinate trace, and the diagonal gives the
+    level traces.  At the truncation the band is level n alone, and only
+    the first and third values mean anything.  Memory is O(chunk * k).
     """
+    band = _pair_slice(n, frame.max_level)
+    k, half, g = block_size(n), 1 << n, np.arange(block_size(n))
+    diagonal = np.zeros(band.stop - band.start, dtype=np.complex128)
+    sums, own = [], []
+    for b, block in blocks:
+        np.add.at(diagonal, b, block[np.arange(b.size), b])
+        terms = (frame.tele_coeffs(n, b, g) * frame.band_coords(block, n)).sum(axis=1)
+        sums.append(terms.sum())
+        own.append(terms[b < half].sum())
+    here = _diagonal_trace(diagonal[:half], n)
+    above = _diagonal_trace(diagonal[half:], n + 1)
+    residual = abs(above - here - complex(np.sum(sums) / k))
+    return here, above, complex(-np.sum(own) / k), residual
+
+
+def telescope_residual(op: Operator, n: int, frame: BasisFrame) -> float:
+    """Defect of the telescoping identity between levels n and n+1 of T,
+    read from its band rows a chunk at a time (``_band_pass``)."""
+    rows, values = _filled_rows(op, frame.dim)
     if n < 0:
         raise BadParameter(f"level must be nonnegative, got {n}")
     if n >= frame.max_level:
         raise TruncationTooSmall(f"level {n + 1} exceeds truncation {frame.max_level}")
-    k, anchors, carriers, signs = frame._placed[n]
-    takes = np.concatenate([anchors, carriers])
-    weights = np.concatenate([signs, np.ones(len(carriers))])
-    roots, g = frame.data.require(n).table.roots(), np.arange(k)
-    band, chunk = level_slice(n).start, discrepancy._SIGN_CHUNK_ROWS
-    diagonal, sums = [], []
-    for start in range(0, k, chunk):
-        bs = slice(start, min(start + chunk, k))
-        block = columns(band + k, band + start, band + bs.stop)
-        # a copy, not a view, so that the block is freed with its chunk
-        diagonal.append(block[band + start : band + bs.stop].diagonal().copy())
-        image = frame.telescope_image(block, n)
-        phases = weights[bs] * roots[np.outer(g, takes[bs]) % k]
-        sums.append((image * phases).sum())
-    diagonal = np.concatenate(diagonal)
-    here = _diagonal_trace(diagonal[: 1 << n], n)
-    above = _diagonal_trace(diagonal[1 << n :], n + 1)
-    return here, above, abs(above - here - complex(np.sum(sums) / k))
+    return _band_pass(_band_rows(rows, values, _pair_slice(n, frame.max_level)), n, frame)[3]
 
 
-def telescope_residual(matrix: np.ndarray, n: int, frame: BasisFrame) -> float:
-    """Defect of the telescoping identity between levels n and n+1 of T's
-    matrix, read from its band columns a chunk at a time (``_band_pass``)."""
-    _require_operator(matrix, frame)
-    return _band_pass(lambda rows, lo, hi: matrix[:rows, lo:hi], n, frame)[2]
-
-
-def identity_stage(frame: BasisFrame) -> Tuple[Tuple[complex, ...], Tuple[float, ...]]:
-    """The identity's level traces 0..N and its telescoping residuals 0..N-1.
-
-    The identity goes through the residual kernel like any operator, but
-    only the chunk of band columns in hand is made, through the rows the
-    kernel reads, so memory stays O(2^n * chunk) and no d x d array exists.
-    Level n's trace comes from the pass at n, level N's from the pass at N-1.
+def identity_stage(
+    frame: BasisFrame,
+) -> Tuple[Tuple[complex, ...], Tuple[complex, ...], Tuple[float, ...]]:
+    """The identity's level and coordinate traces 0..N and telescoping
+    residuals 0..N-1: one row-kernel pass per level, fed a chunk of identity
+    rows at a time, so memory stays O(chunk * k) and no d x d array exists.
     """
     if frame.max_level < 1:
         raise TruncationTooSmall("the identity stage telescopes levels 0 and 1")
-    traces, residuals = [], []
-    for n in range(frame.max_level):
-        here, above, residual = _band_pass(
-            lambda rows, lo, hi: np.eye(rows, hi - lo, -lo, dtype=np.complex128), n, frame
-        )
-        traces.append(here)
-        residuals.append(residual)
-    return (*traces, above), tuple(residuals)
+
+    def identity_rows(n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        band = _pair_slice(n, frame.max_level)
+        width, chunk = band.stop - band.start, discrepancy._SIGN_CHUNK_ROWS
+        for start in range(0, width, chunk):
+            b = np.arange(start, min(start + chunk, width))
+            yield b, np.eye(b.size, width, start, dtype=np.complex128)
+
+    passes = [_band_pass(identity_rows(n), n, frame) for n in range(frame.max_level + 1)]
+    traces, _, coordinates, residuals = zip(*passes)
+    return traces, coordinates, residuals[:-1]
 
 
 @dataclass(frozen=True)
@@ -544,25 +523,35 @@ class TraceLimit:
     family_max_level: int
 
 
-def trace_limit(matrix: np.ndarray, frame: BasisFrame) -> TraceLimit:
+def trace_limit(op: Operator, frame: BasisFrame) -> TraceLimit:
     """Level trace at the truncation with a tail bound from the test family.
 
     The tail of the telescoping series is dominated by
     sum_{n >= N} (n+1)^{-2} * sup_x ||T x|| over the compact family; the
     supremum is estimated on the family members inside the truncation.
+    T(tele_{n,g}) = sum_i c_{g,rows[i]} values[i]: the values' coordinates,
+    taken once, meet the tele coefficients a chunk of g at a time.
     """
-    _require_operator(matrix, frame)
-    top = frame.max_level
-    estimate = level_trace(matrix, top)
-    sups: List[float] = []
-    e0 = basis_index(0, 1)
-    sups.append(float(frame.mixed_norms(matrix[e0 : e0 + 1])[0]))
+    rows, values = _filled_rows(op, frame.dim)
+    top, chunk, coords = frame.max_level, discrepancy._SIGN_CHUNK_ROWS, frame.coords_of(values)
+
+    def largest_norm(picked: np.ndarray, chunks: Iterable[np.ndarray]) -> float:
+        # the largest mixed norm of w @ values[picked] over the rows w of the chunks
+        if not values[picked].any():
+            return 0.0
+        blocks = {m: c[picked] for m, c in coords.items()}
+        norms = (z_norms_rows(frame.schedule, {m: w @ c for m, c in blocks.items()}) for w in chunks)
+        return max(float(x.max()) for x in norms)
+
+    base = np.flatnonzero(rows == basis_index(0, 1))
+    sups = [largest_norm(base, [np.ones((1, base.size))])]
     for n in range(1, top):
-        if not matrix[_pair_slice(n, top)].any():
-            sups.append(0.0)  # T(tele_{n,g}) = 0 for every g
-            continue
-        norms = frame.mixed_norms(frame.telescope_image(matrix, n))
-        sups.append(float((n + 1) ** 2 * norms.max()))
+        band, k = _pair_slice(n, top), block_size(n)
+        picked = np.flatnonzero((rows >= band.start) & (rows < band.stop))
+        b = rows[picked] - band.start
+        chunks = (frame.tele_coeffs(n, b, np.arange(s, min(s + chunk, k))).T for s in range(0, k, chunk))
+        sups.append((n + 1) ** 2 * largest_norm(picked, chunks))
+    estimate = level_trace((rows, values), top)
     family_sup = max(sups)
     tail_factor = math.pi**2 / 6.0 - math.fsum(1.0 / m**2 for m in range(1, top + 1))
     return TraceLimit(
@@ -626,27 +615,28 @@ def random_finite_rank_operator(
     support_level: int,
     rank: int,
     seed: int,
-) -> np.ndarray:
-    """Random sum of coefficient-functional (x) vector terms inside a level cap."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Random sum of coefficient-functional (x) vector terms inside a level
+    cap, as its filled rows: term i is x -> alpha_{rows[i]}(x) values[i]."""
     if support_level > max_level:
         raise TruncationTooSmall("support level exceeds the truncation")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 303))))
-    terms = []
     d_support = basis_dimension(support_level)
-    for _ in range(rank):
+    rows = np.zeros(rank, dtype=np.int64)
+    values = np.zeros((rank, basis_dimension(max_level)), dtype=np.complex128)
+    for i in range(rank):
         n = int(rng.integers(0, support_level + 1))
-        j = int(rng.integers(1, (1 << n) + 1))
-        coeffs = (
+        rows[i] = basis_index(n, int(rng.integers(1, (1 << n) + 1)))
+        values[i, :d_support] = (
             rng.standard_normal(d_support) + 1j * rng.standard_normal(d_support)
         ) / math.sqrt(2.0)
-        terms.append(((n, j), coeffs))
-    return rank_one_sum(max_level, terms)
+    return rows, values
 
 
 def experiment_operators(
     max_level: int, support_cap: int, operator_count: int, max_rank: int, seed: int
-) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """The (support level, rank, operator matrix) triples ``ap_experiment`` reports on."""
+) -> Iterator[Tuple[int, int, Tuple[np.ndarray, np.ndarray]]]:
+    """The (support level, rank, filled rows) triples ``ap_experiment`` reports on."""
     for i in range(operator_count):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 505, i))))
         support = int(rng.integers(0, support_cap + 1))
@@ -655,10 +645,10 @@ def experiment_operators(
 
 
 def _finite_rank_row(
-    i: int, support: int, rank: int, matrix: np.ndarray, frame: BasisFrame
+    i: int, support: int, rank: int, op: Operator, frame: BasisFrame
 ) -> FiniteRankRow:
-    limit = trace_limit(matrix, frame)
-    traces = tuple(level_trace(matrix, n) for n in range(frame.max_level + 1))
+    limit = trace_limit(op, frame)
+    traces = tuple(level_trace(op, n) for n in range(frame.max_level + 1))
     beyond = [abs(t) for n, t in enumerate(traces) if n > support]
     return FiniteRankRow(
         operator=i,
@@ -681,12 +671,12 @@ def ap_experiment(
 ) -> ObstructionReport:
     """Assemble the obstruction evidence at one truncation N >= 1.
 
-    The identity keeps level trace 1 at every level: its matrix traces and
-    telescoping residuals come from ``identity_stage``, which makes the
-    identity a chunk of band columns at a time and never as a d x d array,
-    and its functional traces from ``BasisFrame.identity_trace``, through
-    the realized basis.  Random finite-rank operators built from the
-    coefficient functionals have exactly zero trace above their support,
+    The identity keeps level trace 1 at every level: its matrix traces,
+    its coordinate traces (through the realized basis) and its telescoping
+    residuals come from ``identity_stage``, which makes the identity a
+    chunk of rows at a time and never as a d x d array.  Random finite-rank
+    operators, given by their filled rows, have exactly zero trace above
+    their support,
     and the compact-family norms stay under the certified envelope; the
     rate reference column shows the schedule's decay sequence scaled by
     the same constant.
@@ -695,12 +685,11 @@ def ap_experiment(
     if max_rank < 1 or operator_count < 0:
         raise BadParameter(f"need rank >= 1 and operators >= 0, got {max_rank}, {operator_count}")
 
-    traces, identity_residuals = identity_stage(frame)
-    identity_rows = []
-    for n, matrix in enumerate(traces):
-        coordinates = frame.identity_trace(n)
-        deviation = max(abs(matrix - 1.0), abs(coordinates - 1.0))
-        identity_rows.append(IdentityTraceRow(n, matrix, coordinates, deviation))
+    traces, coordinates, identity_residuals = identity_stage(frame)
+    identity_rows = [
+        IdentityTraceRow(n, t, c, max(abs(t - 1.0), abs(c - 1.0)))
+        for n, (t, c) in enumerate(zip(traces, coordinates))
+    ]
     rank_rows = [
         _finite_rank_row(i, support, rank, op, frame)
         for i, (support, rank, op) in enumerate(

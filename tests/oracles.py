@@ -12,10 +12,12 @@ replaced with difference sums and placed FFTs.
 
 ``telescope_norms_oracle``, ``identity_trace_oracle`` and
 ``telescope_residual_oracle`` are the routes ``aplab.obstruction`` took
-before it read each sign kernel once and chunked the identity stage: one
-pair of kernel passes per level, and dense functional and k x k coordinate
-products.  ``identity_stage_oracle`` is the dense d x d identity that
-``identity_stage`` no longer forms.
+before it read each sign kernel once and read operators by their rows: one
+pair of kernel passes per level, dense functional products, and the
+column route (the k x d image of a forward FFT down T's columns, with its
+k x k coordinates).  ``identity_stage_oracle`` is the dense d x d identity
+that ``identity_stage`` no longer forms, and ``rank_one_sum`` the dense
+d x d matrix that finite-rank operators no longer are.
 """
 
 from __future__ import annotations
@@ -195,7 +197,17 @@ def telescope_residual_oracle(matrix: np.ndarray, n: int, frame: BasisFrame) -> 
 
 
 def identity_stage_oracle(frame: BasisFrame) -> Tuple[Tuple[complex, ...], Tuple[float, ...]]:
-    """The identity's level traces and telescoping residuals from the dense d x d identity."""
+    """The identity's level traces and telescoping residuals from the dense d x d identity,
+    read as its d filled rows."""
     ident = np.eye(frame.dim, dtype=np.complex128)
     traces = tuple(level_trace(ident, n) for n in range(frame.max_level + 1))
     return traces, tuple(telescope_residual(ident, n, frame) for n in range(frame.max_level))
+
+
+def rank_one_sum(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The dense d x d matrix of the operator with filled rows (rows, values):
+    row rows[i] gains values[i], term by term in order."""
+    matrix = np.zeros((values.shape[1], values.shape[1]), dtype=np.complex128)
+    for row, value in zip(rows, values):
+        matrix[row] += value
+    return matrix

@@ -32,3 +32,24 @@ def random_construction(top: int, seed: int) -> ConstructionData:
         signs = tuple(int(s) for s in rng.choice((1, -1), size=k // 3))
         data.put(LevelData(table=table, split=split, signs=SignPattern(n, signs, 0.0)))
     return data
+
+
+@st.composite
+def filled_rows(draw, top: int):
+    """An operator's filled rows (rows, values) at truncation ``top``.
+
+    Rank 0..6; rows may repeat (forced for the first two when drawn), and
+    one may be forced onto the top level.  Values are complex Gaussians up
+    to a drawn basis level and zero past it, so some levels stay empty.
+    """
+    d = (1 << (top + 1)) - 1
+    rank = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, d, size=rank)
+    if rank >= 2 and draw(st.booleans()):
+        rows[1] = rows[0]
+    if rank and draw(st.booleans()):
+        rows[-1] = (1 << top) - 1 + rng.integers(0, 1 << top)
+    values = rng.standard_normal((rank, d)) + 1j * rng.standard_normal((rank, d))
+    values[:, (1 << (draw(st.integers(0, top)) + 1)) - 1 :] = 0.0
+    return rows, values

@@ -36,11 +36,12 @@ from oracles import (
     cross_upper_oracle,
     identity_stage_oracle,
     identity_trace_oracle,
+    rank_one_sum,
     telescope_norms_oracle,
     telescope_residual_oracle,
     telescope_vector,
 )
-from strategies import constructions, random_construction
+from strategies import constructions, filled_rows, random_construction
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +220,8 @@ def test_coords_of_leaves_out_exactly_the_zero_levels(case, seed):
             if m not in live:
                 assert not oracle[m].any()
         every_level = {m: frame.coords_at(coeffs, m) for m in range(top + 1)}
-        assert np.array_equal(frame.mixed_norms(coeffs), z_norms_rows(schedule, every_level))
+        expected = z_norms_rows(schedule, every_level)
+        assert np.array_equal(z_norms_rows(schedule, coords) if coords else np.zeros(3), expected)
 
 
 @given(constructions(max_top=5), st.integers(0, 2**16))
@@ -373,18 +375,19 @@ def test_norm_two_routes_agree(small_data, log_schedule):
 
 def test_identity_trace_is_one(frame5):
     ident = np.eye(frame5.dim, dtype=np.complex128)
+    traces, coordinates, _ = ob.identity_stage(frame5)
     for n in range(6):
-        assert ob.level_trace(ident, n) == 1.0
-        assert frame5.identity_trace(n) == pytest.approx(1.0, abs=1e-12)
+        assert ob.level_trace(ident, n) == traces[n] == 1.0
+        assert coordinates[n] == pytest.approx(1.0, abs=1e-12)
     for n in (-1, 6):
         with pytest.raises(IndexOutOfRange):
-            frame5.identity_trace(n)
+            frame5.coords_at(ident[:1], n)
 
 
 def test_rank_one_trace(small_data):
-    coeffs = np.zeros(1, dtype=np.complex128)
-    coeffs[0] = 1.0
-    op = ob.rank_one_sum(4, [((0, 1), coeffs)])
+    values = np.zeros((1, ob.basis_dimension(4)), dtype=np.complex128)
+    values[0, 0] = 1.0
+    op = (np.array([ob.basis_index(0, 1)]), values)
     assert ob.level_trace(op, 0) == pytest.approx(1.0, abs=1e-15)
     for n in range(1, 5):
         assert abs(ob.level_trace(op, n)) == 0.0
@@ -430,7 +433,8 @@ def test_telescope_identity_random_operators(frame4):
 
 @given(constructions(max_top=5), st.integers(0, 2**16))
 def test_chunked_identity_stage_matches_the_dense_routes(case, seed):
-    # chunks of 2 and 3 anchors or band columns leave tails at most levels
+    # chunks of 2 and 3 band rows leave tails at most levels; the row route
+    # against the column route and the dense functional products
     top, data = case
     frame = ob.BasisFrame(data, ExponentSchedule.log_rate(), top)
     gaussian = ob.gaussian(top, seed=seed)
@@ -440,37 +444,35 @@ def test_chunked_identity_stage_matches_the_dense_routes(case, seed):
     ops = [np.eye(frame.dim, dtype=np.complex128), gaussian, single]
     for chunk in (2, 3):
         with mock.patch.object(discrepancy, "_SIGN_CHUNK_ROWS", chunk):
+            coordinates = ob.identity_stage(frame)[1]
             for n in range(top + 1):
-                assert abs(frame.identity_trace(n) - identity_trace_oracle(frame, n)) <= 1e-15
+                assert abs(coordinates[n] - identity_trace_oracle(frame, n)) <= 1e-15
             for op, n in itertools.product(ops, range(top)):
                 residual = ob.telescope_residual(op, n, frame)
                 assert abs(residual - telescope_residual_oracle(op, n, frame)) <= 1e-15
 
 
 def test_identity_stage_memory_stays_bounded_at_level_10():
-    # a chunk of anchors or band columns at a time: 5.8 MiB traced here,
-    # set by identity_trace(10).  The dense routes traced 144 MiB: the
-    # 2^n x k functional and coordinate products, and the k x d image with
-    # its k x k coordinates
+    # a chunk of identity rows at a time, O(chunk * k).  The dense routes
+    # traced 144 MiB: the 2^n x k functional and coordinate products, and
+    # the k x d image with its k x k coordinates
     top = 10
     frame = ob.BasisFrame(random_construction(top, 7), ExponentSchedule.log_rate(), top)
-    ident = np.eye(frame.dim, dtype=np.complex128)
     tracemalloc.start()
     try:
-        traces = [frame.identity_trace(n) for n in range(top + 1)]
-        residuals = [ob.telescope_residual(ident, n, frame) for n in range(top)]
+        traces, coordinates, residuals = ob.identity_stage(frame)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(abs(t - 1.0) for t in traces) <= 1e-10
+    assert max(abs(t - 1.0) for t in (*traces, *coordinates)) <= 1e-10
     assert max(residuals) <= 1e-9
     assert peak < 8 * 2**20
 
 
 @given(constructions(min_top=1, max_top=6))
 def test_identity_stage_equals_the_dense_identity_bit_for_bit(case):
-    # the band of level n is k = 3 * 2^n columns, 2^n of level n and then
-    # those of level n+1: chunks of 3 columns straddle that boundary at
+    # the band of level n is k = 3 * 2^n rows, 2^n of level n and then
+    # those of level n+1: chunks of 3 rows straddle that boundary at
     # every level, chunks of 2 at level 0, and the default chunk of 32
     # takes each band below level 4 in one piece
     top, data = case
@@ -478,7 +480,8 @@ def test_identity_stage_equals_the_dense_identity_bit_for_bit(case):
         frame = ob.BasisFrame(data, schedule, top)
         for chunk in (discrepancy._SIGN_CHUNK_ROWS, 2, 3):
             with mock.patch.object(discrepancy, "_SIGN_CHUNK_ROWS", chunk):
-                assert ob.identity_stage(frame) == identity_stage_oracle(frame)
+                traces, _, residuals = ob.identity_stage(frame)
+                assert (traces, residuals) == identity_stage_oracle(frame)
 
 
 def test_identity_stage_needs_two_levels(small_data, log_schedule):
@@ -564,10 +567,22 @@ def _trace_limit_every_level(op, frame):
     )
 
 
+def _assert_trace_limits_agree(got, reference):
+    """The estimate is a level trace, bit for bit; the family norms are sums
+    of products of the tele coefficients and the values' coordinates, not
+    the FFT of the image, so they agree to rounding (3.9e-16 relative was
+    the worst seen)."""
+    assert got.estimate == reference.estimate
+    assert (got.tail_factor, got.family_max_level) == (reference.tail_factor, reference.family_max_level)
+    for name in ("family_sup", "tail_bound", "sup_ratio"):
+        a, b = getattr(got, name), getattr(reference, name)
+        assert abs(a - b) <= 1e-15 * abs(b), name
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 9, 42])
 def test_trace_limit_equals_every_level_reference_on_experiment_operators(frame5, seed):
     for _, _, op in ob.experiment_operators(5, 4, 5, 5, seed):
-        assert ob.trace_limit(op, frame5) == _trace_limit_every_level(op, frame5)
+        _assert_trace_limits_agree(ob.trace_limit(op, frame5), _trace_limit_every_level(rank_one_sum(*op), frame5))
 
 
 def test_trace_limit_equals_every_level_reference_on_edge_operators(frame4, frame5):
@@ -581,7 +596,58 @@ def test_trace_limit_equals_every_level_reference_on_edge_operators(frame4, fram
             top_row,
         ]
         for op in ops:
-            assert ob.trace_limit(op, frame) == _trace_limit_every_level(op, frame)
+            _assert_trace_limits_agree(ob.trace_limit(op, frame), _trace_limit_every_level(op, frame))
+
+
+@given(constructions(max_top=5), st.data())
+def test_level_traces_from_filled_rows_equal_the_dense_diagonal(case, draw):
+    top, _ = case
+    rows, values = draw.draw(filled_rows(top))
+    dense = rank_one_sum(rows, values)
+    for n in range(top + 1):
+        diagonal = dense[ob.level_slice(n), ob.level_slice(n)].diagonal()
+        assert ob.level_trace((rows, values), n) == complex(2.0 ** (-n) * diagonal.sum())
+
+
+@given(constructions(max_top=5), st.data())
+def test_trace_limit_from_filled_rows_matches_the_dense_reference(case, draw):
+    # chunks of 2 and 3 elements g split every level's family
+    top, data = case
+    frame = ob.BasisFrame(data, ExponentSchedule.log_rate(), top)
+    op = draw.draw(filled_rows(top))
+    reference = _trace_limit_every_level(rank_one_sum(*op), frame)
+    for chunk in (2, 3):
+        with mock.patch.object(discrepancy, "_SIGN_CHUNK_ROWS", chunk):
+            _assert_trace_limits_agree(ob.trace_limit(op, frame), reference)
+
+
+@given(constructions(max_top=5), st.data())
+def test_row_route_residual_matches_the_column_route(case, draw):
+    # chunks of 2 and 3 filled rows split the band rows, duplicates included.
+    # Both residuals are rounding noise on the scale of T's entries, and
+    # repeated rows sum to entries of modulus up to ~5 here, so the bound is
+    # 1e-15 times the largest entry (or 1); 1.3e-15 at modulus 2.9 was seen
+    top, data = case
+    frame = ob.BasisFrame(data, ExponentSchedule.log_rate(), top)
+    op = draw.draw(filled_rows(top))
+    dense = rank_one_sum(*op)
+    scale = max(1.0, float(np.abs(dense).max(initial=0.0)))
+    for chunk in (2, 3):
+        with mock.patch.object(discrepancy, "_SIGN_CHUNK_ROWS", chunk):
+            for n in range(top):
+                residual = ob.telescope_residual(op, n, frame)
+                assert abs(residual - telescope_residual_oracle(dense, n, frame)) <= 1e-15 * scale
+
+
+@given(constructions(max_top=5))
+def test_tele_coeffs_match_the_forward_fft(case):
+    # the exact-exponent gathers against the placed forward FFT of the band identity
+    top, data = case
+    frame = ob.BasisFrame(data, ExponentSchedule.log_rate(), top)
+    for n in range(top):
+        k = data.require(n).table.order
+        gathered = frame.tele_coeffs(n, np.arange(k), np.arange(k)).T
+        assert np.abs(gathered - frame.telescope_coeff_matrix(n)).max() <= 1e-15
 
 
 def test_experiment_report(small_data, frame5, log_schedule):
@@ -608,22 +674,33 @@ def test_experiment_empty_family(frame5):
 
 
 def test_operator_constructors_allocate_one_matrix():
-    # the identity and rank_one_sum each build one d x d array and nothing more
+    # the identity builds one d x d array and nothing more
     top = 6
     d = ob.basis_dimension(top)
-    builds = {
-        "identity": lambda: np.eye(d, dtype=np.complex128),
-        "rank_one_sum": lambda: ob.rank_one_sum(top, [((1, 1), np.ones(3))]),
-    }
-    for name, build in builds.items():
-        tracemalloc.start()
-        try:
-            built = build()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert built.shape == (d, d), name
-        assert peak < 1.5 * d * d * 16, name
+    tracemalloc.start()
+    try:
+        built = np.eye(d, dtype=np.complex128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built.shape == (d, d)
+    assert peak < 1.5 * d * d * 16
+    # a finite-rank operator is its filled rows: a rank-5 operator reaching
+    # level 9 at truncation 10, with its trace_limit, stays under an eighth
+    # of the d x d matrix it no longer is (its dense form alone was 64 MiB)
+    top = 10
+    d = ob.basis_dimension(top)
+    frame = ob.BasisFrame(random_construction(top, 7), ExponentSchedule.log_rate(), top)
+    tracemalloc.start()
+    try:
+        rows, values = ob.random_finite_rank_operator(top, support_level=9, rank=5, seed=3)
+        limit = ob.trace_limit((rows, values), frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (5, d) and limit.family_sup > 0
+    assert ob.basis_dimension(8) <= rows.max() < ob.basis_dimension(9)  # support reached
+    assert peak < d * d * 16 / 8
 
 
 def test_operator_validation(frame4, frame5):
@@ -636,6 +713,17 @@ def test_operator_validation(frame4, frame5):
     for bad in (np.zeros((3, 7)), np.zeros((4, 4)), np.zeros(7), np.zeros((0, 0))):
         with pytest.raises(BadParameter):
             ob.level_trace(bad, 0)
+    # filled rows: one index per row of values, each row as wide as the basis
+    d = frame4.dim
+    for bad in ((np.arange(2), np.zeros((3, d))), (np.arange(2), np.zeros((2, 15)))):
+        with pytest.raises(BadParameter):
+            ob.trace_limit(bad, frame4)
+    for bad in ((np.array([0, 3]), np.zeros((2, 14))), (np.array([[0]]), np.zeros((1, d)))):
+        with pytest.raises(BadParameter):
+            ob.level_trace(bad, 0)
+    for rows in ([-1], [d]):
+        with pytest.raises(IndexOutOfRange):
+            ob.telescope_residual((np.array(rows), np.zeros((1, d))), 0, frame4)
     for bad in ({"max_rank": 0}, {"operator_count": -1}):
         with pytest.raises(BadParameter):
             ob.ap_experiment(frame4, cross_constant=2.0, **bad)
@@ -648,16 +736,18 @@ def test_traces_do_not_write_to_their_inputs(small_data, log_schedule):
     for placed in frame._placed.values():
         for arr in placed[1:]:
             arr.flags.writeable = False
-    ops = [np.eye(frame.dim, dtype=np.complex128), ob.gaussian(4, seed=3)]
+    rows, values = ob.random_finite_rank_operator(4, support_level=3, rank=4, seed=1)
+    ops = [np.eye(frame.dim, dtype=np.complex128), ob.gaussian(4, seed=3), rows, values]
     copies = [op.copy() for op in ops]
     for op in ops:
         op.flags.writeable = False
+    for op in (*ops[:2], (rows, values)):
         for n in range(5):
             ob.level_trace(op, n)
         for n in range(4):
             ob.telescope_residual(op, n, frame)
         ob.trace_limit(op, frame)
-    for n in range(5):
-        assert frame.identity_trace(n) == pytest.approx(1.0, abs=1e-12)
+    for coordinate in ob.identity_stage(frame)[1]:
+        assert coordinate == pytest.approx(1.0, abs=1e-12)
     for op, copy in zip(ops, copies):
         assert np.array_equal(op, copy)

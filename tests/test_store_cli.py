@@ -551,6 +551,28 @@ def test_verify_rescores_a_lowered_stored_objective(tmp_path, capsys):
     ]
 
 
+def test_ap_fails_an_identity_trace_off_one_and_keeps_the_manifest(tmp_path, capsys, monkeypatch):
+    # ap's "identity trace holds at 1" is a check against the stored tol: a
+    # trace of 1 + 1e-6 at level 2 exits 1, names the level, certifies nothing
+    out = tmp_path / "off"
+    assert _run("build", *BUILD_ARGS, "--out", str(out)) == 0
+    manifest = (out / "manifest.json").read_bytes()
+    stage = obstruction.identity_stage
+
+    def off_by_one_millionth(frame):
+        traces, coordinates, residuals = stage(frame)
+        return (*traces[:2], traces[2] + 1e-6, *traces[3:]), coordinates, residuals
+
+    monkeypatch.setattr(obstruction, "identity_stage", off_by_one_millionth)
+    capsys.readouterr()
+    assert _run("ap", "--out", str(out)) == 1
+    assert "level 2" in capsys.readouterr().err
+    assert (out / "manifest.json").read_bytes() == manifest
+    monkeypatch.setattr(obstruction, "identity_stage", stage)
+    assert _run("ap", "--out", str(out)) == 0
+    assert (out / "manifest.json").read_bytes() != manifest  # now it lists ap/
+
+
 def _rehashed(out, relpath, edit):
     """Apply ``edit`` to a stored JSON file and re-hash the manifest over it."""
     store = ArtifactStore(out)
@@ -625,21 +647,21 @@ def test_cli_refuses_a_constants_file_without_an_entry(tmp_path, capsys, edit):
 GOLDEN_SHA256 = {
     "ap/compact_family.csv": "24d024672a356a319f84e93765851c039d99669f2d5b9a04a8a779d12392495c",
     "ap/finite_rank.csv": "2dab412454a7e3f4190239f4c6e04d1f7f02a544504da0c3cbe61b82322a02da",
-    "ap/identity_trace.csv": "04fc08f6277927fb9e58a535f83036c0b071448354033bed266c8520f10c5394",
-    "ap/obstruction.json": "3d8021884e0b0d24a8682cab090c2491fc9ac8e760a4262c3d07baabd916e42e",
+    "ap/identity_trace.csv": "20396dfc573b508fd2e3fa5211d04acbb67f47c720f2126795be8e9eb21a6092",
+    "ap/obstruction.json": "1fa193a4c69a46bfaf1257ced72a57cbe51dfadbdc68eb8b1d1d852adf9b31ca",
     "config.json": "06f5511f78b42f869929e02990ddbaf25442fdfeb5ab4acbf478473fccb6e5b4",
     "constants.json": "aa5a35b0af9377998793e3ebe447481f4c962bad0d27176eeb74adf3b07513fc",
     "levels/level_00.json": "c0f6a657ee3ec73f3fa36ec51731c48e10c52b0435f5d9b299044a8fc9f68e5b",
     "levels/level_01.json": "aaab13f1fbb2ba17e8f213169ac3577d9cb08bee11d94cc7d48c229f77935952",
     "levels/level_02.json": "3f7f0e6c14cb8c85c2043827289ef1c7c104ffb5730176f90d2b87dd5b1e6c90",
     "levels/level_03.json": "bf1b21efcf7a9d74570e035d8f6e34332b1e074c48820f8b4621a1e1cb8c8ee4",
-    "manifest.json": "edf53911c03e08250b7d1ad48c735c9b7fcd413ca7f322dc3d70fcfe2be7d0ea",
+    "manifest.json": "a0b3dc229efdac16950a9bd32730d248ea0998837074376d9be71bcef840b17f",
     "moduli/envelope.json": "5177e769440daa1954a92043fe60ab2019ec6961ccfc4fb6ff2913361b0d4660",
     "moduli/split.csv": "9e16f25507d1bcdff3b6e747593e33ae5deffc94ca59ca766341b99fc8a560c0",
     "moduli/split.json": "248a8981596b60173faed3dce65fb1796013d0860d3056c3da18321a7336a417",
     "moduli/witness.csv": "56964e2227cca3631b37952561b678d3632ec1e543cf0fddd0092d0648bd04a0",
     "moduli/witness.json": "8109acc2a73535457367e590782417037d3158a31975e00b24ff066d84080195",
-    "verify_report.json": "891181ebd310605b7ef565a77d73e94da8b80edc5659b320108a3bdfd6276666",
+    "verify_report.json": "63656a597bb124d8792b5450070d05206ea220d1316e1b54111fb0f98584ad52",
 }
 
 
@@ -651,9 +673,9 @@ POWER_ARGS = (
 # the same for a POWER_ARGS run, which takes verify's power-only branches
 GOLDEN_POWER_SHA256 = {
     "ap/compact_family.csv": "6960988c5d773970b7d46385ebb3efa96c05496006ffcbf5fe6215f028ad8524",
-    "ap/finite_rank.csv": "e569df860eee095f9890ca62c99314f09b4db1595d498a880f6479e7ab1aa1d8",
-    "ap/identity_trace.csv": "6075de2386f482bf3dd768e3c98cf31e201c06ac7eba45d60e274b92d1e0dae0",
-    "ap/obstruction.json": "e10e627bc317703ae70eed969a6db06a1af38033efe10a6c54e09e14380d97ad",
+    "ap/finite_rank.csv": "df558262839048651639ba1d213aff30a21e0e200b5a4a391736741fe443f558",
+    "ap/identity_trace.csv": "302510cd24d40c5b9a876a0402959bee192077c6fe0e8b1c3cdab5f92d61a1f1",
+    "ap/obstruction.json": "e15e6f6a47ad1defce3dde91beb56ec032201d23a2c66015c7b00ff597ccf630",
     "config.json": "4f0a17047962cedda7e42d0c5ce123dbcd1e87b7c251f59d0c11eac283c9c8af",
     "constants.json": "7bca43adc23ef4ecb3958f185591f5a8ccf07a36a72933ad929fdb63c2b090d3",
     "levels/level_00.json": "c0f6a657ee3ec73f3fa36ec51731c48e10c52b0435f5d9b299044a8fc9f68e5b",
@@ -661,13 +683,13 @@ GOLDEN_POWER_SHA256 = {
     "levels/level_02.json": "3f7f0e6c14cb8c85c2043827289ef1c7c104ffb5730176f90d2b87dd5b1e6c90",
     "levels/level_03.json": "bc950975ea4fdfdb468ff0bb5c0fb7ea90f9a32ba36cdfda929db63867badb17",
     "levels/level_04.json": "b40c04287fec51456eeec7cf0b0bb099f1303f9ce524723a4f3894538f794879",
-    "manifest.json": "8d47aa4237a315af6bd4425ddeab010cbe4b2536f10a0d6569dc611db6705bce",
+    "manifest.json": "99bb0baedbb86517605489e308da534634ab23fe1391b8109791aa0926d51eee",
     "moduli/envelope.json": "6342e3ac215e2603789d97650b0a5df92d08d5d32e30865736f06e7df7accacf",
     "moduli/split.csv": "0d13bf923590ee862e7cc36d166d7495299ec46f2c83a4067ff5c271cf2766a3",
     "moduli/split.json": "88b5c141a844b953408e79eb1fe1ed56e183e2d595cbe3f9162740b46eed7ff2",
     "moduli/witness.csv": "1c72ec144ff235d1827c9cc802b9aefecc920473875ad29179f8a713d6cf8654",
     "moduli/witness.json": "e21ec145dd575433534ef40f695714f8bae18cd329919a89f353f14a69040ae9",
-    "verify_report.json": "4da5565e5934fe755cee5bc4e3c54b72790a929056b99ad5e73ad895379efd53",
+    "verify_report.json": "ea5d5b8e0f53b63d261e270428b5c588f0d10830e4a396345daa0f3b756306a6",
 }
 
 GOLDEN = {
