@@ -534,10 +534,11 @@ def trace_limit(op: Operator, frame: BasisFrame) -> TraceLimit:
     """
     rows, values = _filled_rows(op, frame.dim)
     top, chunk, coords = frame.max_level, discrepancy._SIGN_CHUNK_ROWS, frame.coords_of(values)
+    live = values.any(axis=1)
 
     def largest_norm(picked: np.ndarray, chunks: Iterable[np.ndarray]) -> float:
         # the largest mixed norm of w @ values[picked] over the rows w of the chunks
-        if not values[picked].any():
+        if not live[picked].any():
             return 0.0
         blocks = {m: c[picked] for m, c in coords.items()}
         norms = (z_norms_rows(frame.schedule, {m: w @ c for m, c in blocks.items()}) for w in chunks)
