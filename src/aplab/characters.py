@@ -26,6 +26,13 @@ def block_size(n: int) -> int:
     return 3 * (1 << n)
 
 
+def read_only(values: object, dtype: type) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``values``."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class Group:
     """Additive cyclic group Z/order sitting at a fixed level."""
@@ -63,9 +70,7 @@ class CharacterTable:
         """Values exp(2*pi*i*e/k), e = 0..k-1, indexed by exact exponent."""
         if self._root_cache is None:
             k = self.group.order
-            roots = np.exp(2j * np.pi * np.arange(k) / k)
-            roots.flags.writeable = False
-            self._root_cache = roots
+            self._root_cache = read_only(np.exp(2j * np.pi * np.arange(k) / k), np.complex128)
         return self._root_cache
 
     def _exponent_rows(self, cs: Sequence[int]) -> np.ndarray:

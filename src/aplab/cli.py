@@ -38,7 +38,6 @@ from .discrepancy import (
     split_bound_scale,
     split_discrepancy,  # unused here; kept so profilers can wrap it by this name
     split_draw,
-    validate_partition,
 )
 from .errors import AplabError, BadParameter, CheckFailed, MissingArtifact
 from .mixed_norm import ExponentSchedule, compactness_sequence
@@ -205,11 +204,11 @@ def _draws_fit(split: CharacterSplit, signs: SignPattern, k: int, config: RunCon
 
 
 def load_data(store: ArtifactStore, config: RunConfig) -> ConstructionData:
-    """Rebuild construction data from stored level payloads; a level file
-    whose level or order is not the integer it should be, that is not a
-    split with signs, whose split is no partition of the integers 0..k-1,
-    whose signs are not one integer +-1 per anchor, whose discrepancy or
-    objective is no JSON number, or whose draws do not fit the config's
+    """Rebuild construction data from stored level payloads, the one place a
+    stored level is checked.  A level file whose level or order is not the
+    integer it should be, that is not a split with signs, whose split or
+    signs ``CharacterSplit`` or ``SignPattern`` refuses, whose discrepancy
+    or objective is no JSON number, or whose draws do not fit the config's
     searches, fails the check."""
     data = ConstructionData()
     for n in range(config.max_level + 1):
@@ -223,9 +222,6 @@ def load_data(store: ArtifactStore, config: RunConfig) -> ConstructionData:
             s, e = payload["split"], payload["signs"]
             anchors, carriers = tuple(s["anchors"]), tuple(s["carriers"])
             split = CharacterSplit(n, anchors, carriers, _number(s["discrepancy"]), s["draws"])
-            if len(e["signs"]) != len(anchors):
-                raise CheckFailed(f"{path}: {len(e['signs'])} signs for {len(anchors)} anchors")
-            validate_partition(split, table.order)
             signs = SignPattern(n, tuple(e["signs"]), _number(e["objective"]), e["draws"])
             if not _draws_fit(split, signs, table.order, config):
                 raise CheckFailed(
@@ -332,12 +328,11 @@ def _balance(a: _Audit) -> Iterator[tuple]:
     stored = a.stored.split_rows
     for row in a.fresh.split_rows:
         yield "balance-discrepancy-drift", row.level, row.drift, a.config.tol
-        if row.level in stored:
-            scale, recomputed = stored[row.level]
-            ratio = row.recomputed / scale
-            drift = abs(row.recomputed - recomputed)
-            passed = ratio <= ACCEPT_CONSTANT and drift <= a.config.tol
-            yield "balance-discrepancy-bound", row.level, ratio, ACCEPT_CONSTANT, passed
+        # a level without its stored row fails with drift inf, as in _cross_blocks
+        scale, recomputed = stored.get(row.level, (row.scale, math.inf))
+        ratio = row.recomputed / scale
+        passed = ratio <= ACCEPT_CONSTANT and abs(row.recomputed - recomputed) <= a.config.tol
+        yield "balance-discrepancy-bound", row.level, ratio, ACCEPT_CONSTANT, passed
 
 
 def _cross_blocks(a: _Audit) -> Iterator[tuple]:
@@ -496,8 +491,9 @@ def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
             return EXIT_CHECK_FAILED
     store.update_manifest()
     print(
-        f"ap: identity trace holds at 1 through level {config.max_level} "
-        f"within {config.tol:.3g}; {len(report.finite_rank)} finite-rank operators tabulated"
+        f"ap: identity trace holds at 1 through level {config.max_level} within {config.tol:.3g} "
+        "(its matrix column is exactly 1 by construction; its coordinate traces and residuals "
+        f"are the checks); {len(report.finite_rank)} finite-rank operators tabulated"
     )
     return EXIT_OK
 
@@ -518,7 +514,8 @@ def cmd_moduli(config: RunConfig, m_samples: Sequence[int], depth: int) -> int:
         "moduli/witness.csv",
         ["m", "head_level", "codimension", "envelope_log2"],
         [
-            [p.m, p.head_level, p.codimension, "" if e.envelope_log2 is None else e.envelope_log2]
+            [p.m, p.head_level, "" if p.codimension is None else p.codimension,
+             "" if e.envelope_log2 is None else e.envelope_log2]
             for p, e in zip(points, envelope.rows)
         ],
     )

@@ -44,11 +44,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from .characters import CharacterTable
+from .characters import CharacterTable, block_size, read_only
 from .errors import (
     BadParameter,
     MissingLevelData,
@@ -92,7 +93,10 @@ def _check_draws(draws: int) -> None:
 @dataclass(frozen=True)
 class CharacterSplit:
     """Anchor/carrier partition of one level's character indices; ``draws``
-    counts the candidates its search took."""
+    counts the candidates its search took.  Only a partition can be made
+    (else PartitionInvalid): 2^level anchors and 2^{level+1} carriers that
+    hold 0..k-1 once each, k = 3*2^level.  The kernels read the index
+    arrays, derived once."""
 
     level: int
     anchors: Tuple[int, ...]
@@ -102,19 +106,42 @@ class CharacterSplit:
 
     def __post_init__(self) -> None:
         _check_draws(self.draws)
+        k = block_size(self.level)
+        merged = (*self.anchors, *self.carriers)
+        if len(self.anchors) != k // 3 or not all(map(is_int, merged)) or sorted(merged) != list(range(k)):
+            raise PartitionInvalid(
+                f"level {self.level} needs {k // 3} anchors and {2 * k // 3} carriers "
+                f"that partition the integers 0..{k - 1}"
+            )
+
+    @cached_property
+    def anchor_index(self) -> np.ndarray:
+        return read_only(self.anchors, np.int64)
+
+    @cached_property
+    def carrier_index(self) -> np.ndarray:
+        return read_only(self.carriers, np.int64)
 
 
 @dataclass(frozen=True)
 class SignPattern:
+    """One integer +-1 per level-n anchor, 2^level of them, or BadParameter;
+    the kernels read them as the float64 array ``eps``, derived once."""
+
     level: int
     signs: Tuple[int, ...]
     objective: float
     draws: int = 1
 
     def __post_init__(self) -> None:
-        if not all(is_int(s) and s in (-1, 1) for s in self.signs):
-            raise BadParameter("signs must be the integers +1 or -1")
+        m = block_size(self.level) // 3
+        if len(self.signs) != m or not all(is_int(s) and s in (-1, 1) for s in self.signs):
+            raise BadParameter(f"level {self.level} needs {m} signs, each the integer +1 or -1")
         _check_draws(self.draws)
+
+    @cached_property
+    def eps(self) -> np.ndarray:
+        return read_only(self.signs, np.float64)
 
 
 @dataclass(frozen=True)
@@ -168,28 +195,11 @@ class ConstructionData:
         return max(self._levels)
 
 
-def _anchor_count(k: int) -> int:
-    return k // 3
-
-
-def validate_partition(split: CharacterSplit, k: int) -> None:
-    """Raise PartitionInvalid unless k/3 anchors and 2k/3 carriers are 0..k-1, each once."""
-    anchors, carriers = split.anchors, split.carriers
-    if len(anchors) != _anchor_count(k) or len(carriers) != 2 * _anchor_count(k):
-        raise PartitionInvalid(
-            f"expected {_anchor_count(k)} anchors and {2 * _anchor_count(k)} carriers"
-        )
-    merged = anchors + carriers
-    if not all(map(is_int, merged)) or sorted(merged) != list(range(k)):
-        raise PartitionInvalid("anchors and carriers must partition the integers 0..k-1")
-
-
 def balance_values(table: CharacterTable, split: CharacterSplit) -> np.ndarray:
     """Balance sum 2*sum_anchors - sum_carriers over all group elements:
     one unscaled inverse FFT of the weights, 2 at anchors and -1 at carriers."""
-    validate_partition(split, table.order)
     weights = np.full(table.order, -1.0)
-    weights[list(split.anchors)] = 2.0
+    weights[split.anchor_index] = 2.0
     return np.fft.ifft(weights, norm="forward")
 
 
@@ -221,7 +231,7 @@ def split_draw(seed: int, index: int, k: int) -> np.ndarray:
     """Sorted anchors of random-restart split draw ``index`` at order k."""
     rng = _candidate_rng(seed, _SPLIT_STREAM, index)
     # sorted, so the order numpy would shuffle them into is unused
-    return np.sort(rng.choice(k, size=_anchor_count(k), replace=False, shuffle=False))
+    return np.sort(rng.choice(k, size=k // 3, replace=False, shuffle=False))
 
 
 def sign_draw(seed: int, index: int, m: int) -> Tuple[int, ...]:
@@ -300,7 +310,7 @@ def search_character_split(
     path is the lexicographically smallest anchor list among the near-ties.
     """
     k, n = table.order, table.group.level
-    cnt = _anchor_count(k)
+    cnt = k // 3
     step = _split_chunk_rows(k)
     if _exhaustive("split", strategy, n, budget, seed):
         count = math.comb(k, cnt)
@@ -348,8 +358,7 @@ def lower_rows(
     here = data.require(n)
     below = data.require(n - 1)
     k, k_below = here.table.order, below.table.order
-    anchors = np.asarray(here.split.anchors, dtype=np.int64)
-    carriers = np.asarray(below.split.carriers, dtype=np.int64)
+    anchors, carriers = here.split.anchor_index, below.split.carrier_index
     roots = below.table.roots()
     chunk = min(_SIGN_CHUNK_ROWS, rows)
     placed = np.zeros((chunk, k), dtype=np.complex128)
@@ -366,7 +375,7 @@ def cross_lower_matrix(n: int, data: ConstructionData) -> np.ndarray:
     """Lower coupling block of level n >= 1, through the sign kernel's FFTs."""
     if n < 1:
         raise BadParameter("level-0 vectors have no lower block")
-    eps = np.asarray(data.require(n).require_signs().signs, dtype=np.float64)
+    eps = data.require(n).require_signs().eps
     k, k_below = data.require(n).table.order, data.require(n - 1).table.order
     lower_t = np.empty((k_below, k), dtype=np.complex128)
     for start, spectrum in lower_rows(n, data, eps, k_below):
@@ -537,8 +546,8 @@ def certify_constants(levels: Iterable[int], data: ConstructionData) -> Certifie
     cross_rows: List[CrossBoundRow] = []
     for n in (n for n in level_list if n >= 1 and data.has(n + 1)):
         item = data.require(n)
-        anchors = np.asarray([item.split.anchors], dtype=np.int64)
-        indicator_score = float(_score_indicator_batch(_indicator(item.table.order, anchors))[0])
+        indicator = _indicator(item.table.order, item.split.anchor_index[None, :])
+        indicator_score = float(_score_indicator_batch(indicator)[0])
         max_lower = item.require_signs().objective
         max_upper = data.require(n + 1).require_signs().objective
         max_middle = 2.0 ** (-n - 1) * balance[n]

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .characters import block_size
+from .characters import block_size, read_only
 from .errors import BadParameter
 
 GAP_CEILING = 1.0 / 6.0  # largest admissible gap 1/2 - 1/p, i.e. p = 3
@@ -152,12 +152,6 @@ def compactness_sequence(schedule: ExponentSchedule, n: int) -> float:
     return float((n + 1) ** 2.5 * 2.0 ** (-schedule.rate_exponent(n)))
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.complex128)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class MixedNormVector:
     """Finitely supported vector: one complex block per occupied level."""
@@ -175,7 +169,7 @@ class MixedNormVector:
                 raise BadParameter(
                     f"level {level} block must have {block_size(level)} coordinates, got {len(arr)}"
                 )
-            clean[level] = _frozen(arr)
+            clean[level] = read_only(arr, np.complex128)
         object.__setattr__(self, "blocks", clean)
 
     @classmethod
@@ -218,14 +212,6 @@ class MixedNormVector:
             else:
                 out[n] = blk.copy()
         return MixedNormVector(schedule=self.schedule, blocks=out)
-
-    def __add__(self, other: "MixedNormVector") -> "MixedNormVector":
-        return self.add(other)
-
-    def __mul__(self, factor: complex) -> "MixedNormVector":
-        return self.scale(factor)
-
-    __rmul__ = __mul__
 
 
 def z_norm(f: MixedNormVector) -> float:

@@ -21,9 +21,10 @@ subspaces 2-Euclidean, and partitions the level indices into two
 alternating range unions.  A sampling oracle upper-bounds the distance to
 Euclidean space for spans of up to four vectors.
 
-Codimensions and split data use exact integers while they are physically
-representable; thresholds beyond that carry base-2 logarithms (or iterated
-logarithms) and are flagged as such.
+Codimensions and split data use exact integers while their decimal form
+prints (up to ``store.EXACT_INT_BITS`` bits); beyond that a codimension is
+null and carries its base-2 logarithm, and a threshold carries base-2
+logarithms (or iterated logarithms), flagged as such.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ from .errors import (
     NoWitness,
 )
 from .mixed_norm import ExponentSchedule, MixedNormVector, z_norms_rows
-from .store import EXACT_INT
+from .store import EXACT_INT, EXACT_INT_BITS
 
 _SEARCH_LIMIT = 1 << 200  # witness searches refuse to pass this level
-_EXACT_EXPONENT_BITS = 1_000_000  # largest exact power-of-five exponent kept
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,8 @@ def witness_point(
     """Smallest head level certifying m-dimensional tail subspaces.
 
     Returns the smallest n >= 0 with 0 < gap(n+1) < 1/log2(m) together with
-    the exact codimension 3*(2^{n+1} - 1) of the removed head.
+    the exact codimension 3*(2^{n+1} - 1) of the removed head, or None when
+    it has more than ``EXACT_INT_BITS`` bits (n + 3 bounds them).
     """
     if m < 2:
         raise BadParameter(f"dimension must be >= 2, got {m}")
@@ -128,7 +129,7 @@ def witness_point(
     return WitnessPoint(
         m=m,
         head_level=head,
-        codimension=3 * ((1 << (head + 1)) - 1),
+        codimension=3 * ((1 << (head + 1)) - 1) if head + 3 <= EXACT_INT_BITS else None,
         iso_constant=constants.iso_constant,
         gap_after_head=schedule.gap(head + 1),
         threshold=threshold,
@@ -139,7 +140,7 @@ def witness_point(
 class WitnessPoint:
     m: int
     head_level: int
-    codimension: int = field(metadata=EXACT_INT)
+    codimension: Optional[int] = field(metadata=EXACT_INT)
     iso_constant: float
     gap_after_head: float
     threshold: float
@@ -203,7 +204,8 @@ def growth_envelope_check(
     9b, not here.  Samples below 16 are skipped (the envelope exponent must
     be positive).  The integer codimension is compared in log2 against the envelope
     exponent inflated by a relative 1e-12 guard, so float rounding can only
-    err on the generous side.
+    err on the generous side.  A codimension too long to keep exactly is
+    log2(3) + head + 1 in log2, which it is to float precision there.
     """
     rows: List[EnvelopeRow] = []
     for m in m_samples:
@@ -217,7 +219,8 @@ def growth_envelope_check(
             continue
         point = witness_point(schedule, m)
         envelope_log2 = math.log2(m) * math.log2(math.log2(m))
-        codim_log2 = math.log2(point.codimension)
+        codim = point.codimension
+        codim_log2 = math.log2(3.0) + point.head_level + 1 if codim is None else math.log2(codim)
         guard = envelope_log2 * (1.0 + 1e-12) + 1e-12
         rows.append(
             EnvelopeRow(
@@ -242,8 +245,8 @@ def growth_envelope_check(
 class SplitThreshold:
     """Dimension threshold 2 * 5^E of one split step.
 
-    ``exact`` is the full integer when small enough to print;
-    ``five_exponent`` the exact exponent E while it is representable;
+    ``exact`` is the full integer and ``five_exponent`` the exact exponent
+    E while each has at most ``EXACT_INT_BITS`` bits, so that it prints;
     ``log2_value`` log2 of the threshold while finite; ``log2_log2_value``
     always carries the iterated logarithm.
     """
@@ -271,9 +274,10 @@ def split_sequence(schedule: ExponentSchedule, depth: int) -> SplitResult:
     n_1 = 0; after choosing n_1..n_j the threshold is m_j = 2 * 5^(sum of
     chosen block sizes) and n_{j+1} is the smallest level whose gap g
     satisfies m_j^g <= 2.  Index sets alternate: ranges starting at odd
-    selections belong to the first set.  Exact integers are kept while
-    representable; once a threshold only fits as an iterated logarithm the
-    next index cannot be pinned exactly and the depth is unreachable.
+    selections belong to the first set.  Exact integers are kept up to
+    ``EXACT_INT_BITS`` bits; once a threshold only fits as an iterated
+    logarithm the next index cannot be pinned exactly and the depth is
+    unreachable.
     """
     if depth < 1:
         raise BadParameter(f"depth must be >= 1, got {depth}")
@@ -282,21 +286,18 @@ def split_sequence(schedule: ExponentSchedule, depth: int) -> SplitResult:
     margins: List[float] = []
 
     exponent: Optional[int] = block_size(0)  # sum of selected block sizes
-    log2_exponent = math.log2(block_size(0))
+    log2_exponent = math.log2(exponent)
 
     for j in range(1, depth + 1):
+        log2_m = math.inf  # unless the exponent is exact and a float holds it
         if exponent is not None:
             log2_exponent = math.log2(exponent)
-            try:
+            if exponent.bit_length() < 1024:
                 log2_m = 1.0 + exponent * math.log2(5.0)
-            except OverflowError:
-                log2_m = math.inf
-        else:
-            log2_m = math.inf
         log2_log2_m = math.log2(log2_m) if math.isfinite(log2_m) else (
             log2_exponent + math.log2(math.log2(5.0))
         )
-        exact = 2 * 5**exponent if exponent is not None and exponent <= 5000 else None
+        exact = 2 * 5**exponent if log2_m < EXACT_INT_BITS else None
         if exponent is not None:
             display = f"2*5^{exponent}"
         else:
@@ -328,8 +329,9 @@ def split_sequence(schedule: ExponentSchedule, depth: int) -> SplitResult:
         nxt = _first_level(schedule, indices[-1] + 1, ok, missing)
         margins.append(schedule.gap(nxt) * log2_m)
         indices.append(nxt)
-        if nxt <= _EXACT_EXPONENT_BITS and exponent is not None:
-            exponent = exponent + block_size(nxt)
+        total = exponent + block_size(nxt) if exponent is not None and nxt < EXACT_INT_BITS else None
+        if total is not None and total.bit_length() <= EXACT_INT_BITS:
+            exponent = total
         else:
             add_log2 = math.log2(3.0) + nxt
             log2_exponent = _log2_add(

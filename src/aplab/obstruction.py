@@ -152,7 +152,7 @@ def telescope_norms(
     norms: List[np.ndarray] = []
     lower = None  # column sums of the previous pass, for its level's norms
     for m in range(1, top + 1):
-        eps = np.asarray(data.require(m).require_signs().signs, dtype=np.float64)
+        eps = data.require(m).require_signs().eps
         rows, k = data.require(m - 1).table.order, data.require(m).table.order
         half = rows // 2 + 1  # rows 0..rows//2; the others are their mirrors
         p_lower, p_upper = schedule.p(m - 1), schedule.p(m)
@@ -256,9 +256,10 @@ class BasisFrame:
     rows; a left-out block was an exact zero (|0|^p = 0 and x + 0.0 == x),
     so no norm moves by a bit.
 
-    The frame holds only each level's placement (order, anchors, carriers,
-    signs).  The matrices below are test references that perfbench's
-    tracer wraps by name, built per call and cut to their nonzero band;
+    The frame reads each level's index and sign arrays from its split and
+    signs, which must exist for every level when it is made.  The matrices
+    below are test references that perfbench's tracer wraps by name, built
+    per call and cut to their nonzero band;
     p_m = 2^m + 2^{m+1} basis vectors of levels m and m+1 (2^m at the top):
 
     coord_matrix(m)             p_m x k_m      row b: coordinates of basis b on level m
@@ -270,16 +271,8 @@ class BasisFrame:
     def __init__(
         self, data: ConstructionData, schedule: ExponentSchedule, max_level: int
     ) -> None:
-        # (order, anchors, carriers, signs) per level; missing signs fail here
-        self._placed: Dict[int, Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
         for n in range(max_level + 1):
-            item = data.require(n)
-            self._placed[n] = (
-                item.table.order,
-                np.asarray(item.split.anchors, dtype=np.int64),
-                np.asarray(item.split.carriers, dtype=np.int64),
-                np.asarray(item.require_signs().signs, dtype=np.float64),
-            )
+            data.require(n).require_signs()  # missing signs fail here
         self.data = data
         self.schedule = schedule
         self.max_level = max_level
@@ -292,20 +285,21 @@ class BasisFrame:
     def band_coords(self, band_rows: np.ndarray, m: int) -> np.ndarray:
         """Level-m coordinates of the vectors with coefficient rows ``band_rows``
         on the band of basis levels m and m+1 (level m alone at the top)."""
-        k, anchors, carriers, signs = self._placed[m]
-        w = np.zeros((band_rows.shape[0], k), dtype=np.complex128)
-        w[:, anchors] = signs * band_rows[:, : 1 << m]
+        item = self.data.require(m)
+        w = np.zeros((band_rows.shape[0], item.table.order), dtype=np.complex128)
+        w[:, item.split.anchor_index] = item.require_signs().eps * band_rows[:, : 1 << m]
         if m < self.max_level:
-            w[:, carriers] = band_rows[:, 1 << m :]
+            w[:, item.split.carrier_index] = band_rows[:, 1 << m :]
         return np.fft.ifft(w, axis=1, norm="forward", out=w)
 
     def tele_coeffs(self, n: int, b: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Entry [i, t] is the coefficient of band position b[i] (basis
         (n, j) at j - 1, basis (n+1, j) at 2^n + j - 1) in tele_{n,g[t]}."""
-        k, anchors, carriers, signs = self._placed[n]
-        takes = np.concatenate([anchors, carriers])[b]
-        weights = np.concatenate([-(2.0 ** (-n)) * signs, np.full(carriers.size, 2.0 ** (-n - 1))])
-        return weights[b, None] * self.data.require(n).table.roots()[-np.outer(takes, g) % k]
+        item = self.data.require(n)
+        k, split, eps = item.table.order, item.split, item.require_signs().eps
+        takes = np.concatenate([split.anchor_index, split.carrier_index])[b]
+        weights = np.concatenate([-(2.0 ** (-n)) * eps, np.full(2 * k // 3, 2.0 ** (-n - 1))])
+        return weights[b, None] * item.table.roots()[-np.outer(takes, g) % k]
 
     def telescope_image(self, op_matrix: np.ndarray, n: int) -> np.ndarray:
         """Row g holds the basis coefficients of T(tele_{n,g}); ``op_matrix`` is
@@ -315,10 +309,11 @@ class BasisFrame:
             raise TruncationTooSmall(
                 f"telescoping at level {n} needs level {n + 1} inside the truncation"
             )
-        k, anchors, carriers, signs = self._placed[n]
-        v = np.zeros((k, op_matrix.shape[1]), dtype=np.complex128)
-        v[anchors] = -(2.0 ** (-n)) * signs[:, None] * op_matrix[level_slice(n)]
-        v[carriers] = 2.0 ** (-n - 1) * op_matrix[level_slice(n + 1)]
+        item = self.data.require(n)
+        eps = item.require_signs().eps
+        v = np.zeros((item.table.order, op_matrix.shape[1]), dtype=np.complex128)
+        v[item.split.anchor_index] = -(2.0 ** (-n)) * eps[:, None] * op_matrix[level_slice(n)]
+        v[item.split.carrier_index] = 2.0 ** (-n - 1) * op_matrix[level_slice(n + 1)]
         return np.fft.fft(v, axis=0, out=v)
 
     def coord_matrix(self, m: int) -> np.ndarray:
@@ -326,14 +321,15 @@ class BasisFrame:
         return self.coords_at(np.eye(rows.stop - rows.start, self.dim, rows.start), m)
 
     def functional_matrix(self, n: int) -> np.ndarray:
-        k, anchors, _, signs = self._placed[n]
-        return signs[:, None] * self.data.require(n).table.rows_at_inverse(anchors) / k
+        item = self.data.require(n)
+        rows = item.table.rows_at_inverse(item.split.anchor_index)
+        return item.require_signs().eps[:, None] * rows / item.table.order
 
     def lower_functional_matrix(self, n: int) -> np.ndarray:
         if n < 1:
             raise FormUnavailable("the lower-level form does not exist at level 0")
-        k, _, carriers, _ = self._placed[n - 1]
-        return self.data.require(n - 1).table.rows_at_inverse(carriers) / k
+        below = self.data.require(n - 1)
+        return below.table.rows_at_inverse(below.split.carrier_index) / below.table.order
 
     def telescope_coeff_matrix(self, n: int) -> np.ndarray:
         cols = _pair_slice(n, self.max_level)  # every other basis coefficient is zero here

@@ -23,6 +23,10 @@ MANIFEST_NAME = "manifest.json"
 # Field metadata: the field holds an exact integer, written as a decimal string
 # because it may exceed what a JSON reader keeps exactly.
 EXACT_INT = {"exact_int": True}
+# Exact integers are kept up to this many bits, so that their decimal form
+# prints: 2^14000 < 10^4300, the most digits Python's str() gives by default.
+# Past it, the results that hold them give their log2 instead.
+EXACT_INT_BITS = 14_000
 
 Cell = Union[str, int, float]
 

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aplab import discrepancy
 from aplab.characters import CharacterTable, build_group
@@ -160,13 +161,48 @@ def test_unknown_strategy_rejected():
 
 
 def test_partition_validation():
-    table = CharacterTable(build_group(1))
-    bad = CharacterSplit(level=1, anchors=(0, 1), carriers=(1, 2, 3, 4), discrepancy=0.0)
     with pytest.raises(PartitionInvalid):
-        split_discrepancy(bad, table)
-    short = CharacterSplit(level=1, anchors=(0,), carriers=(1, 2, 3, 4, 5), discrepancy=0.0)
+        CharacterSplit(level=1, anchors=(0, 1), carriers=(1, 2, 3, 4), discrepancy=0.0)
     with pytest.raises(PartitionInvalid):
-        split_discrepancy(short, table)
+        CharacterSplit(level=1, anchors=(0,), carriers=(1, 2, 3, 4, 5), discrepancy=0.0)
+
+
+def _replaced(values, i, *new):
+    """``values`` with entry i replaced by ``new``, or dropped without one."""
+    return values[:i] + new + values[i + 1 :]
+
+
+@given(constructions(min_top=0, max_top=5), st.data())
+def test_a_split_that_is_no_partition_cannot_be_made(case, data):
+    top, construction = case
+    split = construction.require(data.draw(st.integers(0, top))).split
+    k = len(split.anchors) + len(split.carriers)
+    mutation = data.draw(st.sampled_from(("repeat", "drop", "out of range", "true", "float")))
+    # True == 1, so True can only stand in for the index 1
+    on_anchors = 1 in split.anchors if mutation == "true" else data.draw(st.booleans())
+    values = split.anchors if on_anchors else split.carriers
+    i = values.index(1) if mutation == "true" else data.draw(st.integers(0, len(values) - 1))
+    if mutation == "repeat":
+        new = (data.draw(st.integers(0, k - 1).filter(lambda c: c != values[i])),)
+    elif mutation == "out of range":
+        new = (data.draw(st.sampled_from((-1, k))),)
+    else:
+        new = {"drop": (), "true": (True,), "float": (float(values[i]),)}[mutation]
+    mutated = _replaced(values, i, *new)
+    anchors, carriers = (mutated, split.carriers) if on_anchors else (split.anchors, mutated)
+    with pytest.raises(PartitionInvalid):
+        CharacterSplit(split.level, anchors, carriers, 0.0)
+
+
+@given(constructions(min_top=0, max_top=5), st.data())
+def test_a_sign_list_without_one_sign_per_anchor_cannot_be_made(case, data):
+    top, construction = case
+    signs = construction.require(data.draw(st.integers(0, top))).require_signs()
+    i = data.draw(st.integers(0, len(signs.signs) - 1))
+    mutation = data.draw(st.sampled_from(("extra", "missing", "zero", "two")))
+    new = {"extra": (signs.signs[i],) * 2, "missing": (), "zero": (0,), "two": (2,)}[mutation]
+    with pytest.raises(BadParameter):
+        SignPattern(signs.level, _replaced(signs.signs, i, *new), 0.0)
 
 
 def test_stored_discrepancy_matches_recompute(small_data):

@@ -91,7 +91,7 @@ def test_norm_triangle_and_homogeneity(power_schedule):
         blocks_b = {n: rng.standard_normal(3 * 2**n) + 1j * rng.standard_normal(3 * 2**n) for n in (1, 2, 4)}
         a = MixedNormVector(schedule=power_schedule, blocks=blocks_a)
         b = MixedNormVector(schedule=power_schedule, blocks=blocks_b)
-        assert z_norm(a + b) <= z_norm(a) + z_norm(b) + 1e-9
+        assert z_norm(a.add(b)) <= z_norm(a) + z_norm(b) + 1e-9
         factor = complex(rng.standard_normal(), rng.standard_normal())
         assert z_norm(a.scale(factor)) == pytest.approx(abs(factor) * z_norm(a), abs=1e-9)
 
@@ -106,7 +106,7 @@ def test_disjoint_levels_combine_euclidean(power_schedule):
         schedule=power_schedule,
         blocks={3: rng.standard_normal(24) + 1j * rng.standard_normal(24)},
     )
-    assert z_norm(a + b) ** 2 == pytest.approx(z_norm(a) ** 2 + z_norm(b) ** 2, abs=1e-9)
+    assert z_norm(a.add(b)) ** 2 == pytest.approx(z_norm(a) ** 2 + z_norm(b) ** 2, abs=1e-9)
 
 
 def test_block_norm_monotone_as_p_decreases():

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from aplab import discrepancy
 from aplab import obstruction as ob
 from aplab.discrepancy import (
+    CharacterSplit,
     ConstructionData,
     certify_constants,
     cross_lower_matrix,
     cross_upper_matrix,
     middle_block,
-    validate_partition,
 )
 from aplab.errors import (
     BadParameter,
@@ -154,11 +154,14 @@ def test_a_repeated_anchor_breaks_biorthogonality(small_data, log_schedule):
     # eps_2 eps_1 S_0 / k = +-1 where the Kronecker pattern has 0
     item = small_data.require(3)
     anchors = item.split.anchors
-    split = replace(item.split, anchors=(anchors[0],) * 2 + anchors[2:])
+    repeated = (anchors[0],) * 2 + anchors[2:]
+    with pytest.raises(PartitionInvalid):
+        replace(item.split, anchors=repeated)
+    # such a split exists only past its own check, as a corrupted value would
+    with mock.patch.object(CharacterSplit, "__post_init__", lambda self: None):
+        split = replace(item.split, anchors=repeated)
     data = _with_level(small_data, replace(item, split=split))
     assert ob.biorthogonality_deviation(ob.BasisFrame(data, log_schedule, 5)) >= 0.5
-    with pytest.raises(PartitionInvalid):
-        validate_partition(split, item.table.order)
 
 
 @given(constructions(), st.integers(0, 2**16))
@@ -733,9 +736,10 @@ def test_operator_validation(frame4, frame5):
 
 def test_traces_do_not_write_to_their_inputs(small_data, log_schedule):
     frame = ob.BasisFrame(small_data, log_schedule, 4)
-    for placed in frame._placed.values():
-        for arr in placed[1:]:
-            arr.flags.writeable = False
+    for n in range(5):  # the level arrays every kernel reads are read-only
+        item = small_data.require(n)
+        for arr in (item.split.anchor_index, item.split.carrier_index, item.require_signs().eps):
+            assert not arr.flags.writeable
     rows, values = ob.random_finite_rank_operator(4, support_level=3, rank=4, seed=1)
     ops = [np.eye(frame.dim, dtype=np.complex128), ob.gaussian(4, seed=3), rows, values]
     copies = [op.copy() for op in ops]

@@ -1,14 +1,18 @@
 import hashlib
 import importlib.util
 import json
+import math
 import shutil
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aplab import cli, discrepancy, obstruction
 from aplab.cli import main
@@ -132,6 +136,46 @@ def test_cli_split_prints(capsys):
     assert code == 0
     assert "2*5^3" in out
     assert "2*5^27670116110564327427" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # the split exponent 6147 + 3*2^77214 has too many digits for str()
+        ("split", "--schedule", "power", "--alpha", "0.85", "--depth", "3"),
+        # the witness codimension at m = 2^64 has 32769 bits
+        ("moduli", "--schedule", "power", "--alpha", "0.4", "--depth", "1"),
+    ],
+    ids=["split", "moduli"],
+)
+def test_an_exact_integer_too_long_to_print_takes_its_log2_form(tmp_path, capsys, args):
+    assert _run(*args, "--out", str(tmp_path / "out")) == 0
+    out = capsys.readouterr().out
+    if args[0] == "split":
+        assert "threshold 3 = 2*5^(~2^77215.6)" in out
+        return
+    rows = json.loads((tmp_path / "out/moduli/witness.json").read_text())["rows"]
+    assert [r["codimension"] is None for r in rows] == [False, False, False, True]
+    assert rows[2]["codimension"] == str(3 * (2 ** (rows[2]["head_level"] + 1) - 1))
+    envelope = json.loads((tmp_path / "out/moduli/envelope.json").read_text())["rows"]
+    assert envelope[3]["codimension_log2"] == pytest.approx(math.log2(3) + 32767, rel=1e-15)
+
+
+_ALPHAS = st.integers(30, 99).map(lambda c: c / 100)
+
+
+@settings(max_examples=50)
+@given(alpha=_ALPHAS, depth=st.integers(1, 4))
+def test_split_exits_with_a_code_for_every_power_schedule(alpha, depth):
+    assert _run("split", "--schedule", "power", "--alpha", repr(alpha), "--depth", str(depth)) in (0, 1, 2, 3)
+
+
+@settings(max_examples=50)
+@given(alpha=_ALPHAS)
+def test_moduli_exits_with_a_code_for_every_power_schedule(tmp_path_factory, alpha):
+    out = tmp_path_factory.mktemp("moduli")
+    args = ("moduli", "--depth", "1", "--schedule", "power", "--alpha", repr(alpha), "--out", str(out))
+    assert _run(*args) in (0, 1, 2, 3)
 
 
 def test_cli_stored_defects_tiny_build(tmp_path):
@@ -602,6 +646,54 @@ def test_cli_refuses_a_stored_config_value_of_wrong_type_or_domain(tmp_path, cap
         err = capsys.readouterr().err
         assert "config.json" in err and "Traceback" not in err, command
     assert _run("build", "--max-level", "2", "--tol", "0", "--out", str(tmp_path / "b")) == 2
+
+
+def test_verify_fails_a_constants_file_without_a_level_split_row(tmp_path, capsys):
+    # as a missing cross row does: no stored row at level 3, no passing bound there
+    out = tmp_path / "no-split-row"
+    assert _run("build", "--max-level", "5", "--schedule", "log", "--out", str(out)) == 0
+    _rehashed(out, "constants.json", lambda payload: {
+        **payload, "split_rows": [r for r in payload["split_rows"] if r["level"] != 3],
+    })
+    assert _run("verify", "--out", str(out)) == 1
+    rows = json.loads((out / "verify_report.json").read_text())["rows"]
+    assert [(r["check"], r["level"]) for r in rows if not r["passed"]] == [
+        ("balance-discrepancy-bound", 3)
+    ]
+    assert "balance-discrepancy-bound at level 3" in capsys.readouterr().err
+
+
+def test_a_stored_level_is_checked_once_where_it_is_loaded(tmp_path, monkeypatch):
+    # a split is checked when it is made; the kernels that read it check nothing
+    checks = []
+    check = discrepancy.CharacterSplit.__post_init__
+
+    def counted(split):
+        checks.append(split.level)
+        check(split)
+
+    monkeypatch.setattr(discrepancy.CharacterSplit, "__post_init__", counted)
+    out = tmp_path / "L9"
+    assert _run("build", "--max-level", "9", "--schedule", "log", "--out", str(out)) == 0
+    assert checks == [n for n in range(10) for _ in range(2)]  # the search's split, then with its discrepancy
+    for command in ("verify", "ap"):
+        checks.clear()
+        assert _run(command, "--out", str(out)) == 0, command
+        assert checks == list(range(10)), command  # load_data, once per level
+    # nor do the kernels check a level again: one that slipped past its
+    # check (a repeated anchor) goes through them unrefused
+    config = cli._config_from_args(cli._build_parser().parse_args(["verify", "--out", str(out)]))
+    data = cli.load_data(ArtifactStore(out), config)
+    item = data.require(9)
+    with monkeypatch.context() as unchecked:
+        unchecked.setattr(discrepancy.CharacterSplit, "__post_init__", lambda split: None)
+        anchors = (item.split.anchors[0],) * 2 + item.split.anchors[2:]
+        data.put(replace(item, split=replace(item.split, anchors=anchors)))
+    checks.clear()
+    discrepancy.certify_constants(range(10), data)
+    obstruction.telescope_norms(data, config.schedule, 9)
+    discrepancy.balance_values(item.table, data.require(9).split)
+    assert checks == []
 
 
 def _first_row_as(rows, field, convert):
