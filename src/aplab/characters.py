@@ -91,15 +91,7 @@ class CharacterTable:
         return self.roots()[-self._exponent_rows(cs) % self.group.order]
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    level: int
-    max_deviation: float
-    tolerance: float
-    passed: bool
-
-
-def verify_orthogonality(table: CharacterTable, tol: float) -> OrthogonalityReport:
+def verify_orthogonality(table: CharacterTable) -> float:
     """Largest deviation of sum_g chi_c(g)*conj(chi_d(g)) from k*delta_cd.
 
     Exponents are exact, so the sum depends only on r = c - d: it is
@@ -107,13 +99,11 @@ def verify_orthogonality(table: CharacterTable, tol: float) -> OrthogonalityRepo
     d times over the subgroup dZ/k, so S_r = d * sum_{t < k/d} roots[t*d].
     k = 3*2^n has the 2(n+1) divisors 2^i and 3*2^i; each takes one strided
     sum, and the d = k sum is compared with k.  The d = 1 sum holds every
-    root once.  Passes when the deviation is at most ``tol``.
+    root once.  The caller holds the deviation against its tolerance.
     """
-    if tol <= 0:
-        raise BadParameter(f"tolerance must be positive, got {tol}")
     k, n = table.order, table.group.level
     roots = table.roots()
     dev = 0.0
     for d in (m << i for i in range(n + 1) for m in (1, 3)):
         dev = max(dev, float(abs(d * roots[::d].sum() - (k if d == k else 0))))
-    return OrthogonalityReport(level=n, max_deviation=dev, tolerance=tol, passed=dev <= tol)
+    return dev

@@ -47,7 +47,7 @@ from .moduli import (
     split_sequence,
     witness_point,
 )
-from .store import MANIFEST_NAME, ArtifactStore
+from .store import EXACT_INT_BITS, MANIFEST_NAME, ArtifactStore
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -90,10 +90,10 @@ class RunConfig:
             raise BadParameter(f"max level must be >= 1, got {self.max_level}")
         if self.budget < 1 or self.sign_budget < 1:
             raise BadParameter("budgets must be >= 1")
-        if self.tol <= 0:
-            raise BadParameter(f"tolerance must be positive, got {self.tol}")
-        if self.c1 < 1.0 or self.c2 < 1.0:
-            raise BadParameter("c1 and c2 must be >= 1")
+        if not 0 < self.tol < math.inf:
+            raise BadParameter(f"tolerance must be positive and finite, got {self.tol}")
+        if not (1.0 <= self.c1 < math.inf and 1.0 <= self.c2 < math.inf):
+            raise BadParameter(f"c1 and c2 must be finite and >= 1, got {self.c1}, {self.c2}")
 
     def to_payload(self) -> Dict:
         payload = {k: v for k, v in asdict(self).items() if k != "out"}
@@ -320,8 +320,7 @@ def _integrity(a: _Audit) -> Iterator[tuple]:
 
 def _orthogonality(a: _Audit) -> Iterator[tuple]:
     for n in range(a.top + 1):
-        report = verify_orthogonality(a.data.require(n).table, a.config.tol)
-        yield "character-orthogonality", n, report.max_deviation, a.config.tol, report.passed
+        yield "character-orthogonality", n, verify_orthogonality(a.data.require(n).table), a.config.tol
 
 
 def _balance(a: _Audit) -> Iterator[tuple]:
@@ -366,7 +365,7 @@ def _compact_family(a: _Audit) -> Iterator[tuple]:
         report = obstruction.check_norm_bound(
             n, a.family.norms[n], a.config.schedule, a.stored.cross_constant
         )
-        yield "telescope-norm-envelope", n, report.max_norm, report.bound, report.passed
+        yield "telescope-norm-envelope", n, report.max_norm, report.bound
     horizon = {"power": 5000, "log": 10**6}.get(a.config.schedule.kind)
     if horizon is not None:
         value = compactness_sequence(a.config.schedule, horizon)
@@ -504,7 +503,7 @@ def cmd_moduli(config: RunConfig, m_samples: Sequence[int], depth: int) -> int:
         _require_intact(store, "moduli/")
     constants = TypeCotypeConstants(c1=config.c1, c2=config.c2)
     points = [witness_point(config.schedule, m, constants) for m in m_samples]
-    envelope = growth_envelope_check(config.schedule, m_samples)
+    envelope = growth_envelope_check(points)
     split = split_sequence(config.schedule, depth)
 
     store.write_json(
@@ -563,9 +562,12 @@ def _parse_m_samples(text: Optional[str]) -> Tuple[int, ...]:
     if not text:
         return DEFAULT_M_SAMPLES
     try:
-        return tuple(int(part, 0) for part in text.split(","))
+        samples = tuple(int(part, 0) for part in text.split(","))
     except ValueError as exc:
         raise BadParameter(f"bad m-sample list {text!r}") from exc
+    if any(m.bit_length() >= EXACT_INT_BITS for m in samples):
+        raise BadParameter(f"an m-sample must have fewer than {EXACT_INT_BITS} bits")
+    return samples
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -188,12 +188,6 @@ class ConstructionData:
     def levels(self) -> Tuple[int, ...]:
         return tuple(sorted(self._levels))
 
-    @property
-    def max_level(self) -> int:
-        if not self._levels:
-            raise MissingLevelData("no levels built")
-        return max(self._levels)
-
 
 def balance_values(table: CharacterTable, split: CharacterSplit) -> np.ndarray:
     """Balance sum 2*sum_anchors - sum_carriers over all group elements:
@@ -268,10 +262,6 @@ def _scan(
     return winner, score, taken
 
 
-def _split_chunk_rows(k: int) -> int:
-    return max(1, _SPLIT_CHUNK_ENTRIES // k)
-
-
 def _exhaustive(kind: str, strategy: str, n: int, budget: int, seed: int) -> bool:
     """Check a search's arguments; whether it enumerates every candidate."""
     if budget < 1:
@@ -311,7 +301,7 @@ def search_character_split(
     """
     k, n = table.order, table.group.level
     cnt = k // 3
-    step = _split_chunk_rows(k)
+    step = max(1, _SPLIT_CHUNK_ENTRIES // k)
     if _exhaustive("split", strategy, n, budget, seed):
         count = math.comb(k, cnt)
         flat = itertools.chain.from_iterable(itertools.combinations(range(k), cnt))

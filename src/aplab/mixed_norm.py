@@ -173,10 +173,6 @@ class MixedNormVector:
         object.__setattr__(self, "blocks", clean)
 
     @classmethod
-    def empty(cls, schedule: ExponentSchedule) -> "MixedNormVector":
-        return cls(schedule=schedule, blocks={})
-
-    @classmethod
     def single(
         cls, schedule: ExponentSchedule, level: int, g: int, value: complex = 1.0
     ) -> "MixedNormVector":
@@ -189,12 +185,6 @@ class MixedNormVector:
 
     def block(self, level: int) -> Optional[np.ndarray]:
         return self.blocks.get(level)
-
-    def value_at(self, level: int, g: int) -> complex:
-        blk = self.blocks.get(level)
-        if blk is None:
-            return 0.0 + 0.0j
-        return complex(blk[g])
 
     def scale(self, factor: complex) -> "MixedNormVector":
         return MixedNormVector(

@@ -193,10 +193,9 @@ class GrowthEnvelopeReport:
         return all(bool(r.passed) for r in checked)
 
 
-def growth_envelope_check(
-    schedule: ExponentSchedule, m_samples: Sequence[int]
-) -> GrowthEnvelopeReport:
-    """Compare witness codimensions against the envelope m^(log2 log2 m).
+def growth_envelope_check(points: Sequence[WitnessPoint]) -> GrowthEnvelopeReport:
+    """Compare the codimensions of witness ``points`` against the envelope
+    m^(log2 log2 m).
 
     The witness is 2-Euclidean (see ``witness_point``), so on the log
     schedule every sample past the clamp region is expected to fail; the
@@ -208,7 +207,8 @@ def growth_envelope_check(
     log2(3) + head + 1 in log2, which it is to float precision there.
     """
     rows: List[EnvelopeRow] = []
-    for m in m_samples:
+    for point in points:
+        m, codim = point.m, point.codimension
         if m < 16:
             rows.append(
                 EnvelopeRow(
@@ -217,9 +217,7 @@ def growth_envelope_check(
                 )
             )
             continue
-        point = witness_point(schedule, m)
         envelope_log2 = math.log2(m) * math.log2(math.log2(m))
-        codim = point.codimension
         codim_log2 = math.log2(3.0) + point.head_level + 1 if codim is None else math.log2(codim)
         guard = envelope_log2 * (1.0 + 1e-12) + 1e-12
         rows.append(
@@ -227,7 +225,7 @@ def growth_envelope_check(
                 m=m,
                 skipped=False,
                 head_level=point.head_level,
-                codimension=point.codimension,
+                codimension=codim,
                 codimension_log2=codim_log2,
                 envelope_log2=envelope_log2,
                 passed=codim_log2 <= guard,

@@ -190,7 +190,6 @@ class NormBoundReport:
     level: int
     max_norm: float
     bound: float
-    passed: bool
     chain_terms: Tuple[float, ...]
     chain_bound: float
 
@@ -201,11 +200,12 @@ def check_norm_bound(
     schedule: ExponentSchedule,
     constant: float,
 ) -> NormBoundReport:
-    """Check the mixed-norm envelope of the level-n telescoping vectors,
-    given their ``norms`` (``telescope_norms(...).norms[n]``).
+    """The largest norm of the level-n telescoping vectors, given their
+    ``norms`` (``telescope_norms(...).norms[n]``), and its envelope.
 
     The bound is 3*sqrt(2)*constant*(n+1)^{1/2} * 2^{-n * gap(n+1)}; the
-    three-block chain that produces it is recomputed for display.
+    three-block chain that produces it is recomputed for display.  The
+    caller holds the norm against the bound.
     """
     if n < 1:
         raise BadParameter("norm bound reports start at level 1")
@@ -220,7 +220,6 @@ def check_norm_bound(
         level=n,
         max_norm=max_norm,
         bound=bound,
-        passed=max_norm <= bound,
         chain_terms=chain_terms,
         chain_bound=math.sqrt(sum(chain_terms)),
     )
@@ -292,14 +291,14 @@ class BasisFrame:
             w[:, item.split.carrier_index] = band_rows[:, 1 << m :]
         return np.fft.ifft(w, axis=1, norm="forward", out=w)
 
-    def tele_coeffs(self, n: int, b: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Entry [i, t] is the coefficient of band position b[i] (basis
-        (n, j) at j - 1, basis (n+1, j) at 2^n + j - 1) in tele_{n,g[t]}."""
+    def tele_coeffs(self, n: int, b: np.ndarray) -> np.ndarray:
+        """Entry [i, g] is the coefficient of band position b[i] (basis
+        (n, j) at j - 1, basis (n+1, j) at 2^n + j - 1) in tele_{n,g}."""
         item = self.data.require(n)
         k, split, eps = item.table.order, item.split, item.require_signs().eps
         takes = np.concatenate([split.anchor_index, split.carrier_index])[b]
         weights = np.concatenate([-(2.0 ** (-n)) * eps, np.full(2 * k // 3, 2.0 ** (-n - 1))])
-        return weights[b, None] * item.table.roots()[-np.outer(takes, g) % k]
+        return weights[b, None] * item.table.roots()[-np.outer(takes, np.arange(k)) % k]
 
     def telescope_image(self, op_matrix: np.ndarray, n: int) -> np.ndarray:
         """Row g holds the basis coefficients of T(tele_{n,g}); ``op_matrix`` is
@@ -462,12 +461,12 @@ def _band_pass(
     the first and third values mean anything.  Memory is O(chunk * k).
     """
     band = _pair_slice(n, frame.max_level)
-    k, half, g = block_size(n), 1 << n, np.arange(block_size(n))
+    k, half = block_size(n), 1 << n
     diagonal = np.zeros(band.stop - band.start, dtype=np.complex128)
     sums, own = [], []
     for b, block in blocks:
         np.add.at(diagonal, b, block[np.arange(b.size), b])
-        terms = (frame.tele_coeffs(n, b, g) * frame.band_coords(block, n)).sum(axis=1)
+        terms = (frame.tele_coeffs(n, b) * frame.band_coords(block, n)).sum(axis=1)
         sums.append(terms.sum())
         own.append(terms[b < half].sum())
     here = _diagonal_trace(diagonal[:half], n)
@@ -525,8 +524,9 @@ def trace_limit(op: Operator, frame: BasisFrame) -> TraceLimit:
     The tail of the telescoping series is dominated by
     sum_{n >= N} (n+1)^{-2} * sup_x ||T x|| over the compact family; the
     supremum is estimated on the family members inside the truncation.
-    T(tele_{n,g}) = sum_i c_{g,rows[i]} values[i]: the values' coordinates,
-    taken once, meet the tele coefficients a chunk of g at a time.
+    T(tele_{n,g}) = sum_i c_{g,rows[i]} values[i]: the values' coordinates
+    and each level's tele coefficients, taken once, meet a chunk of g at a
+    time.  The coefficients are r x k per level, as the coordinates are.
     """
     rows, values = _filled_rows(op, frame.dim)
     top, chunk, coords = frame.max_level, discrepancy._SIGN_CHUNK_ROWS, frame.coords_of(values)
@@ -543,10 +543,10 @@ def trace_limit(op: Operator, frame: BasisFrame) -> TraceLimit:
     base = np.flatnonzero(rows == basis_index(0, 1))
     sups = [largest_norm(base, [np.ones((1, base.size))])]
     for n in range(1, top):
-        band, k = _pair_slice(n, top), block_size(n)
+        band = _pair_slice(n, top)
         picked = np.flatnonzero((rows >= band.start) & (rows < band.stop))
-        b = rows[picked] - band.start
-        chunks = (frame.tele_coeffs(n, b, np.arange(s, min(s + chunk, k))).T for s in range(0, k, chunk))
+        coeffs = frame.tele_coeffs(n, rows[picked] - band.start).T
+        chunks = (coeffs[s : s + chunk] for s in range(0, len(coeffs), chunk))
         sups.append((n + 1) ** 2 * largest_norm(picked, chunks))
     estimate = level_trace((rows, values), top)
     family_sup = max(sups)

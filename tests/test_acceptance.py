@@ -36,7 +36,7 @@ def _report(num: str, name: str, passed: bool, detail: str = "") -> None:
 
 def test_01_character_orthogonality(tables_through_8):
     t0 = time.time()
-    worst = max(verify_orthogonality(t, 1e-9).max_deviation for t in tables_through_8)
+    worst = max(verify_orthogonality(t) for t in tables_through_8)
     elapsed = time.time() - t0
     ok = worst < 1e-9 and elapsed < 10.0
     _report("1", "character orthogonality n<=8", ok, f"max deviation {worst:.2e}, {elapsed:.2f}s")
@@ -128,7 +128,7 @@ def test_06_telescope_norm_bound(full_bundle, log_schedule, power_schedule):
         family = ob.telescope_norms(data, schedule, 9)
         for n in range(1, 9):
             report = ob.check_norm_bound(n, family.norms[n], schedule, constants.cross_constant)
-            ok &= report.passed
+            ok &= report.max_norm <= report.bound
             worst_ratio = max(worst_ratio, report.max_norm / report.bound)
     _report(
         "6",

@@ -439,7 +439,7 @@ def test_cross_blocks_level0_has_no_lower(small_data):
 
 
 def test_cross_blocks_missing_level(small_data):
-    top = small_data.max_level
+    top = max(small_data.levels())
     with pytest.raises(MissingLevelData):
         cross_upper_matrix(top, small_data)  # upper block needs the level above
 

@@ -81,7 +81,7 @@ def test_norm_examples():
     assert z_norm(ones) == pytest.approx(3.0 ** (1.0 / 3.0), abs=1e-14)
     two = MixedNormVector(schedule=ex, blocks={0: np.ones(3), 1: np.eye(6)[0]})
     assert z_norm(two) == pytest.approx(math.sqrt(3.0 ** (2.0 / 3.0) + 1.0), abs=1e-14)
-    assert z_norm(MixedNormVector.empty(ex)) == 0.0
+    assert z_norm(MixedNormVector(ex)) == 0.0
 
 
 def test_norm_triangle_and_homogeneity(power_schedule):

@@ -130,14 +130,18 @@ def test_distance_bound_validation():
 # ---------------------------------------------------------------- growth envelope
 
 
+def _envelope(schedule, m_samples):
+    return growth_envelope_check([witness_point(schedule, m) for m in m_samples])
+
+
 def test_envelope_skips_small_samples(log_schedule):
-    report = growth_envelope_check(log_schedule, [8, 15])
+    report = _envelope(log_schedule, [8, 15])
     assert all(r.skipped for r in report.rows)
     assert report.passed  # nothing checked, nothing failed
 
 
 def test_envelope_passes_in_clamp_region(log_schedule):
-    report = growth_envelope_check(log_schedule, [16, 32, 63])
+    report = _envelope(log_schedule, [16, 32, 63])
     assert report.passed
     for row in report.rows:
         assert row.head_level == 0 and row.codimension == 3
@@ -149,7 +153,7 @@ def test_envelope_fails_beyond_clamp_region(log_schedule):
     Measured heads: 237 at m=2^10 and 546 at m=2^20, so the codimension
     exponent (~head + 2.58) dwarfs the envelope exponent (33.2 and 86.4).
     """
-    report = growth_envelope_check(log_schedule, [2**10, 2**20])
+    report = _envelope(log_schedule, [2**10, 2**20])
     rows = report.rows
     assert rows[0].head_level == 237
     assert rows[0].codimension_log2 == pytest.approx(239.58, abs=0.01)

@@ -284,7 +284,7 @@ def test_telescope_vector_matches_block_rows(small_data, log_schedule):
 def test_telescope_vector_support(small_data, log_schedule):
     tele = telescope_vector(2, 1, small_data, log_schedule)
     assert tele.vector.support_levels() == (1, 2, 3)
-    assert tele.vector.value_at(5, 0) == 0.0
+    assert tele.vector.block(5) is None
 
 
 def test_level0_telescope_vector(small_data, log_schedule):
@@ -307,7 +307,7 @@ def test_norm_bound_report(small_data, log_schedule, power_schedule):
         family = ob.telescope_norms(small_data, schedule, 5)
         for n in (1, 2, 3, 4):
             report = ob.check_norm_bound(n, family.norms[n], schedule, 2.0)
-            assert report.passed
+            assert report.max_norm <= report.bound
             assert report.max_norm <= report.chain_bound
 
 
@@ -649,7 +649,7 @@ def test_tele_coeffs_match_the_forward_fft(case):
     frame = ob.BasisFrame(data, ExponentSchedule.log_rate(), top)
     for n in range(top):
         k = data.require(n).table.order
-        gathered = frame.tele_coeffs(n, np.arange(k), np.arange(k)).T
+        gathered = frame.tele_coeffs(n, np.arange(k)).T
         assert np.abs(gathered - frame.telescope_coeff_matrix(n)).max() <= 1e-15
 
 

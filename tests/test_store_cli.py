@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aplab import cli, discrepancy, obstruction
+from aplab import cli, discrepancy, moduli, obstruction
 from aplab.cli import main
 from aplab.errors import MissingArtifact
 from aplab.store import ArtifactStore, canonical_json
@@ -176,6 +176,75 @@ def test_moduli_exits_with_a_code_for_every_power_schedule(tmp_path_factory, alp
     out = tmp_path_factory.mktemp("moduli")
     args = ("moduli", "--depth", "1", "--schedule", "power", "--alpha", repr(alpha), "--out", str(out))
     assert _run(*args) in (0, 1, 2, 3)
+
+
+def _no_null_config_value(out):
+    config = out / "config.json"
+    if config.exists():
+        assert None not in json.loads(config.read_text()).values()
+    witness = out / "moduli" / "witness.json"
+    if witness.exists():
+        rows = json.loads(witness.read_text())["rows"]
+        assert None not in [row[k] for row in rows for k in ("m", "iso_constant")]
+
+
+@settings(max_examples=25)
+@given(m=st.integers(2, 2**14100))
+def test_moduli_exits_with_a_code_for_every_m_sample(tmp_path_factory, m):
+    out = tmp_path_factory.mktemp("m-sample")
+    assert _run("moduli", "--depth", "1", "--m-samples", hex(m), "--out", str(out)) in (0, 1, 2, 3)
+    _no_null_config_value(out)
+
+
+@settings(max_examples=25)
+@given(flag=st.sampled_from(["--tol", "--c1", "--c2"]),
+       value=st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-9", "2"]))
+def test_build_exits_with_a_code_for_every_config_value(tmp_path_factory, flag, value):
+    out = tmp_path_factory.mktemp("config-value")
+    args = ("build", "--max-level", "1", "--budget", "4", "--sign-budget", "2", f"{flag}={value}")
+    assert _run(*args, "--out", str(out)) in (0, 1, 2, 3)
+    _no_null_config_value(out)
+
+
+def test_moduli_refuses_an_m_sample_too_long_to_print(tmp_path, capsys):
+    # 0x1 and 5000 zeros has 20001 bits; 2^14000 - 1 has the first refused length
+    for sample in ("0x1" + "0" * 5000, hex(2**14000 - 1), f"16,{2**14000},64"):
+        out = tmp_path / "long"
+        assert _run("moduli", "--schedule", "log", "--depth", "1", "--m-samples", sample,
+                    "--out", str(out)) == 2
+        assert "14000 bits" in capsys.readouterr().err
+        assert not out.exists()
+    out = tmp_path / "longest"
+    assert _run("moduli", "--schedule", "log", "--depth", "1", "--m-samples", hex(2**13999 - 1),
+                "--out", str(out)) == 0
+    rows = json.loads((out / "moduli/witness.json").read_text())["rows"]
+    assert rows[0]["m"] == 2**13999 - 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--tol", "--c1", "--c2"])
+def test_cli_refuses_a_non_finite_config_value(tmp_path, capsys, flag, value):
+    for args in (("build", "--max-level", "2"), ("moduli", "--depth", "1")):
+        out = tmp_path / args[0]
+        assert _run(*args, "--schedule", "log", f"{flag}={value}", "--out", str(out)) == 2, args
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_moduli_finds_each_witness_once(tmp_path, monkeypatch):
+    # the envelope judges the witnesses cmd_moduli found; it searches none
+    calls, original = [], moduli.witness_point
+
+    def counted(schedule, m, *rest):
+        calls.append(m)
+        return original(schedule, m, *rest)
+
+    monkeypatch.setattr(cli, "witness_point", counted)
+    monkeypatch.setattr(moduli, "witness_point", counted)
+    samples = "8,32,1024,32"
+    assert _run("moduli", "--schedule", "log", "--depth", "1", "--m-samples", samples,
+                "--out", str(tmp_path / "m")) == 0
+    assert calls == [8, 32, 1024, 32]
 
 
 def test_cli_stored_defects_tiny_build(tmp_path):
