@@ -12,7 +12,7 @@ pure, so concurrent readers are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,17 +50,39 @@ def build_group(n: int) -> Group:
     return Group(level=n, order=block_size(n))
 
 
+def advancing_exponents(
+    factors: np.ndarray, k: int, rows: int, chunk: int, shift: Union[int, np.ndarray] = 0
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """(h0, e) for chunks of rows h = h0 + i < ``rows``: e[i, j] is
+    (h * factors[j] mod k) + shift[j], or that plus k, for a table that holds
+    each period of k twice.  Along h the exponents advance: (h0 * f mod k)
+    plus a fixed int32 table of (i * f mod k), with no modulo per entry.
+    The arrays are reused: read a chunk before asking for the next.
+    """
+    factors = np.asarray(factors, dtype=np.int64)
+    chunk = min(chunk, rows)
+    offsets = (np.arange(chunk)[:, None] * factors % k + shift).astype(np.int32)
+    yield 0, offsets  # the chunk from row 0
+    e = np.empty_like(offsets)
+    for start in range(chunk, rows, chunk):
+        size = min(chunk, rows - start)
+        yield start, np.add(offsets[:size], (start * factors % k).astype(np.int32), out=e[:size])
+
+
 class CharacterTable:
     """All k characters of a level group, addressed by index 0..k-1.
 
     Rows of values are gathers of the cached, read-only roots at the exact
     exponents c*g mod k (``rows``) or -c*g mod k (``rows_at_inverse``), so
-    no k x k table is stored and chi_c(-g) is bitwise conj(chi_c(g)).
+    no k x k table is stored.  ``np.exp`` rounds each root on its own, so
+    chi_c(-g) agrees with conj(chi_c(g)) only to a few ulps, not bitwise;
+    the exponent identity is the exact one.
     """
 
     def __init__(self, group: Group) -> None:
         self.group = group
         self._root_cache: Optional[np.ndarray] = None
+        self._signed_cache: Optional[np.ndarray] = None
 
     @property
     def order(self) -> int:
@@ -72,6 +94,15 @@ class CharacterTable:
             k = self.group.order
             self._root_cache = read_only(np.exp(2j * np.pi * np.arange(k) / k), np.complex128)
         return self._root_cache
+
+    def signed_roots(self) -> np.ndarray:
+        """[roots, roots, -roots, -roots]: the products eps * root for eps = 1
+        and -1 (so even zeros keep the signs a product gives), each laid out
+        twice for exponents below 2k (``advancing_exponents``)."""
+        if self._signed_cache is None:
+            signed = np.array([[1.0], [-1.0]]) * self.roots()
+            self._signed_cache = read_only(np.repeat(signed, 2, axis=0).reshape(-1), np.complex128)
+        return self._signed_cache
 
     def _exponent_rows(self, cs: Sequence[int]) -> np.ndarray:
         """Exponent indices e[c, g], one row per c in ``cs``, every index checked."""

@@ -94,6 +94,8 @@ class RunConfig:
             raise BadParameter(f"tolerance must be positive and finite, got {self.tol}")
         if not (1.0 <= self.c1 < math.inf and 1.0 <= self.c2 < math.inf):
             raise BadParameter(f"c1 and c2 must be finite and >= 1, got {self.c1}, {self.c2}")
+        if TypeCotypeConstants(self.c1, self.c2).iso_constant == math.inf:
+            raise BadParameter(f"c1 = {self.c1} and c2 = {self.c2} make 2*sqrt(2)*c1*c2 overflow; it must be finite")
 
     def to_payload(self) -> Dict:
         payload = {k: v for k, v in asdict(self).items() if k != "out"}

@@ -49,7 +49,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Ty
 
 import numpy as np
 
-from .characters import CharacterTable, block_size, read_only
+from .characters import CharacterTable, advancing_exponents, block_size, read_only
 from .errors import (
     BadParameter,
     MissingLevelData,
@@ -342,23 +342,19 @@ def lower_rows(
 
     Row h is the length-k FFT of the vector that holds eps_j * chi_{c_j}(h)
     at anchor a_j.  The phases are gathered from the exact-exponent roots of
-    level n-1 and rows go ``_SIGN_CHUNK_ROWS`` at a time through one flat
-    placement index, so memory stays O(chunk * k).
+    level n-1, with the exponents h * c_j advanced and the signs folded into
+    the table (``advancing_exponents``), and rows go ``_SIGN_CHUNK_ROWS`` at
+    a time through one flat placement index, so memory stays O(chunk * k).
     """
-    here = data.require(n)
-    below = data.require(n - 1)
+    here, below = data.require(n), data.require(n - 1)
     k, k_below = here.table.order, below.table.order
-    anchors, carriers = here.split.anchor_index, below.split.carrier_index
-    roots = below.table.roots()
+    table, shift = below.table.signed_roots(), (eps < 0) * (2 * k_below)
     chunk = min(_SIGN_CHUNK_ROWS, rows)
     placed = np.zeros((chunk, k), dtype=np.complex128)
-    flat = (np.arange(chunk)[:, None] * k + anchors).reshape(-1)
-    for start in range(0, rows, chunk):
-        h = np.arange(start, min(start + chunk, rows))
-        placed.reshape(-1)[flat[: len(h) * len(anchors)]] = (
-            eps * roots[np.outer(h, carriers) % k_below]
-        ).reshape(-1)
-        yield start, np.fft.fft(placed[: len(h)], axis=1)
+    flat = (np.arange(chunk)[:, None] * k + here.split.anchor_index).reshape(-1)
+    for start, e in advancing_exponents(below.split.carrier_index, k_below, rows, chunk, shift):
+        placed.reshape(-1)[flat[: e.size]] = table[e].reshape(-1)
+        yield start, np.fft.fft(placed[: len(e)], axis=1)
 
 
 def cross_lower_matrix(n: int, data: ConstructionData) -> np.ndarray:
@@ -415,6 +411,7 @@ def sign_objective(n: int, data: ConstructionData, signs: Sequence[int]) -> floa
     worst = 0.0
     for _, spectrum in lower_rows(n, data, eps, rows):
         worst = max(worst, float(np.abs(spectrum).max()))
+        del spectrum  # freed before the next chunk is transformed
     return 2.0 ** (-n) * worst
 
 

@@ -18,8 +18,7 @@ the growth exponent stays below the one constant 3*(1 + 1/(e*ln 2)).
 The alternating split selects a subsequence of levels
 whose thresholds m_j = 2 * 5^(sum of selected block sizes) keep small
 subspaces 2-Euclidean, and partitions the level indices into two
-alternating range unions.  A sampling oracle upper-bounds the distance to
-Euclidean space for spans of up to four vectors.
+alternating range unions.
 
 Codimensions and split data use exact integers while their decimal form
 prints (up to ``store.EXACT_INT_BITS`` bits); beyond that a codimension is
@@ -31,20 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .characters import block_size
-from .errors import (
-    AplabError,
-    BadParameter,
-    DegenerateBasis,
-    DepthUnreachable,
-    DimensionTooLarge,
-    NoWitness,
-)
-from .mixed_norm import ExponentSchedule, MixedNormVector, z_norms_rows
+from .errors import AplabError, BadParameter, DepthUnreachable, NoWitness
+from .mixed_norm import ExponentSchedule
+from .mixed_norm import z_norms_rows  # unused here; kept so profilers can wrap it by this name
 from .store import EXACT_INT, EXACT_INT_BITS
 
 _SEARCH_LIMIT = 1 << 200  # witness searches refuse to pass this level
@@ -356,128 +347,3 @@ def _log2_add(a: float, b: float) -> float:
     """log2(2^a + 2^b) without leaving the log domain."""
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log2(1.0 + 2.0 ** (lo - hi))
-
-
-# ----------------------------------------------------------------------
-# sampling distance oracle
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DistanceEstimate:
-    """Norm-ratio estimate over the Euclidean coefficient sphere.
-
-    ``ratio`` approaches the true max/min ratio from below as sampling is
-    refined; ``sampling_error`` is a conservative allowance for the
-    remaining gap, derived from the Lipschitz constant of the norm and the
-    start-point coverage.
-    """
-
-    ratio: float
-    max_norm: float
-    min_norm: float
-    sampling_error: float
-    samples: int
-
-
-def numeric_distance_upper(
-    basis: Sequence[MixedNormVector],
-    samples: int = 256,
-    seed: int = 0,
-) -> DistanceEstimate:
-    """Estimate max/min of the mixed norm over the unit coefficient sphere.
-
-    Handles spans of at most four vectors.  Deterministic multistart
-    (coordinate vertices, real and imaginary diagonals, seeded random
-    points) followed by shrinking local refinement; the result is a lower
-    estimate of the coordinate-map condition number, reported as an upper
-    bound on the distance to Euclidean space with its sampling error.
-    """
-    d = len(basis)
-    if d == 0:
-        raise BadParameter("at least one vector is required")
-    if d > 4:
-        raise DimensionTooLarge(f"the oracle handles at most 4 vectors, got {d}")
-    if samples < 1:
-        raise BadParameter(f"samples must be >= 1, got {samples}")
-    schedule = basis[0].schedule
-    if any(v.schedule != schedule for v in basis):
-        raise BadParameter("all vectors must share one schedule")
-
-    levels = sorted({m for v in basis for m in v.support_levels()})
-    if not levels:
-        raise DegenerateBasis("all vectors are zero")
-    stacks: Dict[int, np.ndarray] = {}
-    for m in levels:
-        rows = [
-            v.block(m) if v.block(m) is not None else np.zeros(block_size(m), dtype=np.complex128)
-            for v in basis
-        ]
-        stacks[m] = np.stack(rows)
-
-    flat = np.hstack([stacks[m] for m in levels])
-    sing = np.linalg.svd(flat, compute_uv=False)
-    if sing[-1] <= 1e-10 * sing[0]:
-        raise DegenerateBasis("basis vectors are numerically dependent")
-
-    def norms_of(cs: np.ndarray) -> np.ndarray:
-        blocks = {m: cs @ stacks[m] for m in levels}
-        return z_norms_rows(schedule, blocks)
-
-    starts: List[np.ndarray] = []
-    eye = np.eye(d, dtype=np.complex128)
-    starts.extend(eye)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for phase in (1.0, -1.0, 1.0j, -1.0j):
-                starts.append((eye[i] + phase * eye[j]) / math.sqrt(2.0))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 606))))
-    rand = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
-    rand /= np.linalg.norm(rand, axis=1, keepdims=True)
-    points = np.vstack([np.stack(starts), rand])
-
-    vals = norms_of(points)
-    c_max = points[int(np.argmax(vals))]
-    c_min = points[int(np.argmin(vals))]
-
-    def refine(c0: np.ndarray, maximize: bool, stream: int) -> Tuple[np.ndarray, float]:
-        local = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((seed, 607, stream)))
-        )
-        c = c0.copy()
-        best = float(norms_of(c[None, :])[0])
-        step = 0.25
-        while step > 1e-10:
-            props = c[None, :] + step * (
-                local.standard_normal((32, d)) + 1j * local.standard_normal((32, d))
-            )
-            props /= np.linalg.norm(props, axis=1, keepdims=True)
-            pv = norms_of(props)
-            idx = int(np.argmax(pv)) if maximize else int(np.argmin(pv))
-            cand = float(pv[idx])
-            if (cand > best) if maximize else (cand < best):
-                c = props[idx]
-                best = cand
-            else:
-                step *= 0.5
-        return c, best
-
-    _, max_norm = refine(c_max, maximize=True, stream=0)
-    _, min_norm = refine(c_min, maximize=False, stream=1)
-
-    vec_norms = norms_of(eye)
-    lipschitz = float(np.sqrt((vec_norms**2).sum()))
-    coverage = 2.0 * len(points) ** (-1.0 / max(1, 2 * d - 1))
-    slack = lipschitz * coverage
-    if min_norm - slack > 0:
-        error = (max_norm + slack) / (min_norm - slack) - max_norm / min_norm
-    else:
-        error = math.inf
-    ratio = max(1.0, max_norm / min_norm)
-    return DistanceEstimate(
-        ratio=ratio,
-        max_norm=max_norm,
-        min_norm=min_norm,
-        sampling_error=error,
-        samples=len(points),
-    )

@@ -27,10 +27,11 @@ T(x) = sum_i alpha_{rows[i]}(x) values[i]: row rows[i] of T's matrix (the
 coefficient of basis b in the image of basis a at [a, b]) gains values[i].
 A d x d matrix M is (arange(d), M).  One row kernel (``_band_pass``) reads
 T's rows of basis levels n and n+1 a chunk at a time for the telescoping
-residual, the level traces and the coordinate trace; the identity feeds it
-identity rows (``identity_stage``), and ``trace_limit`` reads the family
-through the coordinates of T's values, so no d x d or k x d array is formed
-for an operator given by its rows.  The frame matrices and the deviations
+residual, the level traces and the coordinate trace, and ``trace_limit``
+reads the family through the coordinates of T's values, so no d x d or
+k x d array is formed for an operator given by its rows.  An identity row
+is one character, so ``identity_stage`` takes the kernel's sums one
+inner product per character.  The frame matrices and the deviations
 built on them are test references (see ``cli.cmd_verify``); the literal
 one-vector sums are in ``tests/oracles.py``.
 
@@ -46,7 +47,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from . import discrepancy
-from .characters import block_size
+from .characters import CharacterTable, advancing_exponents, block_size
 from .discrepancy import (
     ConstructionData,
     balance_values,
@@ -170,6 +171,7 @@ def telescope_norms(
                 columns += powered.sum(axis=0)
                 # rows h with 0 < h < rows/2 have a mirror row rows - h
                 mirrored += powered[max(1 - start, 0) : (rows + 1) // 2 - start].sum(axis=0)
+            del modulus, powered  # freed before the next chunk is transformed
         objectives.append(2.0 ** (-m) * worst)
         h = np.arange(rows)
         upper = np.concatenate(upper)[np.minimum(h, rows - h)]  # row rows - h is row h's
@@ -486,26 +488,61 @@ def telescope_residual(op: Operator, n: int, frame: BasisFrame) -> float:
     return _band_pass(_band_rows(rows, values, _pair_slice(n, frame.max_level)), n, frame)[3]
 
 
+def _character_sums(table: CharacterTable, characters: np.ndarray) -> np.ndarray:
+    """D[t] = sum_g chi_t(-g) ifft(delta_t, norm="forward")[g] for each of
+    ``characters``.  chi_t(-g) is the root at inverse exponent t*g mod k,
+    advanced along t = 0..k-1 (``advancing_exponents``) and gathered only at
+    the characters asked for, a chunk at a time in reused buffers."""
+    k = table.order
+    inverse = table.roots()[-np.arange(2 * k) % k]  # the root at -e, e < 2k
+    wanted = np.zeros(k, dtype=bool)
+    wanted[characters] = True
+    chunk, sums = min(discrepancy._SIGN_CHUNK_ROWS, k), np.zeros(k, dtype=np.complex128)
+    roots, placed = np.empty((2, chunk, k), dtype=np.complex128)
+    for start, e in advancing_exponents(np.arange(k), k, k, chunk):
+        (rows,) = np.nonzero(wanted[start : start + len(e)])
+        gathered, delta = roots[: rows.size], placed[: rows.size]
+        np.take(inverse, e[rows], out=gathered, mode="clip")
+        delta.fill(0.0)
+        delta[np.arange(rows.size), start + rows] = 1.0
+        np.fft.ifft(delta, axis=1, norm="forward", out=delta)
+        sums[start + rows] = np.multiply(gathered, delta, out=gathered).sum(axis=1)
+    return sums[characters]
+
+
 def identity_stage(
     frame: BasisFrame,
 ) -> Tuple[Tuple[complex, ...], Tuple[complex, ...], Tuple[float, ...]]:
     """The identity's level and coordinate traces 0..N and telescoping
-    residuals 0..N-1: one row-kernel pass per level, fed a chunk of identity
-    rows at a time, so memory stays O(chunk * k) and no d x d array exists.
+    residuals 0..N-1, one inner product per character and no d x d array.
+
+    Identity band row b at level n is the unit vector at t = takes[b], so
+    ``_band_pass``'s term for it is bit for bit s_b D[t] (``_character_sums``):
+    s_b = -2^{-n} at an anchor (eps_j meets itself, and eps_j^2 = 1),
+    2^{-n-1} at a carrier, and a signed power of two commutes with every
+    rounding.  The terms are summed in ``_band_pass``'s chunks of band rows,
+    so every bit is kept; the level traces read the diagonal of ones.
     """
-    if frame.max_level < 1:
+    top = frame.max_level
+    if top < 1:
         raise TruncationTooSmall("the identity stage telescopes levels 0 and 1")
-
-    def identity_rows(n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        band = _pair_slice(n, frame.max_level)
-        width, chunk = band.stop - band.start, discrepancy._SIGN_CHUNK_ROWS
-        for start in range(0, width, chunk):
-            b = np.arange(start, min(start + chunk, width))
-            yield b, np.eye(b.size, width, start, dtype=np.complex128)
-
-    passes = [_band_pass(identity_rows(n), n, frame) for n in range(frame.max_level + 1)]
-    traces, _, coordinates, residuals = zip(*passes)
-    return traces, coordinates, residuals[:-1]
+    chunk = discrepancy._SIGN_CHUNK_ROWS
+    traces, coordinates, residuals = [], [], []
+    for n in range(top + 1):
+        item, half = frame.data.require(n), 1 << n
+        k, takes = item.table.order, item.split.anchor_index  # the top band: its anchors alone
+        if n < top:
+            takes = np.concatenate([takes, item.split.carrier_index])
+        scale = np.where(np.arange(takes.size) < half, -(2.0 ** (-n)), 2.0 ** (-n - 1))
+        terms = scale * _character_sums(item.table, takes)
+        starts = range(0, takes.size, chunk)
+        # per chunk, as _band_pass sums: all terms, and those of level-n rows
+        total = np.sum([terms[s : s + chunk].sum() for s in starts])
+        own = np.sum([terms[s : min(s + chunk, half)].sum() for s in starts])
+        traces.append(_diagonal_trace(np.ones(half), n))
+        coordinates.append(complex(-own / k))
+        residuals.append(abs(_diagonal_trace(np.ones(2 * half), n + 1) - traces[-1] - complex(total / k)))
+    return tuple(traces), tuple(coordinates), tuple(residuals[:-1])  # no residual at the top
 
 
 @dataclass(frozen=True)
@@ -670,8 +707,8 @@ def ap_experiment(
 
     The identity keeps level trace 1 at every level: its matrix traces,
     its coordinate traces (through the realized basis) and its telescoping
-    residuals come from ``identity_stage``, which makes the identity a
-    chunk of rows at a time and never as a d x d array.  Random finite-rank
+    residuals come from ``identity_stage``, one inner product per
+    character and never a d x d array.  Random finite-rank
     operators, given by their filled rows, have exactly zero trace above
     their support,
     and the compact-family norms stay under the certified envelope; the

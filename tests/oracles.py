@@ -16,22 +16,43 @@ before it read each sign kernel once and read operators by their rows: one
 pair of kernel passes per level, dense functional products, and the
 column route (the k x d image of a forward FFT down T's columns, with its
 k x k coordinates).  ``identity_stage_oracle`` is the dense d x d identity
-that ``identity_stage`` no longer forms, and ``rank_one_sum`` the dense
-d x d matrix that finite-rank operators no longer are.
+that ``identity_stage`` no longer forms, read by the row kernel, and
+``rank_one_sum`` the dense d x d matrix that finite-rank operators no
+longer are.  ``numeric_distance_upper`` is the sampling oracle that
+upper-bounds the distance to Euclidean space of a span of up to four
+vectors (acceptance criterion 10).  ``lower_rows_oracle`` is the sign kernel with its exponents
+reduced entry by entry (int64 ``np.outer`` and ``%``) and its signs
+multiplied in, as ``aplab.discrepancy.lower_rows`` did before it advanced
+them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from aplab.characters import CharacterTable, block_size
+from aplab import discrepancy
 from aplab.discrepancy import CharacterSplit, ConstructionData, balance_values, lower_rows
-from aplab.errors import BadParameter, FormUnavailable, IndexOutOfRange
-from aplab.mixed_norm import ExponentSchedule, MixedNormVector
-from aplab.obstruction import BasisFrame, basis_index, level_trace, telescope_residual
+from aplab.errors import (
+    BadParameter,
+    DegenerateBasis,
+    DimensionTooLarge,
+    FormUnavailable,
+    IndexOutOfRange,
+)
+from aplab.mixed_norm import ExponentSchedule, MixedNormVector, z_norms_rows
+from aplab.obstruction import (
+    BasisFrame,
+    _band_pass,
+    _band_rows,
+    _pair_slice,
+    basis_index,
+    level_trace,
+)
 
 
 def coeff_functional(
@@ -196,12 +217,32 @@ def telescope_residual_oracle(matrix: np.ndarray, n: int, frame: BasisFrame) -> 
     return abs(lhs - complex(np.trace(image_coords) / block_size(n)))
 
 
-def identity_stage_oracle(frame: BasisFrame) -> Tuple[Tuple[complex, ...], Tuple[float, ...]]:
-    """The identity's level traces and telescoping residuals from the dense d x d identity,
-    read as its d filled rows."""
-    ident = np.eye(frame.dim, dtype=np.complex128)
-    traces = tuple(level_trace(ident, n) for n in range(frame.max_level + 1))
-    return traces, tuple(telescope_residual(ident, n, frame) for n in range(frame.max_level))
+def identity_stage_oracle(
+    frame: BasisFrame,
+) -> Tuple[Tuple[complex, ...], Tuple[complex, ...], Tuple[float, ...]]:
+    """The identity's level traces, coordinate traces and telescoping residuals
+    from the row kernel (``_band_pass``) run on the dense d x d identity."""
+    ident, top = np.eye(frame.dim, dtype=np.complex128), frame.max_level
+    rows = np.arange(frame.dim)
+    passes = [_band_pass(_band_rows(rows, ident, _pair_slice(n, top)), n, frame) for n in range(top + 1)]
+    traces, _, coordinates, residuals = zip(*passes)
+    return traces, coordinates, residuals[:-1]
+
+
+def lower_rows_oracle(
+    n: int, data: ConstructionData, eps: np.ndarray, rows: int
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """``lower_rows`` with eps * roots[np.outer(h, carriers) % k_below] placed at the anchors."""
+    here, below = data.require(n), data.require(n - 1)
+    k, k_below = here.table.order, below.table.order
+    anchors, carriers = here.split.anchor_index, below.split.carrier_index
+    roots = below.table.roots()
+    chunk = min(discrepancy._SIGN_CHUNK_ROWS, rows)
+    placed = np.zeros((chunk, k), dtype=np.complex128)
+    for start in range(0, rows, chunk):
+        h = np.arange(start, min(start + chunk, rows))
+        placed[: len(h), anchors] = eps * roots[np.outer(h, carriers) % k_below]
+        yield start, np.fft.fft(placed[: len(h)], axis=1)
 
 
 def rank_one_sum(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -211,3 +252,123 @@ def rank_one_sum(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     for row, value in zip(rows, values):
         matrix[row] += value
     return matrix
+
+
+@dataclass(frozen=True)
+class DistanceEstimate:
+    """Norm-ratio estimate over the Euclidean coefficient sphere.
+
+    ``ratio`` approaches the true max/min ratio from below as sampling is
+    refined; ``sampling_error`` is a conservative allowance for the
+    remaining gap, derived from the Lipschitz constant of the norm and the
+    start-point coverage.
+    """
+
+    ratio: float
+    max_norm: float
+    min_norm: float
+    sampling_error: float
+    samples: int
+
+
+def numeric_distance_upper(
+    basis: Sequence[MixedNormVector],
+    samples: int = 256,
+    seed: int = 0,
+) -> DistanceEstimate:
+    """Estimate max/min of the mixed norm over the unit coefficient sphere.
+
+    Handles spans of at most four vectors.  Deterministic multistart
+    (coordinate vertices, real and imaginary diagonals, seeded random
+    points) followed by shrinking local refinement; the result is a lower
+    estimate of the coordinate-map condition number, reported as an upper
+    bound on the distance to Euclidean space with its sampling error.
+    """
+    d = len(basis)
+    if d == 0:
+        raise BadParameter("at least one vector is required")
+    if d > 4:
+        raise DimensionTooLarge(f"the oracle handles at most 4 vectors, got {d}")
+    if samples < 1:
+        raise BadParameter(f"samples must be >= 1, got {samples}")
+    schedule = basis[0].schedule
+    if any(v.schedule != schedule for v in basis):
+        raise BadParameter("all vectors must share one schedule")
+
+    levels = sorted({m for v in basis for m in v.support_levels()})
+    if not levels:
+        raise DegenerateBasis("all vectors are zero")
+    stacks: Dict[int, np.ndarray] = {}
+    for m in levels:
+        rows = [
+            v.block(m) if v.block(m) is not None else np.zeros(block_size(m), dtype=np.complex128)
+            for v in basis
+        ]
+        stacks[m] = np.stack(rows)
+
+    flat = np.hstack([stacks[m] for m in levels])
+    sing = np.linalg.svd(flat, compute_uv=False)
+    if sing[-1] <= 1e-10 * sing[0]:
+        raise DegenerateBasis("basis vectors are numerically dependent")
+
+    def norms_of(cs: np.ndarray) -> np.ndarray:
+        blocks = {m: cs @ stacks[m] for m in levels}
+        return z_norms_rows(schedule, blocks)
+
+    starts: List[np.ndarray] = []
+    eye = np.eye(d, dtype=np.complex128)
+    starts.extend(eye)
+    for i in range(d):
+        for j in range(i + 1, d):
+            for phase in (1.0, -1.0, 1.0j, -1.0j):
+                starts.append((eye[i] + phase * eye[j]) / math.sqrt(2.0))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 606))))
+    rand = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))
+    rand /= np.linalg.norm(rand, axis=1, keepdims=True)
+    points = np.vstack([np.stack(starts), rand])
+
+    vals = norms_of(points)
+    c_max = points[int(np.argmax(vals))]
+    c_min = points[int(np.argmin(vals))]
+
+    def refine(c0: np.ndarray, maximize: bool, stream: int) -> Tuple[np.ndarray, float]:
+        local = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence((seed, 607, stream)))
+        )
+        c = c0.copy()
+        best = float(norms_of(c[None, :])[0])
+        step = 0.25
+        while step > 1e-10:
+            props = c[None, :] + step * (
+                local.standard_normal((32, d)) + 1j * local.standard_normal((32, d))
+            )
+            props /= np.linalg.norm(props, axis=1, keepdims=True)
+            pv = norms_of(props)
+            idx = int(np.argmax(pv)) if maximize else int(np.argmin(pv))
+            cand = float(pv[idx])
+            if (cand > best) if maximize else (cand < best):
+                c = props[idx]
+                best = cand
+            else:
+                step *= 0.5
+        return c, best
+
+    _, max_norm = refine(c_max, maximize=True, stream=0)
+    _, min_norm = refine(c_min, maximize=False, stream=1)
+
+    vec_norms = norms_of(eye)
+    lipschitz = float(np.sqrt((vec_norms**2).sum()))
+    coverage = 2.0 * len(points) ** (-1.0 / max(1, 2 * d - 1))
+    slack = lipschitz * coverage
+    if min_norm - slack > 0:
+        error = (max_norm + slack) / (min_norm - slack) - max_norm / min_norm
+    else:
+        error = math.inf
+    ratio = max(1.0, max_norm / min_norm)
+    return DistanceEstimate(
+        ratio=ratio,
+        max_norm=max_norm,
+        min_norm=min_norm,
+        sampling_error=error,
+        samples=len(points),
+    )

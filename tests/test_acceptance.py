@@ -20,10 +20,10 @@ from aplab.discrepancy import search_character_split, search_signs
 from aplab.mixed_norm import ExponentSchedule, MixedNormVector, compactness_sequence
 from aplab.moduli import (
     distance_bound,
-    numeric_distance_upper,
     split_sequence,
     witness_point,
 )
+from oracles import numeric_distance_upper
 
 SEED = 7
 

@@ -46,6 +46,7 @@ from oracles import (
     cross_lower_oracle,
     cross_matrix_from_values,
     cross_upper_oracle,
+    lower_rows_oracle,
 )
 from strategies import constructions
 
@@ -334,6 +335,21 @@ def test_lower_block_rows_mirror_by_conjugation(case):
         modulus = np.abs(np.concatenate(spectra))
         mirror = modulus[-np.arange(rows) % rows][:, -np.arange(k) % k]
         assert np.all(np.abs(modulus - mirror) <= bound * modulus.max(axis=1, keepdims=True))
+
+
+@given(constructions(max_top=6))
+def test_lower_rows_equal_the_reduced_exponent_gather_bit_for_bit(case):
+    # the advanced exponents and the signs folded into the roots table give
+    # the FFT the same input as eps * roots[np.outer(h, carriers) % k_below],
+    # so every spectrum entry keeps its bits, zeros' signs included
+    top, data = case
+    for chunk, n in itertools.product((discrepancy._SIGN_CHUNK_ROWS, 2, 3), range(1, top + 1)):
+        eps = data.require(n).require_signs().eps
+        rows = data.require(n - 1).table.order
+        with mock.patch.object(discrepancy, "_SIGN_CHUNK_ROWS", chunk):
+            fast = np.concatenate([s for _, s in discrepancy.lower_rows(n, data, eps, rows)])
+            slow = np.concatenate([s for _, s in lower_rows_oracle(n, data, eps, rows)])
+        assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
 
 
 def test_cross_block_manual_double_sum():

@@ -13,10 +13,10 @@ from aplab.moduli import (
     TypeCotypeConstants,
     distance_bound,
     growth_envelope_check,
-    numeric_distance_upper,
     split_sequence,
     witness_point,
 )
+from oracles import numeric_distance_upper
 
 
 # ---------------------------------------------------------------- witness curve

@@ -198,7 +198,7 @@ def test_moduli_exits_with_a_code_for_every_m_sample(tmp_path_factory, m):
 
 @settings(max_examples=25)
 @given(flag=st.sampled_from(["--tol", "--c1", "--c2"]),
-       value=st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-9", "2"]))
+       value=st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-9", "2", "1e154", "1e200", "1.7e308"]))
 def test_build_exits_with_a_code_for_every_config_value(tmp_path_factory, flag, value):
     out = tmp_path_factory.mktemp("config-value")
     args = ("build", "--max-level", "1", "--budget", "4", "--sign-budget", "2", f"{flag}={value}")
@@ -229,6 +229,22 @@ def test_cli_refuses_a_non_finite_config_value(tmp_path, capsys, flag, value):
         assert _run(*args, "--schedule", "log", f"{flag}={value}", "--out", str(out)) == 2, args
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cli_refuses_c1_and_c2_whose_iso_constant_overflows(tmp_path, capsys):
+    # 2*sqrt(2)*c1*c2 is the witnesses' iso constant; past the largest
+    # float it would be stored as null
+    for c1, c2 in (("1e200", "1e200"), ("1.7e308", "1")):
+        for args in (("build", "--max-level", "1"), ("moduli", "--depth", "1", "--m-samples", "32")):
+            out = tmp_path / args[0]
+            assert _run(*args, "--schedule", "log", "--c1", c1, "--c2", c2, "--out", str(out)) == 2
+            assert "finite" in capsys.readouterr().err
+            assert not out.exists()
+    out = tmp_path / "large"
+    assert _run("moduli", "--schedule", "log", "--depth", "1", "--m-samples", "32",
+                "--c1", "1e154", "--c2", "1e153", "--out", str(out)) == 0
+    rows = json.loads((out / "moduli/witness.json").read_text())["rows"]
+    assert rows[0]["iso_constant"] == 2.0 * math.sqrt(2.0) * 1e154 * 1e153
 
 
 def test_moduli_finds_each_witness_once(tmp_path, monkeypatch):
