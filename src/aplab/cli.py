@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -29,8 +29,6 @@ from .discrepancy import (
     SignPattern,
     certify_constants,
     cross_bound_scale,
-    is_int,
-    is_number,
     search_character_split,
     search_signs,
     sign_draw,
@@ -47,7 +45,7 @@ from .moduli import (
     split_sequence,
     witness_point,
 )
-from .store import EXACT_INT_BITS, MANIFEST_NAME, ArtifactStore
+from .store import EXACT_INT_BITS, MANIFEST_NAME, ArtifactStore, from_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -81,11 +79,6 @@ class RunConfig:
     out: Path
 
     def __post_init__(self) -> None:
-        counts = ("max_level", "seed", "budget", "sign_budget")
-        if any(isinstance(getattr(self, name), bool) for name in (*counts, "tol", "c1", "c2")):
-            raise BadParameter("config values must be numbers, not true or false")
-        if not all(isinstance(getattr(self, name), int) for name in counts):
-            raise BadParameter(f"{', '.join(counts)} must be integers")
         if self.max_level < 1:
             raise BadParameter(f"max level must be >= 1, got {self.max_level}")
         if self.budget < 1 or self.sign_budget < 1:
@@ -98,8 +91,7 @@ class RunConfig:
             raise BadParameter(f"c1 = {self.c1} and c2 = {self.c2} make 2*sqrt(2)*c1*c2 overflow; it must be finite")
 
     def to_payload(self) -> Dict:
-        payload = {k: v for k, v in asdict(self).items() if k != "out"}
-        return {**payload, "schedule": self.schedule.to_config()}
+        return {**_record(self, "out"), "schedule": self.schedule.to_config()}
 
 
 def build_levels(
@@ -150,18 +142,17 @@ def _level_path(n: int) -> str:
     return f"levels/level_{n:02d}.json"
 
 
+def _record(item: Any, fixed: str) -> Dict:
+    """A record's fields less ``fixed``, which its file's place gives ``from_json`` back."""
+    return {f.name: getattr(item, f.name) for f in fields(item) if f.name != fixed}
+
+
 def _level_payload(item: LevelData) -> Dict:
-    signs = item.require_signs()
     return {
         "level": item.level,
         "order": item.table.order,
-        "split": {
-            "anchors": item.split.anchors,
-            "carriers": item.split.carriers,
-            "discrepancy": item.split.discrepancy,
-            "draws": item.split.draws,
-        },
-        "signs": {"signs": signs.signs, "objective": signs.objective, "draws": signs.draws},
+        "split": _record(item.split, "level"),
+        "signs": _record(item.require_signs(), "level"),
     }
 
 
@@ -172,12 +163,6 @@ def _stored(path: str | Path) -> Iterator[None]:
         yield
     except (KeyError, TypeError, ValueError) as exc:  # PartitionInvalid is a ValueError
         raise CheckFailed(f"{path}: {exc!r}") from exc
-
-
-def _number(value: Any, test: Callable[[object], bool] = is_number) -> Any:
-    if not test(value):  # inside ``_stored``, the failure names the file
-        raise TypeError(f"{value!r} fails {test.__name__}")
-    return value
 
 
 def _draws_fit(split: CharacterSplit, signs: SignPattern, k: int, config: RunConfig) -> bool:
@@ -209,22 +194,18 @@ def load_data(store: ArtifactStore, config: RunConfig) -> ConstructionData:
     """Rebuild construction data from stored level payloads, the one place a
     stored level is checked.  A level file whose level or order is not the
     integer it should be, that is not a split with signs, whose split or
-    signs ``CharacterSplit`` or ``SignPattern`` refuses, whose discrepancy
-    or objective is no JSON number, or whose draws do not fit the config's
-    searches, fails the check."""
+    signs ``from_json`` or the classes refuse, or whose draws do not fit the
+    config's searches, fails the check."""
     data = ConstructionData()
     for n in range(config.max_level + 1):
         path = _level_path(n)
         table = CharacterTable(build_group(n))
         with _stored(path):
             payload: Any = store.read_json(path)
-            for key, want in (("level", n), ("order", table.order)):
-                if not is_int(payload[key]) or payload[key] != want:
-                    raise CheckFailed(f"{path}: {key} {payload[key]!r} is not {want}")
-            s, e = payload["split"], payload["signs"]
-            anchors, carriers = tuple(s["anchors"]), tuple(s["carriers"])
-            split = CharacterSplit(n, anchors, carriers, _number(s["discrepancy"]), s["draws"])
-            signs = SignPattern(n, tuple(e["signs"]), _number(e["objective"]), e["draws"])
+            if (from_json(int, payload["level"]), from_json(int, payload["order"])) != (n, table.order):
+                raise CheckFailed(f"{path}: level and order are not {n} and {table.order}")
+            split = from_json(CharacterSplit, payload["split"], level=n)
+            signs = from_json(SignPattern, payload["signs"], level=n)
             if not _draws_fit(split, signs, table.order, config):
                 raise CheckFailed(
                     f"{path}: split draws {split.draws} or sign draws {signs.draws} "
@@ -234,30 +215,10 @@ def load_data(store: ArtifactStore, config: RunConfig) -> ConstructionData:
     return data
 
 
-@dataclass(frozen=True)
-class _StoredConstants:
-    """The entries of constants.json that verify and ap read."""
-
-    cross_constant: float
-    split_rows: Dict[int, Tuple[float, float]]  # level -> (scale, recomputed)
-    cross_overall: Dict[int, float]  # level -> overall
-
-
-def _load_constants(store: ArtifactStore) -> _StoredConstants:
-    """Read constants.json once; a missing or malformed entry fails the check naming it."""
-    path = "constants.json"
-    with _stored(path):
-        raw: Any = store.read_json(path)
-        return _StoredConstants(
-            cross_constant=_number(raw["cross_constant"]),
-            split_rows={
-                _number(r["level"], is_int): (_number(r["scale"]), _number(r["recomputed"]))
-                for r in raw["split_rows"]
-            },
-            cross_overall={
-                _number(r["level"], is_int): _number(r["overall"]) for r in raw["cross_rows"]
-            },
-        )
+def _load_constants(store: ArtifactStore) -> CertifiedConstants:
+    """Read constants.json once; a missing or malformed entry fails the check naming the file."""
+    with _stored("constants.json"):
+        return from_json(CertifiedConstants, store.read_json("constants.json"))
 
 
 def cmd_build(config: RunConfig) -> int:
@@ -306,7 +267,7 @@ class _Audit:
 
     config: RunConfig
     data: ConstructionData
-    stored: _StoredConstants
+    stored: CertifiedConstants
     fresh: CertifiedConstants
     family: obstruction.TelescopeFamily
     stale: List[str]  # files whose bytes no longer match the manifest
@@ -326,7 +287,7 @@ def _orthogonality(a: _Audit) -> Iterator[tuple]:
 
 
 def _balance(a: _Audit) -> Iterator[tuple]:
-    stored = a.stored.split_rows
+    stored = {r.level: (r.scale, r.recomputed) for r in a.stored.split_rows}
     for row in a.fresh.split_rows:
         yield "balance-discrepancy-drift", row.level, row.drift, a.config.tol
         # a level without its stored row fails with drift inf, as in _cross_blocks
@@ -337,7 +298,7 @@ def _balance(a: _Audit) -> Iterator[tuple]:
 
 
 def _cross_blocks(a: _Audit) -> Iterator[tuple]:
-    stored = a.stored.cross_overall
+    stored = {r.level: r.overall for r in a.stored.cross_rows}
     for row in a.fresh.cross_rows:
         drift = abs(row.overall - stored[row.level]) if row.level in stored else math.inf
         passed = row.ratio <= ACCEPT_CONSTANT and drift <= a.config.tol
@@ -617,10 +578,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.command in ("verify", "ap") or (args.command == "moduli" and config_path.exists()):
         with _stored(config_path):
             raw: Any = ArtifactStore(args.out).read_json("config.json")
-            stored = {k: raw[k] for k in BUILD_DEFAULTS}
-            stored["schedule"] = ExponentSchedule.from_config(raw["schedule"])
-            config = RunConfig(**stored, out=Path(args.out))
-        clashes = [k for k in given if values[k] != stored[k]]
+            config = from_json(RunConfig, raw, out=Path(args.out))
+        clashes = [k for k in given if values[k] != getattr(config, k)]
         if clashes:
             raise BadParameter("; ".join(
                 f"{flags[k]} conflicts with {k} {raw[k]} in {config_path}"

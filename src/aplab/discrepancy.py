@@ -80,11 +80,6 @@ def is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def is_number(x: object) -> bool:
-    """Whether ``x`` is an integer or a float; a bool (JSON true) or a string is not."""
-    return is_int(x) or isinstance(x, float)
-
-
 def _check_draws(draws: int) -> None:
     if not is_int(draws) or draws < 1:
         raise BadParameter(f"draws must be a positive integer, got {draws!r}")

