@@ -13,13 +13,7 @@ from .discrepancy import (
     search_signs,
     split_discrepancy,
 )
-from .mixed_norm import (
-    ExponentSchedule,
-    MixedNormVector,
-    compactness_sequence,
-    flatness_index,
-    z_norm,
-)
+from .mixed_norm import ExponentSchedule, compactness_sequence
 
 __version__ = "0.1.0"
 
@@ -30,16 +24,13 @@ __all__ = [
     "ExponentSchedule",
     "Group",
     "LevelData",
-    "MixedNormVector",
     "SignPattern",
     "build_group",
     "certify_constants",
     "compactness_sequence",
-    "flatness_index",
     "search_character_split",
     "search_signs",
     "split_discrepancy",
     "verify_orthogonality",
-    "z_norm",
     "__version__",
 ]

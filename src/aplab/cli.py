@@ -202,10 +202,11 @@ def load_data(store: ArtifactStore, config: RunConfig) -> ConstructionData:
         table = CharacterTable(build_group(n))
         with _stored(path):
             payload: Any = store.read_json(path)
-            if (from_json(int, payload["level"]), from_json(int, payload["order"])) != (n, table.order):
+            stated = from_json(int, payload["level"], "level"), from_json(int, payload["order"], "order")
+            if stated != (n, table.order):
                 raise CheckFailed(f"{path}: level and order are not {n} and {table.order}")
-            split = from_json(CharacterSplit, payload["split"], level=n)
-            signs = from_json(SignPattern, payload["signs"], level=n)
+            split = from_json(CharacterSplit, payload["split"], "split", level=n)
+            signs = from_json(SignPattern, payload["signs"], "signs", level=n)
             if not _draws_fit(split, signs, table.order, config):
                 raise CheckFailed(
                     f"{path}: split draws {split.draws} or sign draws {signs.draws} "

@@ -41,14 +41,6 @@ class DepthUnreachable(AplabError):
     """The split sequence cannot be extended to the requested depth."""
 
 
-class DimensionTooLarge(AplabError, ValueError):
-    """The numeric distance oracle only handles very small dimensions."""
-
-
-class DegenerateBasis(AplabError, ValueError):
-    """Basis vectors passed to the distance oracle are linearly dependent."""
-
-
 class MissingArtifact(AplabError, FileNotFoundError):
     """A command requires stored artifacts that are not present."""
 

@@ -1,4 +1,4 @@
-"""Block exponent schedules and the mixed-norm sequence space.
+"""Block exponent schedules and the mixed norm of the sequence space.
 
 A vector is a finitely supported complex function on the disjoint union of
 the level groups.  Level n holds 3*2^n coordinates measured in l_{p_n}, and
@@ -6,25 +6,29 @@ the block norms combine in l_2:
 
     norm(f) = ( sum_n ( sum_{g in level n} |f(g)|^{p_n} )^{2/p_n} )^{1/2}
 
+``z_norms_rows`` takes this norm of many vectors at once, each given by its
+rows of level blocks; the literal one-vector type and its norm are test
+oracles (``tests/oracles.py``).
+
 Schedules keep the block exponents p_n inside (2, 3] by clamping the gap
 delta_n = 1/2 - 1/p_n at 1/6 (p = 3); both built-in rate formulas leave the
-admissible range at small n, where the clamp takes over.  Vectors are
-immutable and all functions are pure.
+admissible range at small n, where the clamp takes over.  All functions are
+pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Mapping
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .characters import block_size, read_only
 from .errors import BadParameter
 
 GAP_CEILING = 1.0 / 6.0  # largest admissible gap 1/2 - 1/p, i.e. p = 3
+_CONFIG_KEYS = {"power": {"kind", "alpha"}, "log": {"kind"}, "explicit": {"kind", "p"}}
 
 
 @dataclass(frozen=True)
@@ -78,22 +82,26 @@ class ExponentSchedule:
 
     @classmethod
     def from_config(cls, spec: Mapping) -> "ExponentSchedule":
-        """The schedule ``spec`` describes; BadParameter if a key is missing or no number."""
+        """The schedule ``spec`` describes; BadParameter unless it holds exactly
+        its kind's keys (``_CONFIG_KEYS``) with numbers where numbers belong."""
         if not isinstance(spec, Mapping):
             raise BadParameter(f"schedule config must be a JSON object, got {spec!r}")
         kind = spec.get("kind")
+        keys = _CONFIG_KEYS.get(kind) if isinstance(kind, str) else None
+        if keys is None:
+            raise BadParameter(f"unknown schedule config {spec!r}")
+        if set(spec) != keys:
+            raise BadParameter(f"schedule config {spec!r} must hold the keys {sorted(keys)}")
         # imported on use: the store's hashlib, loaded at import, raised build peak RSS 0.2 MiB
         from .store import from_json
         try:
             if kind == "power":
-                return cls.power(from_json(float, spec["alpha"]))
-            if kind == "log":
-                return cls.log_rate()
+                return cls.power(from_json(float, spec["alpha"], "alpha"))
             if kind == "explicit":
-                return cls.explicit(from_json(float, p) for p in spec["p"])
-        except (KeyError, TypeError) as exc:
+                return cls.explicit(from_json(float, p, "p") for p in spec["p"])
+        except TypeError as exc:
             raise BadParameter(f"schedule config {spec!r}: {exc!r}") from exc
-        raise BadParameter(f"unknown schedule config {spec!r}")
+        return cls.log_rate()
 
     def to_config(self) -> Dict:
         if self.kind == "power":
@@ -142,12 +150,6 @@ class ExponentSchedule:
         return n * self.gap(n + 1)
 
 
-def flatness_index(schedule: ExponentSchedule, n: int) -> float:
-    """Distortion index (3*2^n)^{1/2 - 1/p_n} of the level-n block."""
-    gap = schedule.gap(n)
-    return float(2.0 ** (gap * (math.log2(3.0) + n)))
-
-
 def compactness_sequence(schedule: ExponentSchedule, n: int) -> float:
     """Decay sequence (n+1)^{5/2} * 2^{-rate_exponent(n)}.
 
@@ -156,73 +158,6 @@ def compactness_sequence(schedule: ExponentSchedule, n: int) -> float:
     (n+1)^{-1/2} up to roundoff.
     """
     return float((n + 1) ** 2.5 * 2.0 ** (-schedule.rate_exponent(n)))
-
-
-@dataclass(frozen=True)
-class MixedNormVector:
-    """Finitely supported vector: one complex block per occupied level."""
-
-    schedule: ExponentSchedule
-    blocks: Dict[int, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        clean: Dict[int, np.ndarray] = {}
-        for level in sorted(self.blocks):
-            arr = self.blocks[level]
-            if level < 0:
-                raise BadParameter(f"negative level {level}")
-            if len(arr) != block_size(level):
-                raise BadParameter(
-                    f"level {level} block must have {block_size(level)} coordinates, got {len(arr)}"
-                )
-            clean[level] = read_only(arr, np.complex128)
-        object.__setattr__(self, "blocks", clean)
-
-    @classmethod
-    def single(
-        cls, schedule: ExponentSchedule, level: int, g: int, value: complex = 1.0
-    ) -> "MixedNormVector":
-        block = np.zeros(block_size(level), dtype=np.complex128)
-        block[g] = value
-        return cls(schedule=schedule, blocks={level: block})
-
-    def support_levels(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.blocks))
-
-    def block(self, level: int) -> Optional[np.ndarray]:
-        return self.blocks.get(level)
-
-    def scale(self, factor: complex) -> "MixedNormVector":
-        return MixedNormVector(
-            schedule=self.schedule,
-            blocks={n: factor * blk for n, blk in self.blocks.items()},
-        )
-
-    def add(self, other: "MixedNormVector") -> "MixedNormVector":
-        if other.schedule != self.schedule:
-            raise BadParameter("cannot add vectors over different schedules")
-        out: Dict[int, np.ndarray] = {n: blk.copy() for n, blk in self.blocks.items()}
-        for n, blk in other.blocks.items():
-            if n in out:
-                out[n] = out[n] + blk
-            else:
-                out[n] = blk.copy()
-        return MixedNormVector(schedule=self.schedule, blocks=out)
-
-
-def z_norm(f: MixedNormVector) -> float:
-    """Mixed norm: l_2 combination of the per-level l_{p_n} block norms.
-
-    Block sums accumulate through ``math.fsum`` so large blocks do not lose
-    low-order bits.
-    """
-    terms = []
-    for level in sorted(f.blocks):
-        p = f.schedule.p(level)
-        mags = np.abs(f.blocks[level])
-        s = math.fsum(float(x) for x in mags**p)
-        terms.append(s ** (2.0 / p))
-    return math.sqrt(math.fsum(terms)) if terms else 0.0
 
 
 def z_norms_rows(

@@ -138,32 +138,6 @@ class WitnessPoint:
 
 
 @dataclass(frozen=True)
-class DistanceBound:
-    """Distance-to-Euclidean bound sqrt(2)*c1*c2*m^{1/2 - 1/p} with its cap."""
-
-    value: float
-    cap: float
-    cap_applies: bool
-
-
-def distance_bound(
-    m: int, p: float, constants: TypeCotypeConstants = TypeCotypeConstants()
-) -> DistanceBound:
-    """Cotype-chain bound for an m-dimensional subspace of an l_p tail."""
-    if m < 1:
-        raise BadParameter(f"dimension must be >= 1, got {m}")
-    if not 2.0 < p <= 3.0:
-        raise BadParameter(f"block exponent must lie in (2, 3], got {p}")
-    growth = 2.0 ** ((0.5 - 1.0 / p) * math.log2(m))
-    value = math.sqrt(2.0) * constants.c1 * constants.c2 * growth
-    return DistanceBound(
-        value=value,
-        cap=constants.iso_constant,
-        cap_applies=growth <= 2.0,
-    )
-
-
-@dataclass(frozen=True)
 class EnvelopeRow:
     m: int
     skipped: bool

@@ -31,9 +31,12 @@ residual, the level traces and the coordinate trace, and ``trace_limit``
 reads the family through the coordinates of T's values, so no d x d or
 k x d array is formed for an operator given by its rows.  An identity row
 is one character, so ``identity_stage`` takes the kernel's sums one
-inner product per character.  The frame matrices and the deviations
-built on them are test references (see ``cli.cmd_verify``); the literal
-one-vector sums are in ``tests/oracles.py``.
+inner product per character.  ``trace_limit`` and ``ap``'s base vector
+norm take their mixed norms from ``mixed_norm.z_norms_rows``, and
+``telescope_norms`` sums the same powers inside its kernel pass.  The frame
+matrices and the deviations built on them are test references (see
+``cli.cmd_verify``); the literal one-vector sums, basis vectors and norm
+are in ``tests/oracles.py``.
 
 Everything here is pure: no function writes to an array it is given.
 """
@@ -56,7 +59,6 @@ from .discrepancy import (
     lower_rows,
     middle_block,
     split_discrepancy,  # unused here; kept so profilers can wrap it by this name
-    cross_bound_scale,
 )
 from .errors import (
     BadParameter,
@@ -64,13 +66,7 @@ from .errors import (
     IndexOutOfRange,
     TruncationTooSmall,
 )
-from .mixed_norm import (
-    ExponentSchedule,
-    MixedNormVector,
-    compactness_sequence,
-    z_norm,
-    z_norms_rows,
-)
+from .mixed_norm import ExponentSchedule, compactness_sequence, z_norms_rows
 
 NORM_CHAIN_FACTOR = 3.0 * math.sqrt(2.0)
 
@@ -98,22 +94,6 @@ def _pair_slice(n: int, top: int) -> slice:
     if not 0 <= n <= top:
         raise IndexOutOfRange(f"level {n} outside truncation 0..{top}")
     return slice((1 << n) - 1, (1 << (min(n + 1, top) + 1)) - 1)
-
-
-def basis_vector(
-    n: int, j: int, data: ConstructionData, schedule: ExponentSchedule
-) -> MixedNormVector:
-    """Basis vector (n, j) realized on its two supporting blocks."""
-    basis_index(n, j)  # validates the range
-    here = data.require(n)
-    signs = here.require_signs().signs
-    blocks: Dict[int, np.ndarray] = {
-        n: signs[j - 1] * here.table.rows([here.split.anchors[j - 1]])[0]
-    }
-    if n >= 1:
-        below = data.require(n - 1)
-        blocks[n - 1] = below.table.rows([below.split.carriers[j - 1]])[0]
-    return MixedNormVector(schedule=schedule, blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -192,8 +172,6 @@ class NormBoundReport:
     level: int
     max_norm: float
     bound: float
-    chain_terms: Tuple[float, ...]
-    chain_bound: float
 
 
 def check_norm_bound(
@@ -205,26 +183,14 @@ def check_norm_bound(
     """The largest norm of the level-n telescoping vectors, given their
     ``norms`` (``telescope_norms(...).norms[n]``), and its envelope.
 
-    The bound is 3*sqrt(2)*constant*(n+1)^{1/2} * 2^{-n * gap(n+1)}; the
-    three-block chain that produces it is recomputed for display.  The
+    The bound is 3*sqrt(2)*constant*(n+1)^{1/2} * 2^{-n * gap(n+1)}.  The
     caller holds the norm against the bound.
     """
     if n < 1:
         raise BadParameter("norm bound reports start at level 1")
-    max_norm = float(norms.max())
     gap_next = schedule.gap(n + 1)
     bound = NORM_CHAIN_FACTOR * constant * math.sqrt(n + 1.0) * 2.0 ** (-n * gap_next)
-    point = (constant * cross_bound_scale(n)) ** 2
-    chain_terms = tuple(
-        point * block_size(m) ** (2.0 / schedule.p(m)) for m in (n - 1, n, n + 1)
-    )
-    return NormBoundReport(
-        level=n,
-        max_norm=max_norm,
-        bound=bound,
-        chain_terms=chain_terms,
-        chain_bound=math.sqrt(sum(chain_terms)),
-    )
+    return NormBoundReport(level=n, max_norm=float(norms.max()), bound=bound)
 
 
 # ----------------------------------------------------------------------
@@ -742,13 +708,15 @@ def ap_experiment(
         )
         for n in range(1, top)
     ]
+    base = frame.data.require(0)  # basis vector (0, 1) is eps_1 chi_{anchor_1} on level 0
+    base_block = base.require_signs().signs[0] * base.table.rows([base.split.anchors[0]])
 
     return ObstructionReport(
         max_level=top,
         identity_trace=tuple(identity_rows),
         identity_telescope_residuals=identity_residuals,
         finite_rank=tuple(rank_rows),
-        base_vector_norm=z_norm(basis_vector(0, 1, frame.data, frame.schedule)),
+        base_vector_norm=float(z_norms_rows(frame.schedule, {0: base_block})[0]),
         compact_family=tuple(compact_rows),
         cross_constant=cross_constant,
         provenance=dict(provenance or {}),

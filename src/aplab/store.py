@@ -67,7 +67,7 @@ _field_types = lru_cache(maxsize=None)(get_type_hints)  # one resolution per cla
 _TAKES = {int: int, float: (int, float), list: list}  # a bool is none of them
 
 
-def from_json(cls: Any, raw: Any, **given: Any) -> Any:
+def from_json(cls: Any, raw: Any, at: str = "", **given: Any) -> Any:
     """Read ``raw``, as parsed from JSON, back into ``cls``, the type it was written as:
     ``int`` (no bool or float), ``float`` (an int too, but no bool, null or
     string), ``list``, a class with ``from_config`` (read through it), a
@@ -75,21 +75,32 @@ def from_json(cls: Any, raw: Any, **given: Any) -> Any:
     it; other keys ignored) or ``Tuple[X, ...]``, a list whose items are read
     as X if X is a dataclass and are otherwise left to the class that holds
     them, so that a long index list is checked once, by that class.  A missing
-    key raises KeyError and a wrongly typed value TypeError."""
+    key raises KeyError and a wrongly typed value TypeError, each naming the
+    entry by its path, as in ``cross_rows[0].max_lower``; ``at`` is the path
+    of ``raw`` itself ("" at the top)."""
+    named = f"{at}: " if at else ""
     if cls in _TAKES:
         if isinstance(raw, bool) or not isinstance(raw, _TAKES[cls]):
-            raise TypeError(f"{raw!r} is no {cls.__name__}")
+            raise TypeError(f"{named}{raw!r} is no {cls.__name__}")
         return raw
     if hasattr(cls, "from_config"):
         return cls.from_config(raw)
     if is_dataclass(cls):
-        types = _field_types(cls)
-        read = {f.name: from_json(types[f.name], raw[f.name])
-                for f in fields(cls) if f.name not in given}
+        if not isinstance(raw, dict):
+            raise TypeError(f"{named}a {type(raw).__name__} is no {cls.__name__} record")
+        types, read = _field_types(cls), {}
+        for f in fields(cls):
+            if f.name not in given:
+                entry = f"{at}.{f.name}" if at else f.name
+                if f.name not in raw:
+                    raise KeyError(entry)
+                read[f.name] = from_json(types[f.name], raw[f.name], entry)
         return cls(**read, **given)
     item = get_args(cls)[0]
-    items = from_json(list, raw)
-    return tuple(from_json(item, x) for x in items) if is_dataclass(item) else tuple(items)
+    items = from_json(list, raw, at)
+    if not is_dataclass(item):
+        return tuple(items)
+    return tuple(from_json(item, x, f"{at}[{i}]") for i, x in enumerate(items))
 
 
 def _format_cell(cell: Cell) -> str:

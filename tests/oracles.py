@@ -1,5 +1,10 @@
 """Literal defining sums, kept as test oracles for the FFT routes in aplab.
 
+``MixedNormVector`` is one finitely supported vector, a complex block per
+occupied level, and ``z_norm`` its mixed norm summed through ``math.fsum``;
+``basis_vector`` realizes basis vector (n, j) on its two blocks.  They are
+the one-vector form of what ``aplab.mixed_norm.z_norms_rows`` and
+``aplab.obstruction.BasisFrame`` do for many rows at once.
 ``coeff_functional`` evaluates one coefficient functional on a vector by its
 integral over a single block, and ``telescope_vector`` builds one
 telescoping vector from its basis expansion, both from the exact-exponent
@@ -20,7 +25,9 @@ that ``identity_stage`` no longer forms, read by the row kernel, and
 ``rank_one_sum`` the dense d x d matrix that finite-rank operators no
 longer are.  ``numeric_distance_upper`` is the sampling oracle that
 upper-bounds the distance to Euclidean space of a span of up to four
-vectors (acceptance criterion 10).  ``lower_rows_oracle`` is the sign kernel with its exponents
+vectors (acceptance criterion 10), and ``distance_bound`` the cotype-chain
+bound on that distance that criterion 9b reads.  ``chain_bound`` is the
+three-block chain of pointwise cross bounds on a telescoping vector's norm.  ``lower_rows_oracle`` is the sign kernel with its exponents
 reduced entry by entry (int64 ``np.outer`` and ``%``) and its signs
 multiplied in, as ``aplab.discrepancy.lower_rows`` did before it advanced
 them.
@@ -29,22 +36,23 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from aplab.characters import CharacterTable, block_size
+from aplab.characters import CharacterTable, block_size, read_only
 from aplab import discrepancy
-from aplab.discrepancy import CharacterSplit, ConstructionData, balance_values, lower_rows
-from aplab.errors import (
-    BadParameter,
-    DegenerateBasis,
-    DimensionTooLarge,
-    FormUnavailable,
-    IndexOutOfRange,
+from aplab.discrepancy import (
+    CharacterSplit,
+    ConstructionData,
+    balance_values,
+    cross_bound_scale,
+    lower_rows,
 )
-from aplab.mixed_norm import ExponentSchedule, MixedNormVector, z_norms_rows
+from aplab.errors import AplabError, BadParameter, FormUnavailable, IndexOutOfRange
+from aplab.mixed_norm import ExponentSchedule, z_norms_rows
+from aplab.moduli import TypeCotypeConstants
 from aplab.obstruction import (
     BasisFrame,
     _band_pass,
@@ -53,6 +61,97 @@ from aplab.obstruction import (
     basis_index,
     level_trace,
 )
+
+
+class DimensionTooLarge(AplabError, ValueError):
+    """The numeric distance oracle only handles very small dimensions."""
+
+
+class DegenerateBasis(AplabError, ValueError):
+    """Basis vectors passed to the distance oracle are linearly dependent."""
+
+
+@dataclass(frozen=True)
+class MixedNormVector:
+    """Finitely supported vector: one complex block per occupied level."""
+
+    schedule: ExponentSchedule
+    blocks: Dict[int, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        clean: Dict[int, np.ndarray] = {}
+        for level in sorted(self.blocks):
+            arr = self.blocks[level]
+            if level < 0:
+                raise BadParameter(f"negative level {level}")
+            if len(arr) != block_size(level):
+                raise BadParameter(
+                    f"level {level} block must have {block_size(level)} coordinates, got {len(arr)}"
+                )
+            clean[level] = read_only(arr, np.complex128)
+        object.__setattr__(self, "blocks", clean)
+
+    @classmethod
+    def single(
+        cls, schedule: ExponentSchedule, level: int, g: int, value: complex = 1.0
+    ) -> "MixedNormVector":
+        block = np.zeros(block_size(level), dtype=np.complex128)
+        block[g] = value
+        return cls(schedule=schedule, blocks={level: block})
+
+    def support_levels(self) -> Tuple[int, ...]:
+        return tuple(sorted(self.blocks))
+
+    def block(self, level: int) -> Optional[np.ndarray]:
+        return self.blocks.get(level)
+
+    def scale(self, factor: complex) -> "MixedNormVector":
+        return MixedNormVector(
+            schedule=self.schedule,
+            blocks={n: factor * blk for n, blk in self.blocks.items()},
+        )
+
+    def add(self, other: "MixedNormVector") -> "MixedNormVector":
+        if other.schedule != self.schedule:
+            raise BadParameter("cannot add vectors over different schedules")
+        out: Dict[int, np.ndarray] = {n: blk.copy() for n, blk in self.blocks.items()}
+        for n, blk in other.blocks.items():
+            if n in out:
+                out[n] = out[n] + blk
+            else:
+                out[n] = blk.copy()
+        return MixedNormVector(schedule=self.schedule, blocks=out)
+
+
+def z_norm(f: MixedNormVector) -> float:
+    """Mixed norm: l_2 combination of the per-level l_{p_n} block norms.
+
+    Block sums accumulate through ``math.fsum`` so large blocks do not lose
+    low-order bits.
+    """
+    terms = []
+    for level in sorted(f.blocks):
+        p = f.schedule.p(level)
+        mags = np.abs(f.blocks[level])
+        s = math.fsum(float(x) for x in mags**p)
+        terms.append(s ** (2.0 / p))
+    return math.sqrt(math.fsum(terms)) if terms else 0.0
+
+
+def basis_vector(
+    n: int, j: int, data: ConstructionData, schedule: ExponentSchedule
+) -> MixedNormVector:
+    """Basis vector (n, j) realized on its two supporting blocks."""
+    basis_index(n, j)  # validates the range
+    here = data.require(n)
+    signs = here.require_signs().signs
+    blocks: Dict[int, np.ndarray] = {
+        n: signs[j - 1] * here.table.rows([here.split.anchors[j - 1]])[0]
+    }
+    if n >= 1:
+        below = data.require(n - 1)
+        blocks[n - 1] = below.table.rows([below.split.carriers[j - 1]])[0]
+    return MixedNormVector(schedule=schedule, blocks=blocks)
 
 
 def coeff_functional(
@@ -245,6 +344,14 @@ def lower_rows_oracle(
         yield start, np.fft.fft(placed[: len(h)], axis=1)
 
 
+def chain_bound(n: int, schedule: ExponentSchedule, constant: float) -> float:
+    """Norm bound of a level-n telescoping vector from its three blocks
+    m = n-1, n, n+1, each of whose k_m entries is at most
+    constant * cross_bound_scale(n) in modulus."""
+    point = (constant * cross_bound_scale(n)) ** 2
+    return math.sqrt(sum(point * block_size(m) ** (2.0 / schedule.p(m)) for m in (n - 1, n, n + 1)))
+
+
 def rank_one_sum(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The dense d x d matrix of the operator with filled rows (rows, values):
     row rows[i] gains values[i], term by term in order."""
@@ -252,6 +359,32 @@ def rank_one_sum(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     for row, value in zip(rows, values):
         matrix[row] += value
     return matrix
+
+
+@dataclass(frozen=True)
+class DistanceBound:
+    """Distance-to-Euclidean bound sqrt(2)*c1*c2*m^{1/2 - 1/p} with its cap."""
+
+    value: float
+    cap: float
+    cap_applies: bool
+
+
+def distance_bound(
+    m: int, p: float, constants: TypeCotypeConstants = TypeCotypeConstants()
+) -> DistanceBound:
+    """Cotype-chain bound for an m-dimensional subspace of an l_p tail."""
+    if m < 1:
+        raise BadParameter(f"dimension must be >= 1, got {m}")
+    if not 2.0 < p <= 3.0:
+        raise BadParameter(f"block exponent must lie in (2, 3], got {p}")
+    growth = 2.0 ** ((0.5 - 1.0 / p) * math.log2(m))
+    value = math.sqrt(2.0) * constants.c1 * constants.c2 * growth
+    return DistanceBound(
+        value=value,
+        cap=constants.iso_constant,
+        cap_applies=growth <= 2.0,
+    )
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,12 @@ from aplab import obstruction as ob
 from aplab.characters import CharacterTable, build_group, verify_orthogonality
 from aplab.cli import main
 from aplab.discrepancy import search_character_split, search_signs
-from aplab.mixed_norm import ExponentSchedule, MixedNormVector, compactness_sequence
+from aplab.mixed_norm import ExponentSchedule, compactness_sequence
 from aplab.moduli import (
-    distance_bound,
     split_sequence,
     witness_point,
 )
-from oracles import numeric_distance_upper
+from oracles import MixedNormVector, distance_bound, numeric_distance_upper
 
 SEED = 7
 

@@ -2,21 +2,21 @@ import math
 
 import pytest
 
-from aplab.errors import (
-    BadParameter,
-    DegenerateBasis,
-    DepthUnreachable,
-    DimensionTooLarge,
-)
-from aplab.mixed_norm import ExponentSchedule, MixedNormVector
+from aplab.errors import BadParameter, DepthUnreachable
+from aplab.mixed_norm import ExponentSchedule
 from aplab.moduli import (
     TypeCotypeConstants,
-    distance_bound,
     growth_envelope_check,
     split_sequence,
     witness_point,
 )
-from oracles import numeric_distance_upper
+from oracles import (
+    DegenerateBasis,
+    DimensionTooLarge,
+    MixedNormVector,
+    distance_bound,
+    numeric_distance_upper,
+)
 
 
 # ---------------------------------------------------------------- witness curve

@@ -7,14 +7,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aplab import discrepancy
 from aplab import obstruction as ob
+from aplab.characters import CharacterTable, build_group
 from aplab.discrepancy import (
     CharacterSplit,
     ConstructionData,
+    SignPattern,
     certify_constants,
     cross_lower_matrix,
     cross_upper_matrix,
@@ -27,10 +29,12 @@ from aplab.errors import (
     PartitionInvalid,
     TruncationTooSmall,
 )
-from aplab.mixed_norm import ExponentSchedule, z_norm, z_norms_rows
+from aplab.mixed_norm import ExponentSchedule, z_norms_rows
 from aplab.store import canonical_json
 from oracles import (
     balance_oracle,
+    basis_vector,
+    chain_bound,
     coeff_functional,
     cross_lower_oracle,
     cross_upper_oracle,
@@ -40,6 +44,7 @@ from oracles import (
     telescope_norms_oracle,
     telescope_residual_oracle,
     telescope_vector,
+    z_norm,
 )
 from strategies import constructions, filled_rows, random_construction
 
@@ -58,7 +63,7 @@ def frame4(small_data, log_schedule):
 
 
 def test_basis_vector_level0(small_data, log_schedule):
-    vec = ob.basis_vector(0, 1, small_data, log_schedule)
+    vec = basis_vector(0, 1, small_data, log_schedule)
     assert vec.support_levels() == (0,)
     item = small_data.require(0)
     expected = item.require_signs().signs[0] * item.table.rows([item.split.anchors[0]])[0]
@@ -66,7 +71,7 @@ def test_basis_vector_level0(small_data, log_schedule):
 
 
 def test_basis_vector_lower_block_carries_previous_level(small_data, log_schedule):
-    vec = ob.basis_vector(1, 1, small_data, log_schedule)
+    vec = basis_vector(1, 1, small_data, log_schedule)
     assert vec.support_levels() == (0, 1)
     below = small_data.require(0)
     carrier_row = below.table.rows([below.split.carriers[0]])[0]
@@ -77,9 +82,38 @@ def test_basis_vector_lower_block_carries_previous_level(small_data, log_schedul
 
 def test_basis_vector_index_range(small_data, log_schedule):
     with pytest.raises(IndexOutOfRange):
-        ob.basis_vector(2, 0, small_data, log_schedule)
+        basis_vector(2, 0, small_data, log_schedule)
     with pytest.raises(IndexOutOfRange):
-        ob.basis_vector(2, 5, small_data, log_schedule)
+        basis_vector(2, 5, small_data, log_schedule)
+
+
+def test_level0_roots_have_modulus_exactly_one():
+    assert np.abs(CharacterTable(build_group(0)).roots()).tolist() == [1.0, 1.0, 1.0]
+
+
+@example(3.0, 0)  # p_0 of every built-in schedule
+@given(st.floats(2.0, 3.0, exclude_min=True), st.integers(0, 2**32 - 1))
+def test_base_vector_norm_is_the_oracle_norm_up_to_the_power_rounding(p0, seed):
+    """``ap``'s base_vector_norm, from the one norm kernel, against z_norm of
+    basis vector (0, 1), for every level-0 anchor and sign.  Both sum three
+    moduli of exactly 1.0 to 3.0, so they differ only where they raise 3.0
+    to 2/p0: numpy's array power there and libm's pow here may round apart,
+    by one ulp after the root (in about 3% of p0 on CPUs where numpy takes
+    its AVX-512 power), and are bit-equal wherever the two powers agree."""
+    schedule = ExponentSchedule.explicit([p0, p0])
+    power = np.full(1, 3.0) ** (2.0 / p0)
+    data = random_construction(1, seed)
+    for anchor, sign in itertools.product(range(3), (1, -1)):
+        carriers = tuple(c for c in range(3) if c != anchor)
+        split, signs = CharacterSplit(0, (anchor,), carriers, 0.0), SignPattern(0, (sign,), 0.0)
+        data.put(replace(data.require(0), split=split, signs=signs))
+        norm = ob.ap_experiment(ob.BasisFrame(data, schedule, 1), 1.0, operator_count=0).base_vector_norm
+        assert norm == float(np.sqrt(power)[0])
+        oracle = z_norm(basis_vector(0, 1, data, schedule))
+        if power[0] == 3.0 ** (2.0 / p0):
+            assert norm == oracle
+        else:
+            assert abs(norm - oracle) <= math.ulp(oracle)
 
 
 def test_flat_indexing():
@@ -98,8 +132,8 @@ def test_biorthogonality_both_forms(frame5):
 
 
 def test_coeff_functional_examples(small_data, log_schedule):
-    e11 = ob.basis_vector(1, 1, small_data, log_schedule)
-    e01 = ob.basis_vector(0, 1, small_data, log_schedule)
+    e11 = basis_vector(1, 1, small_data, log_schedule)
+    e01 = basis_vector(0, 1, small_data, log_schedule)
     assert coeff_functional(1, 1, e11, small_data, via="own") == pytest.approx(1.0, abs=1e-12)
     assert coeff_functional(1, 1, e11, small_data, via="lower") == pytest.approx(1.0, abs=1e-12)
     assert abs(coeff_functional(1, 1, e01, small_data, via="own")) < 1e-12
@@ -107,7 +141,7 @@ def test_coeff_functional_examples(small_data, log_schedule):
 
 
 def test_lower_form_unavailable_at_level0(small_data, log_schedule):
-    e01 = ob.basis_vector(0, 1, small_data, log_schedule)
+    e01 = basis_vector(0, 1, small_data, log_schedule)
     with pytest.raises(FormUnavailable):
         coeff_functional(0, 1, e01, small_data, via="lower")
 
@@ -184,7 +218,7 @@ def test_coords_match_basis_vector_sums(case, seed):
     expected = {m: np.zeros((3, data.require(m).table.order), dtype=np.complex128) for m in coords}
     for n in range(top + 1):
         for j in range(1, (1 << n) + 1):
-            vec = ob.basis_vector(n, j, data, schedule)
+            vec = basis_vector(n, j, data, schedule)
             for m, block in vec.blocks.items():
                 expected[m] += coeffs[:, ob.basis_index(n, j), None] * block
     for m in coords:
@@ -217,7 +251,7 @@ def test_coords_of_leaves_out_exactly_the_zero_levels(case, seed):
         oracle = {m: np.zeros((3, data.require(m).table.order), dtype=np.complex128) for m in range(top + 1)}
         for n in range(top + 1):
             for j in range(1, (1 << n) + 1):
-                for m, block in ob.basis_vector(n, j, data, schedule).blocks.items():
+                for m, block in basis_vector(n, j, data, schedule).blocks.items():
                     oracle[m] += coeffs[:, ob.basis_index(n, j), None] * block
         for m in range(top + 1):
             if m not in live:
@@ -308,7 +342,7 @@ def test_norm_bound_report(small_data, log_schedule, power_schedule):
         for n in (1, 2, 3, 4):
             report = ob.check_norm_bound(n, family.norms[n], schedule, 2.0)
             assert report.max_norm <= report.bound
-            assert report.max_norm <= report.chain_bound
+            assert report.max_norm <= chain_bound(n, schedule, 2.0)
 
 
 @given(constructions(min_top=2, max_top=5))

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import json
@@ -303,6 +304,8 @@ def test_cli_json_schedule_spec(tmp_path, capsys):
     for spec in (
         '"log"', "[1]", "5", "null", '{"kind":"power"}', '{"kind":"power","alpha":"0.5"}',
         '{"kind":"explicit","p":5}', '{"kind":"explicit","p":["2.5"]}',
+        # a key that is not the kind's own
+        '{"kind":"log","alpha":0.3}', '{"kind":"power","alpha":0.5,"p":[3.0]}',
     ):
         capsys.readouterr()
         assert _run("build", "--schedule", spec, "--out", str(tmp_path / "s")) == 2, spec
@@ -812,29 +815,34 @@ def _first_row_as(rows, field, convert):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, entry",
     [
         *(
-            pytest.param(lambda payload, key=key: {k: v for k, v in payload.items() if k != key}, id=key)
+            pytest.param(lambda payload, key=key: {k: v for k, v in payload.items() if k != key}, key, id=key)
             for key in ("cross_constant", "split_rows", "cross_rows")
         ),
         # an entry that float() or int() reads back, but that is no JSON number
         pytest.param(
             lambda payload: {**payload, "cross_constant": repr(payload["cross_constant"])},
+            "cross_constant",
             id="cross_constant-str",
         ),
-        pytest.param(_first_row_as("split_rows", "scale", repr), id="scale-str"),
-        pytest.param(_first_row_as("split_rows", "recomputed", repr), id="recomputed-str"),
-        pytest.param(_first_row_as("cross_rows", "overall", repr), id="overall-str"),
-        pytest.param(_first_row_as("split_rows", "level", float), id="split-level-float"),
-        pytest.param(_first_row_as("cross_rows", "level", bool), id="cross-level-true"),
+        pytest.param(_first_row_as("split_rows", "scale", repr), "split_rows[0].scale", id="scale-str"),
+        pytest.param(
+            _first_row_as("split_rows", "recomputed", repr), "split_rows[0].recomputed", id="recomputed-str"
+        ),
+        pytest.param(_first_row_as("cross_rows", "overall", repr), "cross_rows[0].overall", id="overall-str"),
+        pytest.param(_first_row_as("split_rows", "level", float), "split_rows[0].level", id="split-level-float"),
+        pytest.param(_first_row_as("cross_rows", "level", bool), "cross_rows[0].level", id="cross-level-true"),
         # entries no command reads are checked as well
-        pytest.param(lambda payload: {**payload, "split_constant": "x"}, id="split_constant-str"),
-        pytest.param(_first_row_as("cross_rows", "max_lower", lambda v: "x"), id="max_lower-str"),
-        pytest.param(_first_row_as("split_rows", "ratio", lambda v: True), id="ratio-true"),
+        pytest.param(lambda payload: {**payload, "split_constant": "x"}, "split_constant", id="split_constant-str"),
+        pytest.param(
+            _first_row_as("cross_rows", "max_lower", lambda v: "x"), "cross_rows[0].max_lower", id="max_lower-str"
+        ),
+        pytest.param(_first_row_as("split_rows", "ratio", lambda v: True), "split_rows[0].ratio", id="ratio-true"),
     ],
 )
-def test_cli_refuses_a_constants_file_without_an_entry(tmp_path, capsys, edit):
+def test_cli_refuses_a_constants_file_without_an_entry(tmp_path, capsys, edit, entry):
     out = tmp_path / "constants"
     assert _run(
         "build", "--max-level", "2", "--schedule", "log",
@@ -844,7 +852,8 @@ def test_cli_refuses_a_constants_file_without_an_entry(tmp_path, capsys, edit):
     capsys.readouterr()
     for command in ("verify", "ap"):
         assert _run(command, "--out", str(out)) == 1, command
-        assert "constants.json" in capsys.readouterr().err, command
+        err = capsys.readouterr().err
+        assert "constants.json" in err and entry in err, (command, err)
 
 
 # sha256 of every file a BUILD_ARGS run of build/verify/ap/moduli writes
@@ -934,6 +943,59 @@ def test_tracer_targets_resolve():
     spec.loader.exec_module(tracer)
     for owner, attr, _ in tracer._TARGETS:
         assert attr in tracer._resolve(owner).__dict__, f"{owner}.{attr}"
+
+
+def test_every_function_in_src_is_reached_by_a_command(tmp_path):
+    """What only tests call belongs in ``tests/oracles.py``, not in ``src/aplab``.
+
+    build, verify, ap, moduli and split run in process at level 4 on the log,
+    power and an explicit schedule under ``sys.setprofile``.  Every function
+    that ``src/aplab`` defines, read from its AST by file and first line
+    (decorators included, as a code object's ``co_firstlineno``), must be
+    called.  Exempt are the attributes perfbench's tracer wraps by name
+    (``_TARGETS``), which must stay where it looks them up until the stages
+    report their own timings, and ``middle_block`` and ``telescope_image``,
+    which only those targets call.
+    """
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    exempt = [tracer._resolve(owner).__dict__[attr] for owner, attr, _ in tracer._TARGETS]
+    exempt += [discrepancy.middle_block, obstruction.BasisFrame.telescope_image]
+    reached = {(Path(f.__code__.co_filename).resolve(), f.__code__.co_firstlineno) for f in exempt}
+    defined = {}
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+                defined[path, first] = f"{path.name}:{first} {node.name}"
+
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    # the explicit list reaches a second split index but not a third
+    schedules = {"log": 3, "power": 3, '{"kind":"explicit","p":[3.0,2.9,2.8,2.7,2.6,2.5]}': 2}
+    codes = []
+    sys.setprofile(profile)
+    try:
+        for i, (schedule, depth) in enumerate(schedules.items()):
+            args = (
+                "--schedule", schedule, "--max-level", "4",
+                "--budget", "64", "--sign-budget", "16", "--out", str(tmp_path / str(i)),
+            )
+            codes += [_run(command, *args) for command in ("build", "verify", "ap")]
+            codes.append(_run("moduli", *args, "--m-samples", "32,1024", "--depth", "2"))
+            codes.append(_run("split", "--schedule", schedule, "--depth", str(depth)))
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(codes)
+    reached |= {(Path(name).resolve(), line) for name, line in called}
+    assert sorted(name for key, name in defined.items() if key not in reached) == []
 
 
 def test_traced_commands_report_every_layer_metric_and_write_the_same_store(tmp_path):
