@@ -81,6 +81,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.max_level < 1:
             raise BadParameter(f"max level must be >= 1, got {self.max_level}")
+        if self.seed < 0:
+            raise BadParameter(f"seed must be nonnegative, got {self.seed}")
         if self.budget < 1 or self.sign_budget < 1:
             raise BadParameter("budgets must be >= 1")
         if not 0 < self.tol < math.inf:
@@ -253,98 +255,52 @@ def cmd_build(config: RunConfig) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class _Audit:
-    """What the verify checks read: the stored build, a fresh certification
-    and one pass of the sign kernel per level.
-
-    The certification recomputes the balance but reads the cross maxima
-    from the stored sign objectives.  ``family`` reads each lower_m once:
-    ``_sign_objectives`` rescores the stored objectives from its maxima,
-    and ``_compact_family`` bounds its norms.  A check yields
-    ``(check, level, measured, limit[, passed])``; without an explicit
-    verdict a row passes when measured <= limit.
-    """
-
-    config: RunConfig
-    data: ConstructionData
-    stored: CertifiedConstants
-    fresh: CertifiedConstants
-    family: obstruction.TelescopeFamily
-    stale: List[str]  # files whose bytes no longer match the manifest
-
-    @property
-    def top(self) -> int:
-        return self.config.max_level
-
-
-def _integrity(a: _Audit) -> Iterator[tuple]:
-    yield "manifest-integrity", a.top, float(len(a.stale)), 0.0
-
-
-def _orthogonality(a: _Audit) -> Iterator[tuple]:
-    for n in range(a.top + 1):
-        yield "character-orthogonality", n, verify_orthogonality(a.data.require(n).table), a.config.tol
-
-
-def _balance(a: _Audit) -> Iterator[tuple]:
-    stored = {r.level: (r.scale, r.recomputed) for r in a.stored.split_rows}
-    for row in a.fresh.split_rows:
-        yield "balance-discrepancy-drift", row.level, row.drift, a.config.tol
-        # a level without its stored row fails with drift inf, as in _cross_blocks
-        scale, recomputed = stored.get(row.level, (row.scale, math.inf))
+def _verify_rows(
+    config: RunConfig, data: ConstructionData, stored: CertifiedConstants, stale: List[str]
+) -> Iterator[tuple]:
+    """The verify rows, each ``(check, level, measured, limit[, passed])``; a
+    row without a verdict passes when measured <= limit.  The fresh
+    certification recomputes the balance but reads the cross maxima from
+    the stored sign objectives.  ``family``, one sign-kernel pass per level,
+    reads each lower_m once: its maxima rescore the stored objectives and
+    its norms meet the compact-family envelope."""
+    top, tol = config.max_level, config.tol
+    fresh = certify_constants(range(top + 1), data)
+    family = obstruction.telescope_norms(data, config.schedule, top)
+    yield "manifest-integrity", top, float(len(stale)), 0.0
+    for n in range(top + 1):
+        yield "character-orthogonality", n, verify_orthogonality(data.require(n).table), tol
+    split = {r.level: (r.scale, r.recomputed) for r in stored.split_rows}
+    for row in fresh.split_rows:
+        yield "balance-discrepancy-drift", row.level, row.drift, tol
+        # a level without its stored row fails with drift inf, as a cross row does
+        scale, recomputed = split.get(row.level, (row.scale, math.inf))
         ratio = row.recomputed / scale
-        passed = ratio <= ACCEPT_CONSTANT and abs(row.recomputed - recomputed) <= a.config.tol
+        passed = ratio <= ACCEPT_CONSTANT and abs(row.recomputed - recomputed) <= tol
         yield "balance-discrepancy-bound", row.level, ratio, ACCEPT_CONSTANT, passed
-
-
-def _cross_blocks(a: _Audit) -> Iterator[tuple]:
-    stored = {r.level: r.overall for r in a.stored.cross_rows}
-    for row in a.fresh.cross_rows:
-        drift = abs(row.overall - stored[row.level]) if row.level in stored else math.inf
-        passed = row.ratio <= ACCEPT_CONSTANT and drift <= a.config.tol
+    cross = {r.level: r.overall for r in stored.cross_rows}
+    for row in fresh.cross_rows:
+        drift = abs(row.overall - cross[row.level]) if row.level in cross else math.inf
+        passed = row.ratio <= ACCEPT_CONSTANT and drift <= tol
         yield "cross-block-bound", row.level, row.ratio, ACCEPT_CONSTANT, passed
-        yield "cross-middle-identity", row.level, row.middle_identity_residual, a.config.tol
-
-
-def _sign_objectives(a: _Audit) -> Iterator[tuple]:
-    # the one rescoring of the stored objectives the cross rows read
-    for n in range(1, a.top + 1):
-        drift = abs(a.family.objectives[n] - a.data.require(n).require_signs().objective)
-        yield "sign-objective-drift", n, drift, a.config.tol
-
-
-def _telescoping(a: _Audit) -> Iterator[tuple]:
-    t_top = min(a.top, 4)
-    frame = obstruction.BasisFrame(a.data, a.config.schedule, t_top)
+        yield "cross-middle-identity", row.level, row.middle_identity_residual, tol
+    for n in range(1, top + 1):
+        drift = abs(family.objectives[n] - data.require(n).require_signs().objective)
+        yield "sign-objective-drift", n, drift, tol
+    t_top = min(top, 4)
+    frame = obstruction.BasisFrame(data, config.schedule, t_top)
     residuals = list(obstruction.identity_stage(frame)[2])
     for i in range(3):
-        op = obstruction.gaussian(t_top, seed=a.config.seed + i)
+        op = obstruction.gaussian(t_top, seed=config.seed + i)
         residuals.extend(obstruction.telescope_residual(op, n, frame) for n in range(t_top))
-    yield "telescoping-identity", t_top, max(residuals), a.config.tol
-
-
-def _compact_family(a: _Audit) -> Iterator[tuple]:
-    for n in range(1, a.top):
-        report = obstruction.check_norm_bound(
-            n, a.family.norms[n], a.config.schedule, a.stored.cross_constant
-        )
+    yield "telescoping-identity", t_top, max(residuals), tol
+    for n in range(1, top):
+        report = obstruction.check_norm_bound(n, family.norms[n], config.schedule, stored.cross_constant)
         yield "telescope-norm-envelope", n, report.max_norm, report.bound
-    horizon = {"power": 5000, "log": 10**6}.get(a.config.schedule.kind)
+    horizon = {"power": 5000, "log": 10**6}.get(config.schedule.kind)
     if horizon is not None:
-        value = compactness_sequence(a.config.schedule, horizon)
+        value = compactness_sequence(config.schedule, horizon)
         yield "compactness-decay", horizon, value, 1e-3, value < 1e-3
-
-
-VERIFY_CHECKS: Tuple[Callable[[_Audit], Iterator[tuple]], ...] = (
-    _integrity,
-    _orthogonality,
-    _balance,
-    _cross_blocks,
-    _sign_objectives,
-    _telescoping,
-    _compact_family,
-)
 
 
 def _row(
@@ -372,10 +328,7 @@ def cmd_verify(config: RunConfig) -> int:
     stale = store.manifest_mismatches(VERIFY_REPORT)  # verify rewrites its own report
     data = load_data(store, config)
     stored = _load_constants(store)
-    fresh = certify_constants(range(config.max_level + 1), data)
-    family = obstruction.telescope_norms(data, config.schedule, config.max_level)
-    audit = _Audit(config, data, stored, fresh, family, stale)
-    rows = [_row(*row) for check in VERIFY_CHECKS for row in check(audit)]
+    rows = [_row(*r) for r in _verify_rows(config, data, stored, stale)]
     store.write_json(VERIFY_REPORT, {"rows": rows})
 
     for row in rows:

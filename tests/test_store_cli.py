@@ -114,7 +114,7 @@ def test_verify_memory_stays_bounded_at_level_10(tmp_path, capsys):
     ) == 0
     tracemalloc.start()
     try:
-        code = _run("verify", "--out", str(out))  # every VERIFY_CHECKS entry
+        code = _run("verify", "--out", str(out))  # every verify row
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -741,7 +741,7 @@ def _rehashed(out, relpath, edit):
     [
         ("tol", "x"), ("tol", 0), ("budget", 2.5), ("c1", None), ("max_level", 0),
         ("schedule", "log"), ("schedule", None), ("seed", True), ("tol", True),
-        ("schedule", {"kind": "power", "alpha": "0.5"}),
+        ("schedule", {"kind": "power", "alpha": "0.5"}), ("seed", -1),
     ],
 )
 def test_cli_refuses_a_stored_config_value_of_wrong_type_or_domain(tmp_path, capsys, key, value):
@@ -943,6 +943,44 @@ def test_tracer_targets_resolve():
     spec.loader.exec_module(tracer)
     for owner, attr, _ in tracer._TARGETS:
         assert attr in tracer._resolve(owner).__dict__, f"{owner}.{attr}"
+
+
+def test_every_import_in_src_is_used():
+    """A module-level import that its module never reads is dead weight.
+
+    A name counts as used when it appears in the code or in a string
+    annotation, or when ``aplab/__init__.py`` lists it in ``__all__``.
+    Exempt are the ``(aplab.<module>, name)`` pairs perfbench's tracer wraps
+    by name (``_TARGETS``), which stay imported where it looks them up.
+    """
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    exempt = {(owner, attr) for owner, attr, _ in tracer._TARGETS}
+    unused = []
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(annotation.value)) if isinstance(n, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(sys.modules["aplab"].__all__)
+        module = "aplab" if path.name == "__init__.py" else f"aplab.{path.stem}"
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and (module, name) not in exempt:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
 
 
 def test_every_function_in_src_is_reached_by_a_command(tmp_path):
