@@ -25,7 +25,8 @@ indexing is (n, j) -> 2^n - 1 + (j - 1), d = 2^{N+1} - 1 at truncation N.
 An operator is its filled rows (rows, values), values r x d, with
 T(x) = sum_i alpha_{rows[i]}(x) values[i]: row rows[i] of T's matrix (the
 coefficient of basis b in the image of basis a at [a, b]) gains values[i].
-A d x d matrix M is (arange(d), M).  One row kernel (``_band_pass``) reads
+A dense d x d matrix M is the pair (arange(d), M), the form ``gaussian``
+returns; a bare array is refused.  One row kernel (``_band_pass``) reads
 T's rows of basis levels n and n+1 a chunk at a time for the telescoping
 residual, the level traces and the coordinate trace, and ``trace_limit``
 reads the family through the coordinates of T's values, so no d x d or
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -167,44 +168,28 @@ def telescope_norms(
     return TelescopeFamily(tuple(objectives), tuple(norms))
 
 
-@dataclass(frozen=True)
-class NormBoundReport:
-    level: int
-    max_norm: float
-    bound: float
-
-
-def check_norm_bound(
-    n: int,
-    norms: np.ndarray,
-    schedule: ExponentSchedule,
-    constant: float,
-) -> NormBoundReport:
-    """The largest norm of the level-n telescoping vectors, given their
-    ``norms`` (``telescope_norms(...).norms[n]``), and its envelope.
-
-    The bound is 3*sqrt(2)*constant*(n+1)^{1/2} * 2^{-n * gap(n+1)}.  The
-    caller holds the norm against the bound.
-    """
+def check_norm_bound(n: int, schedule: ExponentSchedule, constant: float) -> float:
+    """Envelope 3*sqrt(2)*constant*(n+1)^{1/2} * 2^{-n * gap(n+1)} of the
+    level-n telescoping vectors' norms; the caller holds the largest of
+    ``telescope_norms(...).norms[n]`` against it."""
     if n < 1:
         raise BadParameter("norm bound reports start at level 1")
-    gap_next = schedule.gap(n + 1)
-    bound = NORM_CHAIN_FACTOR * constant * math.sqrt(n + 1.0) * 2.0 ** (-n * gap_next)
-    return NormBoundReport(level=n, max_norm=float(norms.max()), bound=bound)
+    return NORM_CHAIN_FACTOR * constant * math.sqrt(n + 1.0) * 2.0 ** (-n * schedule.gap(n + 1))
 
 
 # ----------------------------------------------------------------------
 # operators and traces
 # ----------------------------------------------------------------------
 
-Operator = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]
+Operator = Tuple[np.ndarray, np.ndarray]
 
 
-def gaussian(max_level: int, seed: int) -> np.ndarray:
-    """Seeded d x d operator matrix with standard complex Gaussian entries."""
+def gaussian(max_level: int, seed: int) -> Operator:
+    """Seeded dense operator with standard complex Gaussian matrix entries,
+    as its filled rows (arange(d), M)."""
     d = basis_dimension(max_level)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 404))))
-    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
+    return np.arange(d), (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
 
 
 class BasisFrame:
@@ -360,12 +345,9 @@ def form_agreement_deviation(frame: BasisFrame, n: int) -> float:
 def _filled_rows(op: Operator, dim: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """``(rows, values)`` of an operator: r row indices and an r x d array,
     d = 2^{N+1} - 1 (``dim`` when given)."""
-    if isinstance(op, tuple):
-        rows, values = np.asarray(op[0], dtype=np.int64), op[1]
-    elif op.ndim == 2 and op.shape[0] == op.shape[1]:
-        rows, values = np.arange(op.shape[0]), op
-    else:
-        raise BadParameter(f"operator matrix must be square of side 2^(N+1)-1, got {op.shape}")
+    if not isinstance(op, tuple) or len(op) != 2:
+        raise BadParameter(f"an operator is its filled rows (rows, values), got {type(op).__name__}")
+    rows, values = np.asarray(op[0], dtype=np.int64), op[1]
     d = values.shape[-1] if values.ndim == 2 else 0
     if rows.ndim != 1 or values.shape != (rows.size, d) or d < 1 or (d + 1) & d:
         raise BadParameter(f"operator rows must be r x (2^(N+1)-1) for r indices, got {values.shape}")
@@ -511,18 +493,8 @@ def identity_stage(
     return tuple(traces), tuple(coordinates), tuple(residuals[:-1])  # no residual at the top
 
 
-@dataclass(frozen=True)
-class TraceLimit:
-    estimate: complex
-    tail_factor: float
-    family_sup: float
-    tail_bound: float
-    sup_ratio: float
-    family_max_level: int
-
-
-def trace_limit(op: Operator, frame: BasisFrame) -> TraceLimit:
-    """Level trace at the truncation with a tail bound from the test family.
+def trace_limit(op: Operator, frame: BasisFrame) -> float:
+    """Tail bound of the level traces past the truncation from the test family.
 
     The tail of the telescoping series is dominated by
     sum_{n >= N} (n+1)^{-2} * sup_x ||T x|| over the compact family; the
@@ -551,17 +523,8 @@ def trace_limit(op: Operator, frame: BasisFrame) -> TraceLimit:
         coeffs = frame.tele_coeffs(n, rows[picked] - band.start).T
         chunks = (coeffs[s : s + chunk] for s in range(0, len(coeffs), chunk))
         sups.append((n + 1) ** 2 * largest_norm(picked, chunks))
-    estimate = level_trace((rows, values), top)
-    family_sup = max(sups)
     tail_factor = math.pi**2 / 6.0 - math.fsum(1.0 / m**2 for m in range(1, top + 1))
-    return TraceLimit(
-        estimate=estimate,
-        tail_factor=tail_factor,
-        family_sup=family_sup,
-        tail_bound=tail_factor * family_sup,
-        sup_ratio=abs(estimate) / family_sup if family_sup > 0 else 0.0,
-        family_max_level=top - 1,
-    )
+    return tail_factor * max(sups)
 
 
 # ----------------------------------------------------------------------
@@ -634,12 +597,13 @@ def random_finite_rank_operator(
 
 
 def experiment_operators(
-    max_level: int, support_cap: int, operator_count: int, max_rank: int, seed: int
-) -> Iterator[Tuple[int, int, Tuple[np.ndarray, np.ndarray]]]:
-    """The (support level, rank, filled rows) triples ``ap_experiment`` reports on."""
+    max_level: int, operator_count: int, max_rank: int, seed: int
+) -> Iterator[Tuple[int, int, Operator]]:
+    """The (support level, rank, filled rows) triples ``ap_experiment`` reports
+    on, each supported below the truncation ``max_level``."""
     for i in range(operator_count):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 505, i))))
-        support = int(rng.integers(0, support_cap + 1))
+        support = int(rng.integers(0, max_level))
         rank = int(rng.integers(1, max_rank + 1))
         yield support, rank, random_finite_rank_operator(max_level, support, rank, seed=seed * 1009 + i)
 
@@ -647,7 +611,6 @@ def experiment_operators(
 def _finite_rank_row(
     i: int, support: int, rank: int, op: Operator, frame: BasisFrame
 ) -> FiniteRankRow:
-    limit = trace_limit(op, frame)
     traces = tuple(level_trace(op, n) for n in range(frame.max_level + 1))
     beyond = [abs(t) for n, t in enumerate(traces) if n > support]
     return FiniteRankRow(
@@ -656,8 +619,8 @@ def _finite_rank_row(
         support_level=support,
         traces=traces,
         max_beyond_support=max(beyond) if beyond else 0.0,
-        limit_estimate=limit.estimate,
-        tail_bound=limit.tail_bound,
+        limit_estimate=traces[-1],
+        tail_bound=trace_limit(op, frame),
     )
 
 
@@ -693,7 +656,7 @@ def ap_experiment(
     rank_rows = [
         _finite_rank_row(i, support, rank, op, frame)
         for i, (support, rank, op) in enumerate(
-            experiment_operators(top, max(0, top - 1), operator_count, max_rank, seed)
+            experiment_operators(top, operator_count, max_rank, seed)
         )
     ]
 

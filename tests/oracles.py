@@ -311,7 +311,8 @@ def identity_trace_oracle(frame: BasisFrame, n: int) -> complex:
 
 def telescope_residual_oracle(matrix: np.ndarray, n: int, frame: BasisFrame) -> float:
     """The residual from the trace of the full k x k coordinates of the k x d image."""
-    lhs = level_trace(matrix, n + 1) - level_trace(matrix, n)
+    op = dense_rows(matrix)
+    lhs = level_trace(op, n + 1) - level_trace(op, n)
     image_coords = frame.coords_at(frame.telescope_image(matrix, n), n)
     return abs(lhs - complex(np.trace(image_coords) / block_size(n)))
 
@@ -359,6 +360,11 @@ def rank_one_sum(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     for row, value in zip(rows, values):
         matrix[row] += value
     return matrix
+
+
+def dense_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The filled rows (arange(d), M) of a d x d matrix M, the operator form."""
+    return np.arange(matrix.shape[0]), matrix
 
 
 @dataclass(frozen=True)
