@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import BadParameter, IndexOutOfRange
+from .errors import BadParameter
 
 
 def block_size(n: int) -> int:
@@ -110,7 +110,7 @@ class CharacterTable:
         idx = np.asarray(cs, dtype=np.int64).reshape(-1)
         bad = idx[(idx < 0) | (idx >= k)]
         if bad.size:
-            raise IndexOutOfRange(f"character index {int(bad[0])} outside [0, {k})")
+            raise BadParameter(f"character index {int(bad[0])} outside [0, {k})")
         return np.outer(idx, np.arange(k)) % k
 
     def rows(self, cs: Sequence[int]) -> np.ndarray:

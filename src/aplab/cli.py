@@ -163,7 +163,7 @@ def _stored(path: str | Path) -> Iterator[None]:
     """Fail the check naming ``path`` when a stored file is malformed or out of domain."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:  # PartitionInvalid is a ValueError
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckFailed(f"{path}: {exc!r}") from exc
 
 

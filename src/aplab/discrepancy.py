@@ -50,12 +50,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Ty
 import numpy as np
 
 from .characters import CharacterTable, advancing_exponents, block_size, read_only
-from .errors import (
-    BadParameter,
-    MissingLevelData,
-    PartitionInvalid,
-    StrategyUnavailable,
-)
+from .errors import BadParameter
 
 EXHAUSTIVE_MAX_LEVEL = 4
 # build_levels searches splits below RANDOM_SPLIT_LEVEL and signs below
@@ -89,7 +84,7 @@ def _check_draws(draws: int) -> None:
 class CharacterSplit:
     """Anchor/carrier partition of one level's character indices; ``draws``
     counts the candidates its search took.  Only a partition can be made
-    (else PartitionInvalid): 2^level anchors and 2^{level+1} carriers that
+    (else BadParameter): 2^level anchors and 2^{level+1} carriers that
     hold 0..k-1 once each, k = 3*2^level.  The kernels read the index
     arrays, derived once."""
 
@@ -104,7 +99,7 @@ class CharacterSplit:
         k = block_size(self.level)
         merged = (*self.anchors, *self.carriers)
         if len(self.anchors) != k // 3 or not all(map(is_int, merged)) or sorted(merged) != list(range(k)):
-            raise PartitionInvalid(
+            raise BadParameter(
                 f"level {self.level} needs {k // 3} anchors and {2 * k // 3} carriers "
                 f"that partition the integers 0..{k - 1}"
             )
@@ -153,7 +148,7 @@ class LevelData:
 
     def require_signs(self) -> SignPattern:
         if self.signs is None:
-            raise MissingLevelData(f"signs for level {self.level} have not been fixed")
+            raise BadParameter(f"signs for level {self.level} have not been fixed")
         return self.signs
 
 
@@ -177,7 +172,7 @@ class ConstructionData:
 
     def require(self, level: int) -> LevelData:
         if level not in self._levels:
-            raise MissingLevelData(f"no data built for level {level}")
+            raise BadParameter(f"no data built for level {level}")
         return self._levels[level]
 
     def levels(self) -> Tuple[int, ...]:
@@ -266,7 +261,7 @@ def _exhaustive(kind: str, strategy: str, n: int, budget: int, seed: int) -> boo
     if strategy not in ("exhaustive", "random-restart"):
         raise BadParameter(f"unknown {kind} search strategy {strategy!r}")
     if strategy == "exhaustive" and n > EXHAUSTIVE_MAX_LEVEL:
-        raise StrategyUnavailable(
+        raise BadParameter(
             f"exhaustive {kind} search is limited to levels <= {EXHAUSTIVE_MAX_LEVEL}"
         )
     return strategy == "exhaustive"

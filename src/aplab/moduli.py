@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .characters import block_size
-from .errors import AplabError, BadParameter, DepthUnreachable, NoWitness
+from .errors import BadParameter
 from .mixed_norm import ExponentSchedule
 from .mixed_norm import z_norms_rows  # unused here; kept so profilers can wrap it by this name
 from .store import EXACT_INT, EXACT_INT_BITS
@@ -65,19 +65,19 @@ def _gap_safe(schedule: ExponentSchedule, n: int) -> Optional[float]:
 
 
 def _first_level(
-    schedule: ExponentSchedule, start: int, ok: Callable[[int], bool], error: AplabError
+    schedule: ExponentSchedule, start: int, ok: Callable[[int], bool], message: str
 ) -> int:
     """Smallest level n >= start with ok(n); ok must stay true once true.
 
     An explicit list is scanned, since doubling could jump past the feasible
     window; otherwise the level is bracketed by doubling and then bisected.
-    Raises ``error`` when no level qualifies.
+    Raises ``BadParameter(message)`` when no level qualifies.
     """
     if schedule.kind == "explicit":
         assert schedule.p_list is not None
         found = next((n for n in range(start, len(schedule.p_list)) if ok(n)), None)
         if found is None:
-            raise error
+            raise BadParameter(message)
         return found
     if ok(start):
         return start
@@ -85,7 +85,7 @@ def _first_level(
     while not ok(hi):
         hi *= 2
         if hi > _SEARCH_LIMIT:
-            raise error
+            raise BadParameter(message)
     lo = max(start, hi // 2)  # ok(lo) is False
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -115,7 +115,7 @@ def witness_point(
         g = _gap_safe(schedule, n + 1)
         return g is not None and 0.0 < g < threshold
 
-    missing = NoWitness(f"no level within the search range has gap(n+1) below 1/log2({m})")
+    missing = f"no level within the search range has gap(n+1) below 1/log2({m})"
     head = _first_level(schedule, 0, ok, missing)
     return WitnessPoint(
         m=m,
@@ -278,7 +278,7 @@ def split_sequence(schedule: ExponentSchedule, depth: int) -> SplitResult:
         if j == depth:
             break
         if not math.isfinite(log2_m):
-            raise DepthUnreachable(
+            raise BadParameter(
                 f"threshold {j} is only representable as an iterated logarithm; "
                 f"the next split index cannot be computed exactly"
             )
@@ -288,7 +288,7 @@ def split_sequence(schedule: ExponentSchedule, depth: int) -> SplitResult:
             g = _gap_safe(schedule, n)
             return g is not None and g <= bound
 
-        missing = DepthUnreachable(f"no level within the search range has gap <= {bound}")
+        missing = f"no level within the search range has gap <= {bound}"
         nxt = _first_level(schedule, indices[-1] + 1, ok, missing)
         margins.append(schedule.gap(nxt) * log2_m)
         indices.append(nxt)

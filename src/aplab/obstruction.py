@@ -61,15 +61,13 @@ from .discrepancy import (
     middle_block,
     split_discrepancy,  # unused here; kept so profilers can wrap it by this name
 )
-from .errors import (
-    BadParameter,
-    FormUnavailable,
-    IndexOutOfRange,
-    TruncationTooSmall,
-)
+from .errors import BadParameter
 from .mixed_norm import ExponentSchedule, compactness_sequence, z_norms_rows
 
 NORM_CHAIN_FACTOR = 3.0 * math.sqrt(2.0)
+# An operator's filled rows are rank x d complex128; refusing a rank whose rows
+# pass 1 GiB keeps an outsized --rank from exhausting memory before anything is written.
+OPERATOR_BYTES_CAP = 1 << 30
 
 
 def basis_dimension(max_level: int) -> int:
@@ -80,9 +78,9 @@ def basis_dimension(max_level: int) -> int:
 def basis_index(n: int, j: int) -> int:
     """Flat index of basis vector (n, j), j 1-based."""
     if n < 0:
-        raise IndexOutOfRange(f"level must be nonnegative, got {n}")
+        raise BadParameter(f"level must be nonnegative, got {n}")
     if not 1 <= j <= (1 << n):
-        raise IndexOutOfRange(f"basis index {j} outside 1..{1 << n} at level {n}")
+        raise BadParameter(f"basis index {j} outside 1..{1 << n} at level {n}")
     return (1 << n) - 1 + (j - 1)
 
 
@@ -93,7 +91,7 @@ def level_slice(n: int) -> slice:
 def _pair_slice(n: int, top: int) -> slice:
     """Flat indices of basis levels n and n+1, or of level n alone at the top."""
     if not 0 <= n <= top:
-        raise IndexOutOfRange(f"level {n} outside truncation 0..{top}")
+        raise BadParameter(f"level {n} outside truncation 0..{top}")
     return slice((1 << n) - 1, (1 << (min(n + 1, top) + 1)) - 1)
 
 
@@ -258,7 +256,7 @@ class BasisFrame:
         T's matrix, or a block of its columns (those coefficients alone),
         with at least the rows of basis levels 0..n+1."""
         if not 0 <= n <= self.max_level - 1:
-            raise TruncationTooSmall(
+            raise BadParameter(
                 f"telescoping at level {n} needs level {n + 1} inside the truncation"
             )
         item = self.data.require(n)
@@ -279,7 +277,7 @@ class BasisFrame:
 
     def lower_functional_matrix(self, n: int) -> np.ndarray:
         if n < 1:
-            raise FormUnavailable("the lower-level form does not exist at level 0")
+            raise BadParameter("the lower-level form does not exist at level 0")
         below = self.data.require(n - 1)
         return below.table.rows_at_inverse(below.split.carrier_index) / below.table.order
 
@@ -354,7 +352,7 @@ def _filled_rows(op: Operator, dim: Optional[int] = None) -> Tuple[np.ndarray, n
     if dim is not None and d != dim:
         raise BadParameter(f"operator must act on {dim} basis vectors, got {d}")
     if rows.size and not 0 <= rows.min() <= rows.max() < d:
-        raise IndexOutOfRange(f"operator rows must lie in 0..{d - 1}")
+        raise BadParameter(f"operator rows must lie in 0..{d - 1}")
     return rows, values
 
 
@@ -382,7 +380,7 @@ def level_trace(op: Operator, n: int) -> complex:
     rows, values = _filled_rows(op)
     top = values.shape[1].bit_length() - 1
     if n > top:
-        raise TruncationTooSmall(f"level {n} exceeds truncation {top}")
+        raise BadParameter(f"level {n} exceeds truncation {top}")
     return _diagonal_trace(_diagonal(rows, values, level_slice(n)), n)
 
 
@@ -432,7 +430,7 @@ def telescope_residual(op: Operator, n: int, frame: BasisFrame) -> float:
     if n < 0:
         raise BadParameter(f"level must be nonnegative, got {n}")
     if n >= frame.max_level:
-        raise TruncationTooSmall(f"level {n + 1} exceeds truncation {frame.max_level}")
+        raise BadParameter(f"level {n + 1} exceeds truncation {frame.max_level}")
     return _band_pass(_band_rows(rows, values, _pair_slice(n, frame.max_level)), n, frame)[3]
 
 
@@ -473,7 +471,7 @@ def identity_stage(
     """
     top = frame.max_level
     if top < 1:
-        raise TruncationTooSmall("the identity stage telescopes levels 0 and 1")
+        raise BadParameter("the identity stage telescopes levels 0 and 1")
     chunk = discrepancy._SIGN_CHUNK_ROWS
     traces, coordinates, residuals = [], [], []
     for n in range(top + 1):
@@ -582,7 +580,7 @@ def random_finite_rank_operator(
     """Random sum of coefficient-functional (x) vector terms inside a level
     cap, as its filled rows: term i is x -> alpha_{rows[i]}(x) values[i]."""
     if support_level > max_level:
-        raise TruncationTooSmall("support level exceeds the truncation")
+        raise BadParameter("support level exceeds the truncation")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 303))))
     d_support = basis_dimension(support_level)
     rows = np.zeros(rank, dtype=np.int64)
@@ -647,6 +645,8 @@ def ap_experiment(
     top = frame.max_level
     if max_rank < 1 or operator_count < 0:
         raise BadParameter(f"need rank >= 1 and operators >= 0, got {max_rank}, {operator_count}")
+    if max_rank * basis_dimension(top) * 16 > OPERATOR_BYTES_CAP:
+        raise BadParameter(f"rank {max_rank} at level {top} needs rows above {OPERATOR_BYTES_CAP} bytes")
 
     traces, coordinates, identity_residuals = identity_stage(frame)
     identity_rows = [

@@ -50,7 +50,7 @@ from aplab.discrepancy import (
     cross_bound_scale,
     lower_rows,
 )
-from aplab.errors import AplabError, BadParameter, FormUnavailable, IndexOutOfRange
+from aplab.errors import AplabError, BadParameter
 from aplab.mixed_norm import ExponentSchedule, z_norms_rows
 from aplab.moduli import TypeCotypeConstants
 from aplab.obstruction import (
@@ -180,7 +180,7 @@ def coeff_functional(
         return complex(eps * (row @ blk) / here.table.order)
     if via == "lower":
         if n < 1:
-            raise FormUnavailable("the lower-level form does not exist at level 0")
+            raise BadParameter("the lower-level form does not exist at level 0")
         below = data.require(n - 1)
         blk = f.block(n - 1)
         if blk is None:
@@ -213,7 +213,7 @@ def telescope_vector(
     here = data.require(n)
     k = here.table.order
     if not 0 <= g < k:
-        raise IndexOutOfRange(f"element {g} outside [0, {k})")
+        raise BadParameter(f"element {g} outside [0, {k})")
     signs_here = np.asarray(here.require_signs().signs, dtype=np.float64)
     anchors_inv = here.table.rows_at_inverse(here.split.anchors)  # (2^n, k)
     carriers_inv = here.table.rows_at_inverse(here.split.carriers)  # (2^{n+1}, k)

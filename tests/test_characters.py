@@ -14,7 +14,7 @@ from aplab.characters import (
     build_group,
     verify_orthogonality,
 )
-from aplab.errors import BadParameter, IndexOutOfRange
+from aplab.errors import BadParameter
 from aplab.obstruction import BasisFrame, biorthogonality_deviation, form_agreement_deviation
 from oracles import orthogonality_deviation
 
@@ -39,9 +39,9 @@ def test_character_values_order_six():
 
 def test_character_index_validation():
     table = CharacterTable(build_group(1))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(BadParameter, match=r"character index 6 outside \[0, 6\)"):
         table.rows([6])
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(BadParameter, match=r"character index -1 outside \[0, 6\)"):
         table.rows_at_inverse([0, -1])
 
 

@@ -22,13 +22,7 @@ from aplab.discrepancy import (
     cross_upper_matrix,
     middle_block,
 )
-from aplab.errors import (
-    BadParameter,
-    FormUnavailable,
-    IndexOutOfRange,
-    PartitionInvalid,
-    TruncationTooSmall,
-)
+from aplab.errors import BadParameter
 from aplab.mixed_norm import ExponentSchedule, z_norms_rows
 from aplab.store import canonical_json
 from oracles import (
@@ -82,9 +76,9 @@ def test_basis_vector_lower_block_carries_previous_level(small_data, log_schedul
 
 
 def test_basis_vector_index_range(small_data, log_schedule):
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(BadParameter, match=r"basis index 0 outside 1\.\.4 at level 2"):
         basis_vector(2, 0, small_data, log_schedule)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(BadParameter, match=r"basis index 5 outside 1\.\.4 at level 2"):
         basis_vector(2, 5, small_data, log_schedule)
 
 
@@ -143,7 +137,7 @@ def test_coeff_functional_examples(small_data, log_schedule):
 
 def test_lower_form_unavailable_at_level0(small_data, log_schedule):
     e01 = basis_vector(0, 1, small_data, log_schedule)
-    with pytest.raises(FormUnavailable):
+    with pytest.raises(BadParameter, match="the lower-level form does not exist at level 0"):
         coeff_functional(0, 1, e01, small_data, via="lower")
 
 
@@ -190,7 +184,7 @@ def test_a_repeated_anchor_breaks_biorthogonality(small_data, log_schedule):
     item = small_data.require(3)
     anchors = item.split.anchors
     repeated = (anchors[0],) * 2 + anchors[2:]
-    with pytest.raises(PartitionInvalid):
+    with pytest.raises(BadParameter, match="level 3 needs 8 anchors and 16 carriers that partition"):
         replace(item.split, anchors=repeated)
     # such a split exists only past its own check, as a corrupted value would
     with mock.patch.object(CharacterSplit, "__post_init__", lambda self: None):
@@ -419,7 +413,7 @@ def test_identity_trace_is_one(frame5):
         assert ob.level_trace(dense_rows(ident), n) == traces[n] == 1.0
         assert coordinates[n] == pytest.approx(1.0, abs=1e-12)
     for n in (-1, 6):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(BadParameter, match=rf"level {n} outside truncation 0\.\.5"):
             frame5.coords_at(ident[:1], n)
 
 
@@ -450,7 +444,7 @@ def test_trace_linearity():
 
 def test_trace_truncation_guard():
     op = dense_rows(np.eye(ob.basis_dimension(3)))
-    with pytest.raises(TruncationTooSmall):
+    with pytest.raises(BadParameter, match="level 4 exceeds truncation 3"):
         ob.level_trace(op, 4)
 
 
@@ -543,9 +537,9 @@ def test_identity_stage_reads_no_tele_coefficients_and_no_band_rows(frame5, monk
 
 def test_identity_stage_needs_two_levels(small_data, log_schedule):
     frame = ob.BasisFrame(small_data, log_schedule, 0)
-    with pytest.raises(TruncationTooSmall):
+    with pytest.raises(BadParameter, match="the identity stage telescopes levels 0 and 1"):
         ob.identity_stage(frame)
-    with pytest.raises(TruncationTooSmall):
+    with pytest.raises(BadParameter, match="the identity stage telescopes levels 0 and 1"):
         ob.ap_experiment(frame, cross_constant=2.0, operator_count=0)
 
 
@@ -573,7 +567,7 @@ def test_telescope_identity_zero_operator(frame4):
 
 def test_telescope_truncation_guard(frame4):
     op = dense_rows(np.eye(frame4.dim))
-    with pytest.raises(TruncationTooSmall):
+    with pytest.raises(BadParameter, match="level 5 exceeds truncation 4"):
         ob.telescope_residual(op, 4, frame4)
 
 
@@ -778,13 +772,24 @@ def test_operator_validation(frame4, frame5):
         with pytest.raises(BadParameter):
             ob.level_trace(bad, 0)
     for rows in ([-1], [d]):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(BadParameter, match=rf"operator rows must lie in 0\.\.{d - 1}"):
             ob.telescope_residual((np.array(rows), np.zeros((1, d))), 0, frame4)
     for bad in ({"max_rank": 0}, {"operator_count": -1}):
         with pytest.raises(BadParameter):
             ob.ap_experiment(frame4, cross_constant=2.0, **bad)
-    with pytest.raises(TruncationTooSmall):
+    with pytest.raises(BadParameter, match="support level exceeds the truncation"):
         ob.random_finite_rank_operator(2, support_level=3, rank=1, seed=0)
+
+
+def test_ap_experiment_refuses_a_rank_whose_rows_pass_the_byte_cap(frame4, monkeypatch):
+    # rank 10^12 at level 4 would ask for 10^12 x 31 complex128 rows: refused before any draw
+    with pytest.raises(BadParameter, match=r"rank 1000000000000 at level 4 needs rows above"):
+        ob.ap_experiment(frame4, cross_constant=2.0, operator_count=1, max_rank=10**12)
+    # the cap is inclusive: rows of exactly the cap are drawn, one rank more is refused
+    monkeypatch.setattr(ob, "OPERATOR_BYTES_CAP", 5 * 31 * 16)
+    assert len(ob.ap_experiment(frame4, cross_constant=2.0, operator_count=1, max_rank=5).finite_rank) == 1
+    with pytest.raises(BadParameter, match="rank 6 at level 4 needs rows above 2480 bytes"):
+        ob.ap_experiment(frame4, cross_constant=2.0, operator_count=1, max_rank=6)
 
 
 def test_traces_do_not_write_to_their_inputs(small_data, log_schedule):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aplab import cli, discrepancy, moduli, obstruction
+from aplab import cli, discrepancy, errors, moduli, obstruction
 from aplab.cli import main
 from aplab.errors import MissingArtifact
 from aplab.discrepancy import CertifiedConstants, CharacterSplit, SignPattern, certify_constants
@@ -330,6 +330,49 @@ def test_cli_missing_store_exits_3(tmp_path):
     for command in ("verify", "ap"):
         assert _run(command, "--schedule", "log", "--out", str(tmp_path / "f1" / "void")) == 3
         assert not (tmp_path / "f1").exists()
+
+
+def test_each_error_class_exits_with_its_own_code(monkeypatch):
+    # main tells errors apart by class alone, so a class that shares its
+    # exit code with another is one no caller can tell apart
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.AplabError) and c is not errors.AplabError
+    ]
+    codes = []
+    for cls in classes:
+        def refuse(args, cls=cls):
+            raise cls("refused")
+
+        monkeypatch.setattr(cli, "_config_from_args", refuse)
+        codes.append(main(["split"]))
+    assert sorted(codes) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("command, message", [
+    (("split", "--schedule", '{"kind":"explicit","p":[3.0,2.9]}', "--depth", "4"), "gap <= "),
+    (
+        ("moduli", "--schedule", '{"kind":"explicit","p":[3.0]}', "--m-samples", "1024", "--depth", "1"),
+        "gap(n+1) below 1/log2(1024)",
+    ),
+])
+def test_a_schedule_without_the_next_level_exits_2_and_writes_nothing(tmp_path, capsys, command, message):
+    out = tmp_path / "out"
+    assert _run(*command, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ap_refuses_a_rank_whose_rows_pass_the_byte_cap(tmp_path, capsys):
+    out = tmp_path / "tiny"
+    build = ("--max-level", "1", "--schedule", "log", "--budget", "8", "--sign-budget", "8")
+    assert _run("build", *build, "--out", str(out)) == 0
+    manifest = (out / "manifest.json").read_bytes()
+    capsys.readouterr()
+    assert _run("ap", "--out", str(out), "--rank", str(10**12)) == 2
+    assert "rank 1000000000000 at level 1 needs rows above" in capsys.readouterr().err
+    assert not (out / "ap").exists()
+    assert (out / "manifest.json").read_bytes() == manifest
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):
