@@ -18,8 +18,9 @@ level by level.  Since upper_{n-1}(h, g) = -conj(lower_n(g, h)), a sign
 candidate is scored on the lower block alone, one length-k FFT per row of
 lower_n^T.  The signs are real and chi(-x) = conj(chi(x)), so
 lower_n(-g, -h) = conj(lower_n(g, h)): row -h is row h mirrored and
-conjugated, and rows h = 0..k_below//2 already hold every modulus.  Split
-candidates are scored by one FFT of the anchor indicator.
+conjugated, and rows h = 0..k_below//2 already hold every modulus.  The
+exhaustive search scores its patterns in batches, one FFT call per batch.
+Split candidates are scored by one FFT of the anchor indicator.
 
 The balance values are one inverse FFT of the weights (2 at anchors, -1
 at carriers), and both cross blocks come from the sign kernel
@@ -62,9 +63,10 @@ _SPLIT_STREAM = 101
 _SIGN_STREAM = 202
 
 # Split candidates are scored in batches that double from one candidate up to
-# about this many spectrum entries.
+# about this many spectrum entries; exhaustive sign patterns go in batches of
+# at most this many.
 _SPLIT_CHUNK_ENTRIES = 1 << 20
-# Rows of lower_n^T transformed at once by the sign objective.
+# Rows of lower_n^T transformed at once for one sign pattern.
 _SIGN_CHUNK_ROWS = 32
 # Split scores and sign objectives within this relative distance of the best are ties.
 _TIE_RTOL = 1e-12
@@ -333,18 +335,24 @@ def lower_rows(
     Row h is the length-k FFT of the vector that holds eps_j * chi_{c_j}(h)
     at anchor a_j.  The phases are gathered from the exact-exponent roots of
     level n-1, with the exponents h * c_j advanced and the signs folded into
-    the table (``advancing_exponents``), and rows go ``_SIGN_CHUNK_ROWS`` at
-    a time through one flat placement index, so memory stays O(chunk * k).
+    the table (``advancing_exponents``), through one flat placement index.
+    One pattern, ``eps`` of shape (m,), goes ``_SIGN_CHUNK_ROWS`` rows at a
+    time as (size, k) chunks, so memory stays O(chunk * k).  A batch, shape
+    (B, m), goes all rows at once as one (rows, B, k) array, whose size the
+    caller bounds; numpy's FFT gives each row the same bits either way.
     """
     here, below = data.require(n), data.require(n - 1)
     k, k_below = here.table.order, below.table.order
-    table, shift = below.table.signed_roots(), (eps < 0) * (2 * k_below)
-    chunk = min(_SIGN_CHUNK_ROWS, rows)
-    placed = np.zeros((chunk, k), dtype=np.complex128)
-    flat = (np.arange(chunk)[:, None] * k + here.split.anchor_index).reshape(-1)
-    for start, e in advancing_exponents(below.split.carrier_index, k_below, rows, chunk, shift):
+    batch, count = eps.shape[:-1], len(eps) if eps.ndim > 1 else 1
+    table, shift = below.table.signed_roots(), (eps.reshape(-1) < 0) * (2 * k_below)
+    chunk = rows if batch else min(_SIGN_CHUNK_ROWS, rows)
+    placed = np.zeros((chunk, count * k), dtype=np.complex128)
+    anchors = np.arange(count)[:, None] * k + here.split.anchor_index
+    flat = (np.arange(chunk)[:, None] * (count * k) + anchors.reshape(-1)).reshape(-1)
+    carriers = np.tile(below.split.carrier_index, count)
+    for start, e in advancing_exponents(carriers, k_below, rows, chunk, shift):
         placed.reshape(-1)[flat[: e.size]] = table[e].reshape(-1)
-        yield start, np.fft.fft(placed[: len(e)], axis=1)
+        yield start, np.fft.fft(placed[: len(e)].reshape(len(e), *batch, k), axis=-1)
 
 
 def cross_lower_matrix(n: int, data: ConstructionData) -> np.ndarray:
@@ -383,30 +391,34 @@ def middle_block(n: int, data: ConstructionData) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def sign_objective(n: int, data: ConstructionData, signs: Sequence[int]) -> float:
-    """Largest cross-block magnitude the level-n pattern controls.
+def sign_objectives(n: int, data: ConstructionData, patterns: np.ndarray) -> np.ndarray:
+    """Largest cross-block magnitude each level-n pattern controls, for a
+    (B, m) array of +-1 patterns.
 
     |upper_{n-1}| is the transpose of |lower_n|, so only lower_n is formed,
     one FFT per row of lower_n^T (``lower_rows``).  Row k_below - h is row
     h conjugated and read at -g (eps is real, chi(-x) = conj(chi(x))), so
     it has the same largest modulus and only rows 0..k_below//2 are
-    transformed.
+    transformed.  A batch of B > 1 is one FFT call over all its patterns
+    and rows; the caller keeps B * rows * k within ``_SPLIT_CHUNK_ENTRIES``.
+    One pattern goes in ``_SIGN_CHUNK_ROWS``-row chunks.
     """
+    eps = np.asarray(patterns, dtype=np.float64)
     if n == 0:
-        return 0.0
-    eps = np.asarray(signs, dtype=np.float64)
-    if len(eps) != len(data.require(n).split.anchors):
+        return np.zeros(len(eps))
+    if eps.shape[-1] != len(data.require(n).split.anchors):
         raise BadParameter("sign pattern length must match the anchor count")
     rows = data.require(n - 1).table.order // 2 + 1
-    worst = 0.0
-    for _, spectrum in lower_rows(n, data, eps, rows):
-        worst = max(worst, float(np.abs(spectrum).max()))
+    worst = np.zeros(len(eps))
+    for _, spectrum in lower_rows(n, data, eps if len(eps) > 1 else eps[0], rows):
+        worst = np.maximum(worst, np.abs(spectrum).max(axis=(0, -1)))
         del spectrum  # freed before the next chunk is transformed
     return 2.0 ** (-n) * worst
 
 
-def _signs_from_bits(idx: int, m: int) -> Tuple[int, ...]:
-    return tuple(1 if not (idx >> (m - 1 - j)) & 1 else -1 for j in range(m))
+def sign_objective(n: int, data: ConstructionData, signs: Sequence[int]) -> float:
+    """``sign_objectives`` of the one pattern ``signs``."""
+    return float(sign_objectives(n, data, [signs])[0])
 
 
 def search_signs(
@@ -421,26 +433,39 @@ def search_signs(
 
     Patterns are chosen level by level; the pattern at n finalizes the
     lower block of level n and the upper block of level n-1 (at n = 0 the
-    objective is vacuous).  Each candidate is scored once by
-    ``sign_objective``.  ``exhaustive`` enumerates every pattern in
-    lexicographic order, +1 before -1; ``random-restart`` scores up to
-    ``budget`` draws.  The first pattern scoring at most ``target`` wins;
-    without one, the earliest within a relative 1e-12 of the best, which
-    on the exhaustive path is the lexicographically smallest pattern among
-    the near-ties.  The objective is invariant under a global flip, so the
-    exhaustive optimum starts with +1.
+    objective is vacuous).  Each candidate is scored once.  ``exhaustive``
+    enumerates every pattern in lexicographic order, +1 before -1, and
+    scores them in batches through ``sign_objectives``; ``random-restart``
+    scores up to ``budget`` draws one at a time through ``sign_objective``,
+    so none past the first hit is scored.  The first pattern scoring at
+    most ``target`` wins; without one, the earliest within a relative
+    1e-12 of the best, which on the exhaustive path is the
+    lexicographically smallest pattern among the near-ties.  The objective
+    is invariant under a global flip, so the exhaustive optimum starts
+    with +1.
     """
     exhaustive = _exhaustive("sign", strategy, n, budget, seed)
     m = len(data.require(n).split.anchors)
     if n >= 1:
         data.require(n - 1).require_signs()  # sequential level order
 
-    def scored() -> Iterator[Tuple[np.ndarray, List[Tuple[int, ...]]]]:
-        for i in range(1 << m if exhaustive else budget):
-            signs = _signs_from_bits(i, m) if exhaustive else sign_draw(seed, i, m)
+    def drawn() -> Iterator[Tuple[np.ndarray, List[Tuple[int, ...]]]]:
+        for i in range(budget):
+            signs = sign_draw(seed, i, m)
             yield np.array([sign_objective(n, data, signs)]), [signs]
 
-    signs, objective, draws = _scan(scored(), target)
+    def enumerated() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        # spectrum entries per pattern: rows 0..k_below//2 of length k
+        entries = block_size(n) * (block_size(n - 1) // 2 + 1) if n else 1
+        step, count = max(1, _SPLIT_CHUNK_ENTRIES // entries), 1 << m
+        bits = np.arange(m - 1, -1, -1)
+        for lo in range(0, count, step):
+            index = np.arange(lo, min(lo + step, count))
+            patterns = 1 - 2 * ((index[:, None] >> bits) & 1)  # bit 0 is +1
+            yield sign_objectives(n, data, patterns), patterns
+
+    signs, objective, draws = _scan(enumerated() if exhaustive else drawn(), target)
+    signs = tuple(int(s) for s in signs)
     return SignPattern(level=n, signs=signs, objective=objective, draws=draws)
 
 

@@ -37,7 +37,13 @@ Cell = Union[str, int, float]
 def _jsonable(value: object) -> object:
     """JSON form of a result: dataclasses by field name, complex numbers as
     ``[re, im]``, tuples as lists, non-finite floats as null and
-    ``EXACT_INT`` fields as decimal strings."""
+    ``EXACT_INT`` fields as decimal strings.  Exact ints, strings, bools
+    and None return at once, and a list or tuple of exact ints is copied
+    whole, so long index lists take no call per item."""
+    if value is None or type(value) in (int, str, bool):
+        return value
+    if isinstance(value, (list, tuple)) and all(type(v) is int for v in value):
+        return list(value)
     if is_dataclass(value) and not isinstance(value, type):
         out = {}
         for f in fields(value):

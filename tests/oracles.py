@@ -30,13 +30,17 @@ bound on that distance that criterion 9b reads.  ``chain_bound`` is the
 three-block chain of pointwise cross bounds on a telescoping vector's norm.  ``lower_rows_oracle`` is the sign kernel with its exponents
 reduced entry by entry (int64 ``np.outer`` and ``%``) and its signs
 multiplied in, as ``aplab.discrepancy.lower_rows`` did before it advanced
-them.
+them.  ``exhaustive_signs_oracle`` is the exhaustive sign search as one
+``sign_objective`` call per pattern, patterns from ``_signs_from_bits``, as
+``search_signs`` scored them before it took batches.  ``jsonable_oracle``
+is the store's JSON form recursing into every item, as
+``aplab.store._jsonable`` did before it copied int lists whole.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +53,7 @@ from aplab.discrepancy import (
     balance_values,
     cross_bound_scale,
     lower_rows,
+    sign_objective,
 )
 from aplab.errors import AplabError, BadParameter
 from aplab.mixed_norm import ExponentSchedule, z_norms_rows
@@ -343,6 +348,44 @@ def lower_rows_oracle(
         h = np.arange(start, min(start + chunk, rows))
         placed[: len(h), anchors] = eps * roots[np.outer(h, carriers) % k_below]
         yield start, np.fft.fft(placed[: len(h)], axis=1)
+
+
+def _signs_from_bits(idx: int, m: int) -> Tuple[int, ...]:
+    """Pattern ``idx`` of length m in lexicographic order: bit 0 is +1, the top bit first."""
+    return tuple(1 if not (idx >> (m - 1 - j)) & 1 else -1 for j in range(m))
+
+
+def exhaustive_signs_oracle(n: int, data: ConstructionData) -> Tuple[Tuple[int, ...], float, int]:
+    """(signs, objective, draws) of the exhaustive level-n search: every
+    pattern scored on its own, the earliest within a relative 1e-12 of the best."""
+    m = len(data.require(n).split.anchors)
+    patterns = [_signs_from_bits(i, m) for i in range(1 << m)]
+    scores = [sign_objective(n, data, eps) for eps in patterns]
+    best = min(scores)
+    i = next(i for i, sc in enumerate(scores) if sc <= best * (1.0 + 1e-12))
+    return patterns[i], scores[i], len(patterns)
+
+
+def jsonable_oracle(value: object) -> object:
+    """JSON form of a result, one call per item: dataclasses by field name,
+    complex numbers as ``[re, im]``, tuples as lists, non-finite floats as
+    null and ``EXACT_INT`` fields as decimal strings."""
+    if is_dataclass(value) and not isinstance(value, type):
+        out = {}
+        for f in fields(value):
+            item = getattr(value, f.name)
+            exact = f.metadata.get("exact_int") and item is not None
+            out[f.name] = str(item) if exact else jsonable_oracle(item)
+        return out
+    if isinstance(value, complex):
+        return jsonable_oracle([value.real, value.imag])
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: jsonable_oracle(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable_oracle(v) for v in value]
+    return value
 
 
 def chain_bound(n: int, schedule: ExponentSchedule, constant: float) -> float:

@@ -20,7 +20,6 @@ from aplab.discrepancy import (
     balance_values,
     _candidate_rng,
     _score_indicator_batch,
-    _signs_from_bits,
     certify_constants,
     cross_bound_scale,
     cross_lower_matrix,
@@ -30,6 +29,7 @@ from aplab.discrepancy import (
     search_signs,
     sign_draw,
     sign_objective,
+    sign_objectives,
     split_bound_scale,
     split_discrepancy,
     split_draw,
@@ -37,10 +37,12 @@ from aplab.discrepancy import (
 )
 from aplab.errors import BadParameter
 from oracles import (
+    _signs_from_bits,
     balance_oracle,
     cross_lower_oracle,
     cross_matrix_from_values,
     cross_upper_oracle,
+    exhaustive_signs_oracle,
     lower_rows_oracle,
 )
 from strategies import constructions
@@ -301,6 +303,63 @@ def test_sign_search_breaks_near_ties_by_smallest_pattern(config):
         near = [eps for eps, s in zip(patterns, scores) if s <= lo * (1.0 + 1e-12)]
         # patterns come in lexicographic order, +1 before -1, so the first near-tie is the smallest
         assert data.require(n).require_signs().signs == near[0]
+
+
+@settings(max_examples=25)
+@given(constructions(max_top=3))
+def test_batched_sign_scores_equal_one_pattern_scores_bit_for_bit(case):
+    # every pattern of levels 0..top, scored in one batch and one at a time
+    top, data = case
+    for n in range(top + 1):
+        m = len(data.require(n).split.anchors)
+        patterns = np.array([_signs_from_bits(i, m) for i in range(1 << m)])
+        batched = sign_objectives(n, data, patterns)
+        single = [sign_objective(n, data, tuple(eps)) for eps in patterns.tolist()]
+        assert all(type(score) is float for score in single)
+        assert np.array_equal(batched.view(np.uint64), np.array(single).view(np.uint64))
+
+
+@settings(max_examples=5)
+@given(constructions(min_top=7, max_top=7), st.integers(0, 2**32 - 1))
+def test_batched_sign_scores_keep_their_bits_where_one_pattern_goes_in_chunks(case, seed):
+    # at level 7 one pattern takes 32-row chunks and a 1-row tail, a batch all
+    # 97 rows in one array
+    top, data = case
+    m = len(data.require(top).split.anchors)
+    patterns = np.random.default_rng(seed).choice((1, -1), size=(3, m))
+    batched = sign_objectives(top, data, patterns)
+    single = [sign_objective(top, data, tuple(eps)) for eps in patterns.tolist()]
+    assert np.array_equal(batched.view(np.uint64), np.array(single).view(np.uint64))
+
+
+@pytest.mark.parametrize("config", [(3, 7, 64, 16), (4, 3, 128, 16)], ids=["log", "power"])
+def test_exhaustive_sign_search_equals_the_per_pattern_loop(config):
+    data = build_levels(*config)
+    for n in range(RANDOM_SIGN_LEVEL):
+        found = search_signs(n, data, strategy="exhaustive")
+        assert (found.signs, found.objective, found.draws) == exhaustive_signs_oracle(n, data)
+
+
+def test_exhaustive_sign_search_does_not_depend_on_the_batch_size(monkeypatch):
+    # five level-3 patterns (7 rows of length 24 each) per batch: 52 batches
+    data = build_levels(3, 7, 64, 16)
+    default = [search_signs(n, data, strategy="exhaustive") for n in range(4)]
+    cap = 5 * 7 * 24
+    sizes = []
+    fft = np.fft.fft
+
+    def spied(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(discrepancy, "_SPLIT_CHUNK_ENTRIES", cap)
+    monkeypatch.setattr(np.fft, "fft", spied)
+    small = [search_signs(n, data, strategy="exhaustive") for n in range(3)]
+    before = len(sizes)
+    small.append(search_signs(3, data, strategy="exhaustive"))
+    assert small == default
+    assert len(sizes) - before == 52
+    assert max(sizes) <= cap
 
 
 @given(constructions())

@@ -8,8 +8,9 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,8 @@ from aplab import cli, discrepancy, errors, moduli, obstruction
 from aplab.cli import main
 from aplab.errors import MissingArtifact
 from aplab.discrepancy import CertifiedConstants, CharacterSplit, SignPattern, certify_constants
-from aplab.store import ArtifactStore, canonical_json, from_json
+from aplab.store import EXACT_INT, ArtifactStore, canonical_json, from_json
+from oracles import jsonable_oracle
 from strategies import constructions
 
 
@@ -28,6 +30,47 @@ def test_canonical_json_is_stable():
     b = canonical_json({"c": {"x": True, "y": 0.1}, "a": [1, 2], "b": 1.5})
     assert a == b
     assert a == '{"a":[1,2],"b":1.5,"c":{"x":true,"y":0.1}}'
+
+
+@dataclass(frozen=True)
+class _Counted:
+    count: Optional[int] = field(metadata=EXACT_INT)
+    rest: object = None
+
+
+_INT_LISTS = st.lists(st.one_of(st.integers(), st.booleans()), max_size=8)
+_LEAVES = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.floats(),
+    st.sampled_from((math.inf, -math.inf, math.nan)),
+    st.complex_numbers(),
+    _INT_LISTS,
+    _INT_LISTS.map(tuple),
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        st.builds(_Counted, st.one_of(st.none(), st.integers()), inner),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_PAYLOADS)
+def test_canonical_json_matches_the_per_item_recursion(payload):
+    # int lists are copied whole; the recursion into each item is the oracle,
+    # so bools in an int list still write true and non-finite floats null
+    expected = json.dumps(
+        jsonable_oracle(payload),
+        sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False,
+    )
+    assert canonical_json(payload) == expected
 
 
 @settings(deadline=None)
@@ -702,19 +745,29 @@ def test_cli_refuses_a_stored_split_or_sign_list_that_does_not_fit(tmp_path, cap
 
 
 def test_build_scores_each_pattern_once_and_verify_rescores_each_level(tmp_path, monkeypatch):
-    calls = []
-    score = discrepancy.sign_objective
+    # every pattern is scored through sign_objectives, in a batch on the
+    # exhaustive levels and as the one-pattern case of sign_objective on the
+    # random ones; scored counts the patterns, calls the one-pattern calls
+    scored, calls = [], []
+    batch, score = discrepancy.sign_objectives, discrepancy.sign_objective
+
+    def counted_batch(n, data, patterns):
+        scored.extend([n] * len(patterns))
+        return batch(n, data, patterns)
 
     def counted(n, data, signs):
         calls.append(n)
         return score(n, data, signs)
 
+    monkeypatch.setattr(discrepancy, "sign_objectives", counted_batch)
     monkeypatch.setattr(discrepancy, "sign_objective", counted)
     monkeypatch.setattr(cli, "sign_objective", counted)
     out = tmp_path / "counted"
     assert _run("build", "--max-level", "6", "--schedule", "log", "--seed", "7", "--out", str(out)) == 0
     levels = [json.loads((out / f"levels/level_{n:02d}.json").read_text()) for n in range(7)]
-    assert len(calls) == sum(level["signs"]["draws"] for level in levels)
+    assert len(scored) == sum(level["signs"]["draws"] for level in levels)
+    random = range(discrepancy.RANDOM_SIGN_LEVEL, 7)
+    assert sorted(calls) == sorted(n for n in random for _ in range(levels[n]["signs"]["draws"]))
 
     # verify reads each lower_m once: its rescoring and the compact family
     # share one pass of the sign kernel per level
@@ -727,10 +780,11 @@ def test_build_scores_each_pattern_once_and_verify_rescores_each_level(tmp_path,
 
     monkeypatch.setattr(discrepancy, "lower_rows", counted_pass)
     monkeypatch.setattr(obstruction, "lower_rows", counted_pass)
+    scored.clear()
     calls.clear()
     assert _run("verify", "--out", str(out)) == 0
     assert sorted(passes) == list(range(1, 7))
-    assert calls == []
+    assert scored == calls == []
 
 
 def test_verify_rescores_a_lowered_stored_objective(tmp_path, capsys):
