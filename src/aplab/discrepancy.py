@@ -336,16 +336,15 @@ def lower_rows(
     at anchor a_j.  The phases are gathered from the exact-exponent roots of
     level n-1, with the exponents h * c_j advanced and the signs folded into
     the table (``advancing_exponents``), through one flat placement index.
-    One pattern, ``eps`` of shape (m,), goes ``_SIGN_CHUNK_ROWS`` rows at a
-    time as (size, k) chunks, so memory stays O(chunk * k).  A batch, shape
-    (B, m), goes all rows at once as one (rows, B, k) array, whose size the
-    caller bounds; numpy's FFT gives each row the same bits either way.
+    Rows go ``_SIGN_CHUNK_ROWS`` at a time.  One pattern, ``eps`` of shape
+    (m,), gives (size, k) chunks, so memory stays O(chunk * k); a batch,
+    shape (B, m), gives (size, B, k) chunks, each one FFT call.
     """
     here, below = data.require(n), data.require(n - 1)
     k, k_below = here.table.order, below.table.order
     batch, count = eps.shape[:-1], len(eps) if eps.ndim > 1 else 1
     table, shift = below.table.signed_roots(), (eps.reshape(-1) < 0) * (2 * k_below)
-    chunk = rows if batch else min(_SIGN_CHUNK_ROWS, rows)
+    chunk = min(_SIGN_CHUNK_ROWS, rows)
     placed = np.zeros((chunk, count * k), dtype=np.complex128)
     anchors = np.arange(count)[:, None] * k + here.split.anchor_index
     flat = (np.arange(chunk)[:, None] * (count * k) + anchors.reshape(-1)).reshape(-1)
@@ -391,6 +390,19 @@ def middle_block(n: int, data: ConstructionData) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _sign_rows(n: int, data: ConstructionData) -> int:
+    """Rows h = 0..k_below//2 of lower_n^T, the ones a level-n score transforms."""
+    return data.require(n - 1).table.order // 2 + 1
+
+
+def _sign_batch(n: int, data: ConstructionData) -> int:
+    """Patterns per ``sign_objectives`` call whose FFT inputs fit ``_SPLIT_CHUNK_ENTRIES``."""
+    if n == 0:
+        return _SPLIT_CHUNK_ENTRIES  # level 0 is scored without an FFT
+    entries = min(_SIGN_CHUNK_ROWS, _sign_rows(n, data)) * data.require(n).table.order
+    return max(1, _SPLIT_CHUNK_ENTRIES // entries)
+
+
 def sign_objectives(n: int, data: ConstructionData, patterns: np.ndarray) -> np.ndarray:
     """Largest cross-block magnitude each level-n pattern controls, for a
     (B, m) array of +-1 patterns.
@@ -399,18 +411,16 @@ def sign_objectives(n: int, data: ConstructionData, patterns: np.ndarray) -> np.
     one FFT per row of lower_n^T (``lower_rows``).  Row k_below - h is row
     h conjugated and read at -g (eps is real, chi(-x) = conj(chi(x))), so
     it has the same largest modulus and only rows 0..k_below//2 are
-    transformed.  A batch of B > 1 is one FFT call over all its patterns
-    and rows; the caller keeps B * rows * k within ``_SPLIT_CHUNK_ENTRIES``.
-    One pattern goes in ``_SIGN_CHUNK_ROWS``-row chunks.
+    transformed.  Each chunk of rows is one FFT call over all B patterns;
+    ``_sign_batch`` patterns keep it within ``_SPLIT_CHUNK_ENTRIES`` entries.
     """
     eps = np.asarray(patterns, dtype=np.float64)
     if n == 0:
         return np.zeros(len(eps))
     if eps.shape[-1] != len(data.require(n).split.anchors):
         raise BadParameter("sign pattern length must match the anchor count")
-    rows = data.require(n - 1).table.order // 2 + 1
     worst = np.zeros(len(eps))
-    for _, spectrum in lower_rows(n, data, eps if len(eps) > 1 else eps[0], rows):
+    for _, spectrum in lower_rows(n, data, eps, _sign_rows(n, data)):
         worst = np.maximum(worst, np.abs(spectrum).max(axis=(0, -1)))
         del spectrum  # freed before the next chunk is transformed
     return 2.0 ** (-n) * worst
@@ -455,9 +465,7 @@ def search_signs(
             yield np.array([sign_objective(n, data, signs)]), [signs]
 
     def enumerated() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        # spectrum entries per pattern: rows 0..k_below//2 of length k
-        entries = block_size(n) * (block_size(n - 1) // 2 + 1) if n else 1
-        step, count = max(1, _SPLIT_CHUNK_ENTRIES // entries), 1 << m
+        step, count = _sign_batch(n, data), 1 << m
         bits = np.arange(m - 1, -1, -1)
         for lo in range(0, count, step):
             index = np.arange(lo, min(lo + step, count))

@@ -322,8 +322,8 @@ def test_batched_sign_scores_equal_one_pattern_scores_bit_for_bit(case):
 @settings(max_examples=5)
 @given(constructions(min_top=7, max_top=7), st.integers(0, 2**32 - 1))
 def test_batched_sign_scores_keep_their_bits_where_one_pattern_goes_in_chunks(case, seed):
-    # at level 7 one pattern takes 32-row chunks and a 1-row tail, a batch all
-    # 97 rows in one array
+    # at level 7 the rows go in 32-row chunks and a 1-row tail, for a batch
+    # of three patterns as for one
     top, data = case
     m = len(data.require(top).split.anchors)
     patterns = np.random.default_rng(seed).choice((1, -1), size=(3, m))
