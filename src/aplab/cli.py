@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -39,12 +39,7 @@ from .discrepancy import (
 )
 from .errors import AplabError, BadParameter, CheckFailed, MissingArtifact
 from .mixed_norm import ExponentSchedule, compactness_sequence
-from .moduli import (
-    TypeCotypeConstants,
-    growth_envelope_check,
-    split_sequence,
-    witness_point,
-)
+from .moduli import growth_envelope_check, split_sequence, witness_point
 from .store import EXACT_INT_BITS, MANIFEST_NAME, ArtifactStore, from_json
 
 EXIT_OK = 0
@@ -57,26 +52,22 @@ OUT_ENV_VAR = "APLAB_OUT"
 
 DEFAULT_M_SAMPLES = (2**10, 2**20, 2**40, 2**64)
 
-# What a build records in config.json, with the defaults build uses.  The
-# derived commands (verify, ap, moduli) take these from the store they read;
-# a flag given explicitly must agree with the stored value.
-BUILD_DEFAULTS = {
-    "schedule": "power", "max_level": 6, "seed": 7, "budget": 2048, "sign_budget": 64,
-    "tol": 1e-9, "c1": 1.0, "c2": 1.0,
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    schedule: ExponentSchedule
-    max_level: int
-    seed: int
-    budget: int
-    sign_budget: int
-    tol: float
-    c1: float
-    c2: float
+    """What a build records in config.json, with the defaults build uses.  The
+    derived commands (verify, ap, moduli) take these from the store they read;
+    a flag given explicitly must agree with the stored value."""
+
     out: Path
+    schedule: ExponentSchedule = ExponentSchedule.power(0.5)
+    max_level: int = 6
+    seed: int = 7
+    budget: int = 2048
+    sign_budget: int = 64
+    tol: float = 1e-9
+    c1: float = 1.0
+    c2: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_level < 1:
@@ -89,8 +80,13 @@ class RunConfig:
             raise BadParameter(f"tolerance must be positive and finite, got {self.tol}")
         if not (1.0 <= self.c1 < math.inf and 1.0 <= self.c2 < math.inf):
             raise BadParameter(f"c1 and c2 must be finite and >= 1, got {self.c1}, {self.c2}")
-        if TypeCotypeConstants(self.c1, self.c2).iso_constant == math.inf:
+        if self.iso_constant == math.inf:
             raise BadParameter(f"c1 = {self.c1} and c2 = {self.c2} make 2*sqrt(2)*c1*c2 overflow; it must be finite")
+
+    @property
+    def iso_constant(self) -> float:
+        """2*sqrt(2)*c1*c2, from the type-2 (c1) and cotype (c2) constants."""
+        return 2.0 * math.sqrt(2.0) * self.c1 * self.c2
 
     def to_payload(self) -> Dict:
         return {**_record(self, "out"), "schedule": self.schedule.to_config()}
@@ -144,8 +140,8 @@ def _level_path(n: int) -> str:
     return f"levels/level_{n:02d}.json"
 
 
-def _record(item: Any, fixed: str) -> Dict:
-    """A record's fields less ``fixed``, which its file's place gives ``from_json`` back."""
+def _record(item: Any, fixed: str = "") -> Dict:
+    """A record's fields less ``fixed``, if given, which its file's place gives ``from_json`` back."""
     return {f.name: getattr(item, f.name) for f in fields(item) if f.name != fixed}
 
 
@@ -234,7 +230,7 @@ def cmd_build(config: RunConfig) -> int:
     store.write_json("config.json", config.to_payload())
     for n in data.levels():
         store.write_json(_level_path(n), _level_payload(data.require(n)))
-    store.write_json("constants.json", {**asdict(constants), "threshold": ACCEPT_CONSTANT})
+    store.write_json("constants.json", {**_record(constants), "threshold": ACCEPT_CONSTANT})
     store.update_manifest()
 
     bounds = (("balance discrepancy", constants.split_rows), ("cross-block", constants.cross_rows))
@@ -391,13 +387,11 @@ def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
             for r in report.finite_rank
         ],
     )
+    header = [f.name for f in fields(obstruction.CompactFamilyRow)]
     store.write_csv(
         "ap/compact_family.csv",
-        ["level", "max_scaled_norm", "envelope", "rate_reference"],
-        [
-            [r.level, r.max_scaled_norm, r.envelope, r.rate_reference]
-            for r in report.compact_family
-        ],
+        header,
+        [[getattr(r, k) for k in header] for r in report.compact_family],
     )
     residuals = (*report.identity_telescope_residuals, 0.0)  # none at the truncation
     for row, residual in zip(report.identity_trace, residuals):
@@ -408,8 +402,9 @@ def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
     store.update_manifest()
     print(
         f"ap: identity trace holds at 1 through level {config.max_level} within {config.tol:.3g} "
-        "(its matrix column is exactly 1 by construction; its coordinate traces and residuals "
-        f"are the checks); {len(report.finite_rank)} finite-rank operators tabulated"
+        "(its matrix column is 1 by construction; its coordinate traces and residuals check numpy's "
+        "FFT against the roots table and read neither split nor signs); "
+        f"{len(report.finite_rank)} finite-rank operators tabulated"
     )
     return EXIT_OK
 
@@ -418,8 +413,7 @@ def cmd_moduli(config: RunConfig, m_samples: Sequence[int], depth: int) -> int:
     store = ArtifactStore(config.out)
     if (config.out / "config.json").exists():  # moduli on a build, as in _config_from_args
         _require_intact(store, "moduli/")
-    constants = TypeCotypeConstants(c1=config.c1, c2=config.c2)
-    points = [witness_point(config.schedule, m, constants) for m in m_samples]
+    points = [witness_point(config.schedule, m, config.iso_constant) for m in m_samples]
     envelope = growth_envelope_check(points)
     split = split_sequence(config.schedule, depth)
 
@@ -430,8 +424,7 @@ def cmd_moduli(config: RunConfig, m_samples: Sequence[int], depth: int) -> int:
         "moduli/witness.csv",
         ["m", "head_level", "codimension", "envelope_log2"],
         [
-            [p.m, p.head_level, "" if p.codimension is None else p.codimension,
-             "" if e.envelope_log2 is None else e.envelope_log2]
+            [p.m, p.head_level, p.codimension, e.envelope_log2]
             for p, e in zip(points, envelope.rows)
         ],
     )
@@ -521,26 +514,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    given = {k: getattr(args, k) for k in BUILD_DEFAULTS if getattr(args, k) is not None}
+    names = [f.name for f in fields(RunConfig) if f.name != "out"]
+    given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
     flags = {k: f"--{k.replace('_', '-')} {v}" for k, v in given.items()}
     if args.alpha is not None:  # part of the schedule flag
-        given.setdefault("schedule", BUILD_DEFAULTS["schedule"])
         flags["schedule"] = f"{flags.get('schedule', '')} --alpha {args.alpha}".lstrip()
-    values = {**BUILD_DEFAULTS, **given}
-    values["schedule"] = _parse_schedule(values["schedule"], args.alpha)
+    if "schedule" in flags:
+        given["schedule"] = _parse_schedule(given.get("schedule", "power"), args.alpha)
     config_path = Path(args.out) / "config.json"
     if args.command in ("verify", "ap") or (args.command == "moduli" and config_path.exists()):
         with _stored(config_path):
             raw: Any = ArtifactStore(args.out).read_json("config.json")
             config = from_json(RunConfig, raw, out=Path(args.out))
-        clashes = [k for k in given if values[k] != getattr(config, k)]
+        clashes = [k for k, v in given.items() if v != getattr(config, k)]
         if clashes:
             raise BadParameter("; ".join(
                 f"{flags[k]} conflicts with {k} {raw[k]} in {config_path}"
                 for k in clashes
             ))
         return config
-    return RunConfig(**values, out=Path(args.out))
+    return RunConfig(out=Path(args.out), **given)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

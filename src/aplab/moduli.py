@@ -41,22 +41,6 @@ from .store import EXACT_INT, EXACT_INT_BITS
 _SEARCH_LIMIT = 1 << 200  # witness searches refuse to pass this level
 
 
-@dataclass(frozen=True)
-class TypeCotypeConstants:
-    """Configured bounds c1 (type 2) and c2 (cotype) entering the distance chain."""
-
-    c1: float = 1.0
-    c2: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.c1 < 1.0 or self.c2 < 1.0:
-            raise BadParameter("type/cotype constants must be >= 1")
-
-    @property
-    def iso_constant(self) -> float:
-        return 2.0 * math.sqrt(2.0) * self.c1 * self.c2
-
-
 def _gap_safe(schedule: ExponentSchedule, n: int) -> Optional[float]:
     try:
         return schedule.gap(n)
@@ -97,15 +81,15 @@ def _first_level(
 
 
 def witness_point(
-    schedule: ExponentSchedule,
-    m: int,
-    constants: TypeCotypeConstants = TypeCotypeConstants(),
+    schedule: ExponentSchedule, m: int, iso_constant: float = 2.0 * math.sqrt(2.0)
 ) -> "WitnessPoint":
     """Smallest head level certifying m-dimensional tail subspaces.
 
     Returns the smallest n >= 0 with 0 < gap(n+1) < 1/log2(m) together with
     the exact codimension 3*(2^{n+1} - 1) of the removed head, or None when
-    it has more than ``EXACT_INT_BITS`` bits (n + 3 bounds them).
+    it has more than ``EXACT_INT_BITS`` bits (n + 3 bounds them), and
+    ``iso_constant``, 2*sqrt(2)*c1*c2 for the type-2 and cotype constants
+    c1 and c2 (``RunConfig.iso_constant``).
     """
     if m < 2:
         raise BadParameter(f"dimension must be >= 2, got {m}")
@@ -121,7 +105,7 @@ def witness_point(
         m=m,
         head_level=head,
         codimension=3 * ((1 << (head + 1)) - 1) if head + 3 <= EXACT_INT_BITS else None,
-        iso_constant=constants.iso_constant,
+        iso_constant=iso_constant,
         gap_after_head=schedule.gap(head + 1),
         threshold=threshold,
     )

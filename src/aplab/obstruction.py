@@ -28,9 +28,11 @@ coefficient of basis b in the image of basis a at [a, b]) gains values[i].
 A dense d x d matrix M is the pair (arange(d), M), the form ``gaussian``
 returns; a bare array is refused.  One row kernel (``_band_pass``) reads
 T's rows of basis levels n and n+1 a chunk at a time for the telescoping
-residual, the level traces and the coordinate trace, and ``trace_limit``
-reads the family through the coordinates of T's values, so no d x d or
-k x d array is formed for an operator given by its rows.  An identity row
+residual, the one value of it that a command reads; ``level_trace`` reads
+T's diagonal (``_diagonal``), and only ``tests/oracles.py`` reads the
+kernel's level and coordinate traces.  ``trace_limit`` reads
+the family through the coordinates of T's values, so no d x d or k x d
+array is formed for an operator given by its rows.  An identity row
 is one character, so ``identity_stage`` takes the kernel's sums one
 inner product per character.  ``trace_limit`` and ``ap``'s base vector
 norm take their mixed norms from ``mixed_norm.z_norms_rows``, and

@@ -31,7 +31,7 @@ EXACT_INT = {"exact_int": True}
 # Past it, the results that hold them give their log2 instead.
 EXACT_INT_BITS = 14_000
 
-Cell = Union[str, int, float]
+Cell = Union[str, int, float, None]
 
 
 def _jsonable(value: object) -> object:
@@ -110,11 +110,10 @@ def from_json(cls: Any, raw: Any, at: str = "", **given: Any) -> Any:
 
 
 def _format_cell(cell: Cell) -> str:
-    if isinstance(cell, bool):
-        return "true" if cell else "false"
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
+    """A CSV cell: None as the empty cell, a float by its repr."""
+    if cell is None:
+        return ""
+    return repr(cell) if isinstance(cell, float) else str(cell)
 
 
 class ArtifactStore:

@@ -57,7 +57,6 @@ from aplab.discrepancy import (
 )
 from aplab.errors import AplabError, BadParameter
 from aplab.mixed_norm import ExponentSchedule, z_norms_rows
-from aplab.moduli import TypeCotypeConstants
 from aplab.obstruction import (
     BasisFrame,
     _band_pass,
@@ -419,19 +418,17 @@ class DistanceBound:
     cap_applies: bool
 
 
-def distance_bound(
-    m: int, p: float, constants: TypeCotypeConstants = TypeCotypeConstants()
-) -> DistanceBound:
+def distance_bound(m: int, p: float, c1: float = 1.0, c2: float = 1.0) -> DistanceBound:
     """Cotype-chain bound for an m-dimensional subspace of an l_p tail."""
     if m < 1:
         raise BadParameter(f"dimension must be >= 1, got {m}")
     if not 2.0 < p <= 3.0:
         raise BadParameter(f"block exponent must lie in (2, 3], got {p}")
     growth = 2.0 ** ((0.5 - 1.0 / p) * math.log2(m))
-    value = math.sqrt(2.0) * constants.c1 * constants.c2 * growth
+    value = math.sqrt(2.0) * c1 * c2 * growth
     return DistanceBound(
         value=value,
-        cap=constants.iso_constant,
+        cap=2.0 * math.sqrt(2.0) * c1 * c2,
         cap_applies=growth <= 2.0,
     )
 

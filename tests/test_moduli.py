@@ -1,15 +1,12 @@
 import math
+from pathlib import Path
 
 import pytest
 
+from aplab.cli import RunConfig
 from aplab.errors import BadParameter
 from aplab.mixed_norm import ExponentSchedule
-from aplab.moduli import (
-    TypeCotypeConstants,
-    growth_envelope_check,
-    split_sequence,
-    witness_point,
-)
+from aplab.moduli import growth_envelope_check, split_sequence, witness_point
 from oracles import (
     DegenerateBasis,
     DimensionTooLarge,
@@ -65,8 +62,11 @@ def test_witness_log_heads(log_schedule):
 
 
 def test_witness_constants():
-    point = witness_point(ExponentSchedule.power(0.5), 16, TypeCotypeConstants(c1=1.5, c2=2.0))
+    config = RunConfig(out=Path("unused"), c1=1.5, c2=2.0)
+    point = witness_point(config.schedule, 16, config.iso_constant)
     assert point.iso_constant == pytest.approx(2.0 * math.sqrt(2.0) * 3.0)
+    # the default is the iso constant of c1 = c2 = 1, bit for bit
+    assert witness_point(config.schedule, 16).iso_constant == RunConfig(out=Path("unused")).iso_constant
 
 
 def test_witness_validation(power_schedule):
@@ -264,8 +264,3 @@ def test_oracle_rejects_dependent_basis():
     v = MixedNormVector.single(sched, 0, 0)
     with pytest.raises(DegenerateBasis):
         numeric_distance_upper([v, v.scale(2.0)], samples=8, seed=0)
-
-
-def test_constants_validation():
-    with pytest.raises(BadParameter):
-        TypeCotypeConstants(c1=0.5)

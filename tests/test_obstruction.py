@@ -417,6 +417,43 @@ def test_identity_trace_is_one(frame5):
             frame5.coords_at(ident[:1], n)
 
 
+def _with_level(data, item):
+    """A copy of ``data`` with ``item`` in place of its level."""
+    planted = ConstructionData()
+    for n in data.levels():
+        planted.put(data.require(n))
+    planted.put(item)
+    return planted
+
+
+def test_identity_stage_reads_no_sign(small_data, log_schedule):
+    # the signs enter the identity rows only as eps_j^2 = 1, so flipping
+    # every sign of a level leaves every trace and residual bit-identical
+    def bits(data):
+        return [np.array(part).tobytes() for part in ob.identity_stage(ob.BasisFrame(data, log_schedule, 5))]
+
+    expected = bits(small_data)
+    for n in small_data.levels():
+        item = small_data.require(n)
+        signs = item.require_signs()
+        flipped = replace(signs, signs=tuple(-s for s in signs.signs))
+        assert bits(_with_level(small_data, replace(item, signs=flipped))) == expected, n
+
+
+def test_identity_stage_passes_an_unsearched_partition(small_data, log_schedule):
+    # the split only picks which characters carry -2^{-n} and which
+    # 2^{-n-1}; for any partition the sums are 1 and 0 up to rounding
+    tol = 1e-9  # build's default --tol
+    item = small_data.require(4)
+    order = tuple(int(c) for c in np.random.default_rng(4).permutation(item.table.order))
+    split = replace(item.split, anchors=order[: len(order) // 3], carriers=order[len(order) // 3 :])
+    assert split != item.split
+    frame = ob.BasisFrame(_with_level(small_data, replace(item, split=split)), log_schedule, 5)
+    traces, coordinates, residuals = ob.identity_stage(frame)
+    deviations = [max(abs(t - 1.0), abs(c - 1.0)) for t, c in zip(traces, coordinates)]
+    assert max(deviations) < tol and max(residuals) < tol
+
+
 def test_rank_one_trace(small_data):
     values = np.zeros((1, ob.basis_dimension(4)), dtype=np.complex128)
     values[0, 0] = 1.0

@@ -307,6 +307,25 @@ def test_cli_refuses_c1_and_c2_whose_iso_constant_overflows(tmp_path, capsys):
     assert rows[0]["iso_constant"] == 2.0 * math.sqrt(2.0) * 1e154 * 1e153
 
 
+def test_build_without_flags_stores_the_default_config(tmp_path, capsys):
+    # RunConfig holds the defaults: a build given no flag stores exactly them
+    out = tmp_path / "defaults"
+    assert _run("build", "--out", str(out)) == 0
+    text = (out / "config.json").read_text()
+    assert text == canonical_json(cli.RunConfig(out=out).to_payload()) + "\n"
+    assert json.loads(text) == {
+        "schedule": {"kind": "power", "alpha": 0.5}, "max_level": 6, "seed": 7,
+        "budget": 2048, "sign_budget": 64, "tol": 1e-9, "c1": 1.0, "c2": 1.0,
+    }
+    capsys.readouterr()
+    # a type-2 or cotype constant below 1 is refused before anything is written
+    for args in (("build", "--c1", "0.5"), ("moduli", "--c2", "0.5")):
+        fresh = tmp_path / args[0]
+        assert _run(*args, "--out", str(fresh)) == 2, args
+        assert "c1 and c2 must be finite and >= 1" in capsys.readouterr().err
+        assert not fresh.exists()
+
+
 def test_moduli_finds_each_witness_once(tmp_path, monkeypatch):
     # the envelope judges the witnesses cmd_moduli found; it searches none
     calls, original = [], moduli.witness_point
