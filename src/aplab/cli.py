@@ -14,6 +14,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -480,52 +481,41 @@ def _parse_m_samples(text: Optional[str]) -> Tuple[int, ...]:
     return samples
 
 
+@cache  # one parser per process, built on first use
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="aplab",
-        description="Build, certify, and probe the mixed-norm construction.",
-    )
+    helps = {"schedule": "power | log | JSON spec (default power)", "budget": "split search budget"}
+    common = argparse.ArgumentParser(add_help=False)  # the flags every command takes
+    for f in fields(RunConfig)[1:]:  # the schedule is parsed later; the rest are ints or floats
+        kind = {"int": int, "float": float}.get(f.type)
+        common.add_argument(f"--{f.name.replace('_', '-')}", type=kind, help=helps.get(f.name))
+    common.add_argument("--alpha", type=float, help="power exponent (default 0.5)")
+    common.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR}, else aplab-out)")
+    description = "Build, certify, and probe the mixed-norm construction."
+    parser = argparse.ArgumentParser(prog="aplab", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--schedule", help="power | log | JSON spec (default power)")
-        p.add_argument("--alpha", type=float, help="power exponent (default 0.5)")
-        p.add_argument("--max-level", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--budget", type=int, help="split search budget")
-        p.add_argument("--sign-budget", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--c1", type=float)
-        p.add_argument("--c2", type=float)
-        p.add_argument("--out", default=os.environ.get(OUT_ENV_VAR, "aplab-out"))
-
-    for name in ("build", "verify", "ap", "moduli", "split"):
-        p = sub.add_parser(name)
-        add_common(p)
-        if name == "ap":
-            p.add_argument("--operators", type=int, default=5)
-            p.add_argument("--rank", type=int, default=5)
-        if name == "moduli":
-            p.add_argument("--m-samples", default=None)
-            p.add_argument("--depth", type=int, default=3)
-        if name == "split":
-            p.add_argument("--depth", type=int, default=3)
+    names = ("build", "verify", "ap", "moduli", "split")
+    commands = {name: sub.add_parser(name, parents=[common]) for name in names}
+    commands["ap"].add_argument("--operators", type=int, default=5)
+    commands["ap"].add_argument("--rank", type=int, default=5)
+    commands["moduli"].add_argument("--m-samples", default=None)
+    for name in ("moduli", "split"):
+        commands[name].add_argument("--depth", type=int, default=3)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    names = [f.name for f in fields(RunConfig) if f.name != "out"]
-    given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    out = Path(os.environ.get(OUT_ENV_VAR, "aplab-out") if args.out is None else args.out)
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)[1:] if getattr(args, f.name) is not None}
     flags = {k: f"--{k.replace('_', '-')} {v}" for k, v in given.items()}
     if args.alpha is not None:  # part of the schedule flag
         flags["schedule"] = f"{flags.get('schedule', '')} --alpha {args.alpha}".lstrip()
     if "schedule" in flags:
         given["schedule"] = _parse_schedule(given.get("schedule", "power"), args.alpha)
-    config_path = Path(args.out) / "config.json"
+    config_path = out / "config.json"
     if args.command in ("verify", "ap") or (args.command == "moduli" and config_path.exists()):
         with _stored(config_path):
-            raw: Any = ArtifactStore(args.out).read_json("config.json")
-            config = from_json(RunConfig, raw, out=Path(args.out))
+            raw: Any = ArtifactStore(out).read_json("config.json")
+            config = from_json(RunConfig, raw, out=out)
         clashes = [k for k, v in given.items() if v != getattr(config, k)]
         if clashes:
             raise BadParameter("; ".join(
@@ -533,12 +523,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 for k in clashes
             ))
         return config
-    return RunConfig(out=Path(args.out), **given)
+    return RunConfig(out=out, **given)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         if args.command == "build":

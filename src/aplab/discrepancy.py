@@ -19,7 +19,7 @@ candidate is scored on the lower block alone, one length-k FFT per row of
 lower_n^T.  The signs are real and chi(-x) = conj(chi(x)), so
 lower_n(-g, -h) = conj(lower_n(g, h)): row -h is row h mirrored and
 conjugated, and rows h = 0..k_below//2 already hold every modulus.  The
-exhaustive search scores its patterns in batches, one FFT call per batch.
+exhaustive search scores the +1-first half in batches, one FFT call each.
 Split candidates are scored by one FFT of the anchor indicator.
 
 The balance values are one inverse FFT of the weights (2 at anchors, -1
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
@@ -52,6 +52,7 @@ import numpy as np
 
 from .characters import CharacterTable, advancing_exponents, block_size, read_only
 from .errors import BadParameter
+from .store import exact_ints
 
 EXHAUSTIVE_MAX_LEVEL = 4
 # build_levels searches splits below RANDOM_SPLIT_LEVEL and signs below
@@ -72,23 +73,19 @@ _SIGN_CHUNK_ROWS = 32
 _TIE_RTOL = 1e-12
 
 
-def is_int(x: object) -> bool:
-    """Whether ``x`` is an integer; a bool (JSON true) or a float (1.0) is not."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_draws(draws: int) -> None:
-    if not is_int(draws) or draws < 1:
+    if type(draws) is not int or draws < 1:  # no bool (JSON true) or float
         raise BadParameter(f"draws must be a positive integer, got {draws!r}")
 
 
 @dataclass(frozen=True)
 class CharacterSplit:
     """Anchor/carrier partition of one level's character indices; ``draws``
-    counts the candidates its search took.  Only a partition can be made
-    (else BadParameter): 2^level anchors and 2^{level+1} carriers that
-    hold 0..k-1 once each, k = 3*2^level.  The kernels read the index
-    arrays, derived once."""
+    counts the candidates its search took, as in ``SignPattern`` (all 2^m
+    on an exhaustive sign level, which scores the +1-first half).  Only a
+    partition can be made (else BadParameter): 2^level anchors and
+    2^{level+1} carriers that hold 0..k-1 once each, k = 3*2^level.  The
+    kernels read the index arrays, derived once."""
 
     level: int
     anchors: Tuple[int, ...]
@@ -100,7 +97,7 @@ class CharacterSplit:
         _check_draws(self.draws)
         k = block_size(self.level)
         merged = (*self.anchors, *self.carriers)
-        if len(self.anchors) != k // 3 or not all(map(is_int, merged)) or sorted(merged) != list(range(k)):
+        if len(self.anchors) != k // 3 or not exact_ints(merged) or sorted(merged) != list(range(k)):
             raise BadParameter(
                 f"level {self.level} needs {k // 3} anchors and {2 * k // 3} carriers "
                 f"that partition the integers 0..{k - 1}"
@@ -127,7 +124,7 @@ class SignPattern:
 
     def __post_init__(self) -> None:
         m = block_size(self.level) // 3
-        if len(self.signs) != m or not all(is_int(s) and s in (-1, 1) for s in self.signs):
+        if len(self.signs) != m or not exact_ints(self.signs) or not set(self.signs) <= {-1, 1}:
             raise BadParameter(f"level {self.level} needs {m} signs, each the integer +1 or -1")
         _check_draws(self.draws)
 
@@ -181,17 +178,25 @@ class ConstructionData:
         return tuple(sorted(self._levels))
 
 
+def _balance(k: int, anchors: np.ndarray) -> np.ndarray:
+    weights = np.full(k, -1.0)
+    weights[anchors] = 2.0
+    return np.fft.ifft(weights, norm="forward")
+
+
 def balance_values(table: CharacterTable, split: CharacterSplit) -> np.ndarray:
     """Balance sum 2*sum_anchors - sum_carriers over all group elements:
     one unscaled inverse FFT of the weights, 2 at anchors and -1 at carriers."""
-    weights = np.full(table.order, -1.0)
-    weights[split.anchor_index] = 2.0
-    return np.fft.ifft(weights, norm="forward")
+    return _balance(table.order, split.anchor_index)
+
+
+def _discrepancy(k: int, anchors: np.ndarray) -> float:
+    return float(np.abs(_balance(k, anchors)).max())
 
 
 def split_discrepancy(split: CharacterSplit, table: CharacterTable) -> float:
     """Largest balance magnitude d(n), recomputed from the balance values."""
-    return float(np.abs(balance_values(table, split)).max())
+    return _discrepancy(table.order, split.anchor_index)
 
 
 # ----------------------------------------------------------------------
@@ -316,10 +321,8 @@ def search_character_split(
             lo, size = lo + len(anchors), min(2 * size, step)
 
     row, _, draws = _scan(scored(), target)
-    winner = tuple(int(x) for x in row)
-    carriers = tuple(sorted(set(range(k)) - set(winner)))
-    split = CharacterSplit(n, winner, carriers, discrepancy=0.0, draws=draws)
-    return replace(split, discrepancy=split_discrepancy(split, table))
+    carriers = np.delete(np.arange(k), row)  # the rest, in order
+    return CharacterSplit(n, tuple(row.tolist()), tuple(carriers.tolist()), _discrepancy(k, row), draws)
 
 
 # ----------------------------------------------------------------------
@@ -444,15 +447,16 @@ def search_signs(
     Patterns are chosen level by level; the pattern at n finalizes the
     lower block of level n and the upper block of level n-1 (at n = 0 the
     objective is vacuous).  Each candidate is scored once.  ``exhaustive``
-    enumerates every pattern in lexicographic order, +1 before -1, and
+    enumerates the patterns in lexicographic order, +1 before -1, and
     scores them in batches through ``sign_objectives``; ``random-restart``
     scores up to ``budget`` draws one at a time through ``sign_objective``,
     so none past the first hit is scored.  The first pattern scoring at
     most ``target`` wins; without one, the earliest within a relative
     1e-12 of the best, which on the exhaustive path is the
-    lexicographically smallest pattern among the near-ties.  The objective
-    is invariant under a global flip, so the exhaustive optimum starts
-    with +1.
+    lexicographically smallest pattern among the near-ties.  A global flip
+    negates the FFT input exactly, so the exhaustive path scores only the
+    +1-first half, where the first hit and the earliest near-tie lie;
+    ``draws`` still counts all 2^m patterns: the hit's position, else 2^m.
     """
     exhaustive = _exhaustive("sign", strategy, n, budget, seed)
     m = len(data.require(n).split.anchors)
@@ -465,7 +469,7 @@ def search_signs(
             yield np.array([sign_objective(n, data, signs)]), [signs]
 
     def enumerated() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        step, count = _sign_batch(n, data), 1 << m
+        step, count = _sign_batch(n, data), 1 << (m - 1)  # the +1-first half
         bits = np.arange(m - 1, -1, -1)
         for lo in range(0, count, step):
             index = np.arange(lo, min(lo + step, count))
@@ -473,6 +477,8 @@ def search_signs(
             yield sign_objectives(n, data, patterns), patterns
 
     signs, objective, draws = _scan(enumerated() if exhaustive else drawn(), target)
+    if exhaustive and not objective <= target:  # no hit: the flipped half counts as taken
+        draws = 1 << m
     signs = tuple(int(s) for s in signs)
     return SignPattern(level=n, signs=signs, objective=objective, draws=draws)
 

@@ -34,6 +34,11 @@ EXACT_INT_BITS = 14_000
 Cell = Union[str, int, float, None]
 
 
+def exact_ints(items: Iterable[object]) -> bool:
+    """Whether every item is an int, none a bool (JSON true) or a float (1.0); one C pass."""
+    return set(map(type, items)) <= {int}
+
+
 def _jsonable(value: object) -> object:
     """JSON form of a result: dataclasses by field name, complex numbers as
     ``[re, im]``, tuples as lists, non-finite floats as null and
@@ -42,7 +47,7 @@ def _jsonable(value: object) -> object:
     whole, so long index lists take no call per item."""
     if value is None or type(value) in (int, str, bool):
         return value
-    if isinstance(value, (list, tuple)) and all(type(v) is int for v in value):
+    if isinstance(value, (list, tuple)) and exact_ints(value):
         return list(value)
     if is_dataclass(value) and not isinstance(value, type):
         out = {}

@@ -31,8 +31,9 @@ three-block chain of pointwise cross bounds on a telescoping vector's norm.  ``l
 reduced entry by entry (int64 ``np.outer`` and ``%``) and its signs
 multiplied in, as ``aplab.discrepancy.lower_rows`` did before it advanced
 them.  ``exhaustive_signs_oracle`` is the exhaustive sign search as one
-``sign_objective`` call per pattern, patterns from ``_signs_from_bits``, as
-``search_signs`` scored them before it took batches.  ``jsonable_oracle``
+``sign_objective`` call per pattern over all 2^m patterns, from
+``_signs_from_bits``, as ``search_signs`` scored them before it took
+batches and left out the flipped half.  ``jsonable_oracle``
 is the store's JSON form recursing into every item, as
 ``aplab.store._jsonable`` did before it copied int lists whole.
 """
@@ -354,12 +355,18 @@ def _signs_from_bits(idx: int, m: int) -> Tuple[int, ...]:
     return tuple(1 if not (idx >> (m - 1 - j)) & 1 else -1 for j in range(m))
 
 
-def exhaustive_signs_oracle(n: int, data: ConstructionData) -> Tuple[Tuple[int, ...], float, int]:
+def exhaustive_signs_oracle(
+    n: int, data: ConstructionData, target: float = -math.inf
+) -> Tuple[Tuple[int, ...], float, int]:
     """(signs, objective, draws) of the exhaustive level-n search: every
-    pattern scored on its own, the earliest within a relative 1e-12 of the best."""
+    pattern scored on its own, in order; the first scoring at most ``target``
+    wins, else the earliest within a relative 1e-12 of the best."""
     m = len(data.require(n).split.anchors)
     patterns = [_signs_from_bits(i, m) for i in range(1 << m)]
     scores = [sign_objective(n, data, eps) for eps in patterns]
+    hit = next((i for i, sc in enumerate(scores) if sc <= target), None)
+    if hit is not None:
+        return patterns[hit], scores[hit], hit + 1
     best = min(scores)
     i = next(i for i, sc in enumerate(scores) if sc <= best * (1.0 + 1e-12))
     return patterns[i], scores[i], len(patterns)

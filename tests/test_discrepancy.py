@@ -340,8 +340,36 @@ def test_exhaustive_sign_search_equals_the_per_pattern_loop(config):
         assert (found.signs, found.objective, found.draws) == exhaustive_signs_oracle(n, data)
 
 
+def test_exhaustive_sign_search_meets_a_target_where_the_per_pattern_loop_does():
+    # the first hit lies in the +1-first half the search scores, and its
+    # draws are its position among all 2^m patterns; a target below every
+    # score is met by none, and the search counts all 2^m as taken
+    data = build_levels(3, 7, 64, 16)
+    for n in range(1, RANDOM_SIGN_LEVEL):
+        m = len(data.require(n).split.anchors)
+        ranked = sorted(sign_objectives(n, data, list(itertools.product((1, -1), repeat=m))))
+        picks = (ranked[0], ranked[min(9, len(ranked) - 1)], ranked[len(ranked) // 2], ranked[-1])
+        for target in (*picks, 0.5 * ranked[0]):
+            found = search_signs(n, data, strategy="exhaustive", target=target)
+            assert (found.signs, found.objective, found.draws) == exhaustive_signs_oracle(n, data, target)
+
+
+@settings(max_examples=30)
+@given(constructions(max_top=7), st.integers(0, 2**32 - 1))
+def test_a_global_flip_keeps_every_sign_objective_bit(case, seed):
+    # negating eps negates each FFT input exactly, so the exhaustive search
+    # may leave out the patterns that start with -1
+    top, data = case
+    rng = np.random.default_rng(seed)
+    for n in range(1, top + 1):
+        patterns = rng.choice((1, -1), size=(3, len(data.require(n).split.anchors)))
+        flipped = sign_objectives(n, data, -patterns)
+        assert np.array_equal(flipped.view(np.uint64), sign_objectives(n, data, patterns).view(np.uint64))
+
+
 def test_exhaustive_sign_search_does_not_depend_on_the_batch_size(monkeypatch):
-    # five level-3 patterns (7 rows of length 24 each) per batch: 52 batches
+    # five level-3 patterns (7 rows of length 24 each) per batch: 26 batches
+    # over the 128 patterns that start with +1
     data = build_levels(3, 7, 64, 16)
     default = [search_signs(n, data, strategy="exhaustive") for n in range(4)]
     cap = 5 * 7 * 24
@@ -358,7 +386,7 @@ def test_exhaustive_sign_search_does_not_depend_on_the_batch_size(monkeypatch):
     before = len(sizes)
     small.append(search_signs(3, data, strategy="exhaustive"))
     assert small == default
-    assert len(sizes) - before == 52
+    assert len(sizes) - before == 26
     assert max(sizes) <= cap
 
 

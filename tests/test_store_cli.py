@@ -384,6 +384,19 @@ def test_cli_out_env_default(tmp_path, monkeypatch, capsys):
     assert (target / "config.json").exists()
 
 
+def test_cli_out_flag_beats_the_env_default(tmp_path, monkeypatch):
+    # the parser is built once per process, before the variable is set;
+    # main reads APLAB_OUT when it runs, and only where --out is not given
+    cli._build_parser()
+    monkeypatch.setenv("APLAB_OUT", str(tmp_path / "from-env"))
+    args = ("--max-level", "1", "--schedule", "log", "--budget", "8", "--sign-budget", "8")
+    assert _run("build", *args, "--out", str(tmp_path / "from-flag")) == 0
+    assert (tmp_path / "from-flag" / "config.json").exists()
+    assert not (tmp_path / "from-env").exists()
+    assert _run("build", *args) == 0
+    assert (tmp_path / "from-env" / "config.json").exists()
+
+
 def test_cli_bad_alpha_exits_2(tmp_path):
     assert _run("build", "--schedule", "power", "--alpha", "1.5", "--out", str(tmp_path)) == 2
 
@@ -690,11 +703,18 @@ def test_cli_refuses_a_stored_split_or_sign_list_that_does_not_fit(tmp_path, cap
             return payload
         return tamper
 
-    def one_as(key, field, value):
-        # the first stored 1 in a sign or anchor list, given as another JSON value
+    def one_as(key, field, value, old=1):
+        # the first stored 1 (or ``old``) in a sign or anchor list, given as another JSON value
         def tamper(payload):
             items = payload[key][field]
-            items[items.index(1)] = value
+            items[items.index(old)] = value
+            return payload
+        return tamper
+
+    def first_as(key, field, convert):
+        # the first item of a stored list, converted to another JSON value
+        def tamper(payload):
+            payload[key][field][0] = convert(payload[key][field][0])
             return payload
         return tamper
 
@@ -732,6 +752,18 @@ def test_cli_refuses_a_stored_split_or_sign_list_that_does_not_fit(tmp_path, cap
         ("sign-float", 4, one_as("signs", "signs", 1.0)),
         ("anchor-true", 4, one_as("split", "anchors", True)),
         ("anchor-float", 4, one_as("split", "anchors", 1.0)),
+        # each item's exact type is checked, on exhaustive levels as on random ones
+        ("sign-true-exhaustive", 3, one_as("signs", "signs", True)),
+        ("sign-two", 4, one_as("signs", "signs", 2)),
+        ("sign-minus-float", 4, one_as("signs", "signs", -1.0, old=-1)),
+        ("sign-str", 4, one_as("signs", "signs", "1")),
+        ("sign-null", 4, one_as("signs", "signs", None)),
+        ("sign-list", 4, one_as("signs", "signs", [1])),
+        ("anchor-str", 4, first_as("split", "anchors", str)),
+        ("anchor-null", 4, first_as("split", "anchors", lambda a: None)),
+        ("carrier-float", 4, first_as("split", "carriers", float)),
+        ("carrier-list", 4, first_as("split", "carriers", lambda c: [c])),
+        ("anchor-float-exhaustive", 2, first_as("split", "anchors", float)),
         # the level and order a level file states must be the ones it is read as
         ("order", 2, header("order", 7)), ("level", 2, header("level", 99)),
         ("no-level", 2, lambda payload: {k: v for k, v in payload.items() if k != "level"}),
@@ -766,7 +798,9 @@ def test_cli_refuses_a_stored_split_or_sign_list_that_does_not_fit(tmp_path, cap
 def test_build_scores_each_pattern_once_and_verify_rescores_each_level(tmp_path, monkeypatch):
     # every pattern is scored through sign_objectives, in a batch on the
     # exhaustive levels and as the one-pattern case of sign_objective on the
-    # random ones; scored counts the patterns, calls the one-pattern calls
+    # random ones; scored counts the patterns, calls the one-pattern calls.
+    # An exhaustive level scores the 2^(m-1) patterns that start with +1 (a
+    # global flip keeps the score) and still counts all 2^m as draws
     scored, calls = [], []
     batch, score = discrepancy.sign_objectives, discrepancy.sign_objective
 
@@ -784,8 +818,13 @@ def test_build_scores_each_pattern_once_and_verify_rescores_each_level(tmp_path,
     out = tmp_path / "counted"
     assert _run("build", "--max-level", "6", "--schedule", "log", "--seed", "7", "--out", str(out)) == 0
     levels = [json.loads((out / f"levels/level_{n:02d}.json").read_text()) for n in range(7)]
-    assert len(scored) == sum(level["signs"]["draws"] for level in levels)
     random = range(discrepancy.RANDOM_SIGN_LEVEL, 7)
+    exhaustive = range(discrepancy.RANDOM_SIGN_LEVEL)
+    assert [levels[n]["signs"]["draws"] for n in exhaustive] == [1 << (1 << n) for n in exhaustive]
+    assert sorted(scored) == sorted(
+        [n for n in exhaustive for _ in range(1 << ((1 << n) - 1))]
+        + [n for n in random for _ in range(levels[n]["signs"]["draws"])]
+    )
     assert sorted(calls) == sorted(n for n in random for _ in range(levels[n]["signs"]["draws"]))
 
     # verify reads each lower_m once: its rescoring and the compact family
@@ -902,7 +941,7 @@ def test_a_stored_level_is_checked_once_where_it_is_loaded(tmp_path, monkeypatch
     monkeypatch.setattr(discrepancy.CharacterSplit, "__post_init__", counted)
     out = tmp_path / "L9"
     assert _run("build", "--max-level", "9", "--schedule", "log", "--out", str(out)) == 0
-    assert checks == [n for n in range(10) for _ in range(2)]  # the search's split, then with its discrepancy
+    assert checks == list(range(10))  # the search's split, made once with its discrepancy
     for command in ("verify", "ap"):
         checks.clear()
         assert _run(command, "--out", str(out)) == 0, command
@@ -1135,6 +1174,7 @@ def test_every_function_in_src_is_reached_by_a_command(tmp_path):
     # the explicit list reaches a second split index but not a third
     schedules = {"log": 3, "power": 3, '{"kind":"explicit","p":[3.0,2.9,2.8,2.7,2.6,2.5]}': 2}
     codes = []
+    cli._build_parser.cache_clear()  # built once per process: here, by the first command below
     sys.setprofile(profile)
     try:
         for i, (schedule, depth) in enumerate(schedules.items()):
