@@ -369,12 +369,11 @@ def cmd_ap(config: RunConfig, operators: int, max_rank: int) -> int:
         operator_count=operators,
         max_rank=max_rank,
         seed=config.seed,
-        provenance={
-            k: v for k, v in config.to_payload().items()
-            if k in ("seed", "budget", "sign_budget", "schedule")
-        },
     )
-    store.write_json("ap/obstruction.json", report)
+    provenance = {
+        k: v for k, v in config.to_payload().items() if k in ("seed", "budget", "sign_budget", "schedule")
+    }
+    store.write_json("ap/obstruction.json", {**_record(report), "provenance": provenance})
     store.write_csv(
         "ap/identity_trace.csv",
         ["level", "trace_real", "trace_imag", "deviation"],

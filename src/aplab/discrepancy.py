@@ -339,13 +339,13 @@ def lower_rows(
     at anchor a_j.  The phases are gathered from the exact-exponent roots of
     level n-1, with the exponents h * c_j advanced and the signs folded into
     the table (``advancing_exponents``), through one flat placement index.
-    Rows go ``_SIGN_CHUNK_ROWS`` at a time.  One pattern, ``eps`` of shape
-    (m,), gives (size, k) chunks, so memory stays O(chunk * k); a batch,
-    shape (B, m), gives (size, B, k) chunks, each one FFT call.
+    Rows go ``_SIGN_CHUNK_ROWS`` at a time.  ``eps`` is a (B, m) batch of
+    patterns, one pattern being ``eps[None]``; each chunk is one FFT call of
+    shape (size, B, k), so memory stays O(chunk * B * k).
     """
     here, below = data.require(n), data.require(n - 1)
     k, k_below = here.table.order, below.table.order
-    batch, count = eps.shape[:-1], len(eps) if eps.ndim > 1 else 1
+    count = len(eps)
     table, shift = below.table.signed_roots(), (eps.reshape(-1) < 0) * (2 * k_below)
     chunk = min(_SIGN_CHUNK_ROWS, rows)
     placed = np.zeros((chunk, count * k), dtype=np.complex128)
@@ -354,7 +354,7 @@ def lower_rows(
     carriers = np.tile(below.split.carrier_index, count)
     for start, e in advancing_exponents(carriers, k_below, rows, chunk, shift):
         placed.reshape(-1)[flat[: e.size]] = table[e].reshape(-1)
-        yield start, np.fft.fft(placed[: len(e)].reshape(len(e), *batch, k), axis=-1)
+        yield start, np.fft.fft(placed[: len(e)].reshape(len(e), count, k), axis=-1)
 
 
 def cross_lower_matrix(n: int, data: ConstructionData) -> np.ndarray:
@@ -364,8 +364,8 @@ def cross_lower_matrix(n: int, data: ConstructionData) -> np.ndarray:
     eps = data.require(n).require_signs().eps
     k, k_below = data.require(n).table.order, data.require(n - 1).table.order
     lower_t = np.empty((k_below, k), dtype=np.complex128)
-    for start, spectrum in lower_rows(n, data, eps, k_below):
-        lower_t[start : start + len(spectrum)] = spectrum
+    for start, spectrum in lower_rows(n, data, eps[None], k_below):
+        lower_t[start : start + len(spectrum)] = spectrum[:, 0]
     lower_t *= -(2.0 ** (-n))
     return lower_t.T
 

@@ -26,15 +26,16 @@ An operator is its filled rows (rows, values), values r x d, with
 T(x) = sum_i alpha_{rows[i]}(x) values[i]: row rows[i] of T's matrix (the
 coefficient of basis b in the image of basis a at [a, b]) gains values[i].
 A dense d x d matrix M is the pair (arange(d), M), the form ``gaussian``
-returns; a bare array is refused.  One row kernel (``_band_pass``) reads
-T's rows of basis levels n and n+1 a chunk at a time for the telescoping
-residual, the one value of it that a command reads; ``level_trace`` reads
-T's diagonal (``_diagonal``), and only ``tests/oracles.py`` reads the
-kernel's level and coordinate traces.  ``trace_limit`` reads
-the family through the coordinates of T's values, so no d x d or k x d
-array is formed for an operator given by its rows.  An identity row
-is one character, so ``identity_stage`` takes the kernel's sums one
-inner product per character.  ``trace_limit`` and ``ap``'s base vector
+returns; a bare array is refused.  One evaluator (``_telescope``) sums the
+per-row terms of the telescoping identity a chunk of band rows at a time
+into the coordinate trace and the telescoping sum; every level trace is
+read from a diagonal (``_diagonal``, ``_diagonal_trace``).
+``telescope_residual`` forms the terms of T's rows of basis levels n and
+n+1 from their coordinates, and ``identity_stage`` those of the identity,
+whose rows are each one character, one inner product per character
+(``_character_sums``).  ``trace_limit`` reads the family through the
+coordinates of T's values, so no d x d or k x d array is formed for an
+operator given by its rows.  ``trace_limit`` and ``ap``'s base vector
 norm take their mixed norms from ``mixed_norm.z_norms_rows``, and
 ``telescope_norms`` sums the same powers inside its kernel pass.  The frame
 matrices and the deviations built on them are test references (see
@@ -47,7 +48,7 @@ Everything here is pure: no function writes to an array it is given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -136,11 +137,11 @@ def telescope_norms(
     for m in range(1, top + 1):
         eps = data.require(m).require_signs().eps
         rows, k = data.require(m - 1).table.order, data.require(m).table.order
-        half = rows // 2 + 1  # rows 0..rows//2; the others are their mirrors
         p_lower, p_upper = schedule.p(m - 1), schedule.p(m)
         worst, columns, mirrored, upper = 0.0, np.zeros(k), np.zeros(k), []
-        for start, spectrum in lower_rows(m, data, eps, half):
-            modulus = np.abs(spectrum)
+        # rows 0..rows//2, as sign_objective reads them; the others are their mirrors
+        for start, spectrum in lower_rows(m, data, eps[None], discrepancy._sign_rows(m, data)):
+            modulus = np.abs(spectrum[:, 0])
             del spectrum  # freed before the powers are formed
             worst = max(worst, float(modulus.max()))
             modulus *= 2.0 ** (-m)
@@ -395,45 +396,37 @@ def _band_rows(rows: np.ndarray, values: np.ndarray, band: slice) -> Iterator[Tu
         yield rows[i] - band.start, values[i, band]
 
 
-def _band_pass(
-    blocks: Iterable[Tuple[np.ndarray, np.ndarray]], n: int, frame: BasisFrame
-) -> Tuple[complex, complex, complex, float]:
-    """T's level traces n and n+1, coordinate trace at n and the defect
+def _telescope(n: int, chunks: Iterable[Tuple[np.ndarray, np.ndarray]]) -> Tuple[complex, complex]:
+    """The coordinate trace at n and the telescoping sum (3*2^n)^{-1} sum_g T(tele_{n,g})(g).
 
-        | trace_{n+1}(T) - trace_n(T) - (3*2^n)^{-1} sum_g T(tele_{n,g})(g) |,
-
-    from ``blocks`` of (band positions b, T's rows there cut to the band
-    columns, the only ones the level-n coordinates read).  The sum is
-    sum_b sum_g c_{g,b} coords_n(T e_b)[g], c the tele coefficients.  The
-    own-form functional of basis (n, j) is -2^n c_{g,(n,j)} / k, so the
-    level-n rows' share is the coordinate trace, and the diagonal gives the
-    level traces.  At the truncation the band is level n alone, and only
-    the first and third values mean anything.  Memory is O(chunk * k).
+    ``chunks`` are (band positions b, terms), the term of band row b being
+    sum_g c_{g,b} coords_n(T e_b)[g], c the tele coefficients.  The own-form
+    functional of basis (n, j) is -2^n c_{g,(n,j)} / k, so the level-n rows'
+    share is the coordinate trace.  Each chunk is summed, then the chunk
+    sums; at the truncation the band is level n alone and only the
+    coordinate trace means anything.
     """
-    band = _pair_slice(n, frame.max_level)
-    k, half = block_size(n), 1 << n
-    diagonal = np.zeros(band.stop - band.start, dtype=np.complex128)
-    sums, own = [], []
-    for b, block in blocks:
-        np.add.at(diagonal, b, block[np.arange(b.size), b])
-        terms = (frame.tele_coeffs(n, b) * frame.band_coords(block, n)).sum(axis=1)
+    half, sums, own = 1 << n, [], []
+    for b, terms in chunks:
         sums.append(terms.sum())
         own.append(terms[b < half].sum())
-    here = _diagonal_trace(diagonal[:half], n)
-    above = _diagonal_trace(diagonal[half:], n + 1)
-    residual = abs(above - here - complex(np.sum(sums) / k))
-    return here, above, complex(-np.sum(own) / k), residual
+    k = block_size(n)
+    return complex(-np.sum(own) / k), complex(np.sum(sums) / k)
 
 
 def telescope_residual(op: Operator, n: int, frame: BasisFrame) -> float:
-    """Defect of the telescoping identity between levels n and n+1 of T,
-    read from its band rows a chunk at a time (``_band_pass``)."""
+    """Defect |trace_{n+1}(T) - trace_n(T) - (3*2^n)^{-1} sum_g T(tele_{n,g})(g)|
+    of T, its sum read from its band rows a chunk at a time (``_telescope``)
+    and its level traces from its diagonal.  Memory is O(chunk * k)."""
     rows, values = _filled_rows(op, frame.dim)
     if n < 0:
         raise BadParameter(f"level must be nonnegative, got {n}")
     if n >= frame.max_level:
         raise BadParameter(f"level {n + 1} exceeds truncation {frame.max_level}")
-    return _band_pass(_band_rows(rows, values, _pair_slice(n, frame.max_level)), n, frame)[3]
+    band = _band_rows(rows, values, _pair_slice(n, frame.max_level))
+    terms = ((b, (frame.tele_coeffs(n, b) * frame.band_coords(block, n)).sum(axis=1)) for b, block in band)
+    here, above = (_diagonal_trace(_diagonal(rows, values, level_slice(m)), m) for m in (n, n + 1))
+    return abs(above - here - _telescope(n, terms)[1])
 
 
 def _character_sums(table: CharacterTable, characters: np.ndarray) -> np.ndarray:
@@ -465,11 +458,12 @@ def identity_stage(
     residuals 0..N-1, one inner product per character and no d x d array.
 
     Identity band row b at level n is the unit vector at t = takes[b], so
-    ``_band_pass``'s term for it is bit for bit s_b D[t] (``_character_sums``):
-    s_b = -2^{-n} at an anchor (eps_j meets itself, and eps_j^2 = 1),
-    2^{-n-1} at a carrier, and a signed power of two commutes with every
-    rounding.  The terms are summed in ``_band_pass``'s chunks of band rows,
-    so every bit is kept; the level traces read the diagonal of ones.
+    its ``telescope_residual`` term is bit for bit s_b D[t]
+    (``_character_sums``): s_b = -2^{-n} at an anchor (eps_j meets itself,
+    and eps_j^2 = 1), 2^{-n-1} at a carrier, and a signed power of two
+    commutes with every rounding.  ``_telescope`` sums the terms in the
+    same chunks of band rows, so every bit is kept; the level traces read
+    the diagonal of ones.
     """
     top = frame.max_level
     if top < 1:
@@ -478,18 +472,16 @@ def identity_stage(
     traces, coordinates, residuals = [], [], []
     for n in range(top + 1):
         item, half = frame.data.require(n), 1 << n
-        k, takes = item.table.order, item.split.anchor_index  # the top band: its anchors alone
+        takes = item.split.anchor_index  # the top band: its anchors alone
         if n < top:
             takes = np.concatenate([takes, item.split.carrier_index])
-        scale = np.where(np.arange(takes.size) < half, -(2.0 ** (-n)), 2.0 ** (-n - 1))
-        terms = scale * _character_sums(item.table, takes)
+        b = np.arange(takes.size)
+        terms = np.where(b < half, -(2.0 ** (-n)), 2.0 ** (-n - 1)) * _character_sums(item.table, takes)
         starts = range(0, takes.size, chunk)
-        # per chunk, as _band_pass sums: all terms, and those of level-n rows
-        total = np.sum([terms[s : s + chunk].sum() for s in starts])
-        own = np.sum([terms[s : min(s + chunk, half)].sum() for s in starts])
+        coordinate, telescoped = _telescope(n, ((b[s : s + chunk], terms[s : s + chunk]) for s in starts))
         traces.append(_diagonal_trace(np.ones(half), n))
-        coordinates.append(complex(-own / k))
-        residuals.append(abs(_diagonal_trace(np.ones(2 * half), n + 1) - traces[-1] - complex(total / k)))
+        coordinates.append(coordinate)
+        residuals.append(abs(_diagonal_trace(np.ones(2 * half), n + 1) - traces[-1] - telescoped))
     return tuple(traces), tuple(coordinates), tuple(residuals[:-1])  # no residual at the top
 
 
@@ -561,7 +553,7 @@ class CompactFamilyRow:
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """The ``ap`` evidence; its fields are the keys of ``ap/obstruction.json``."""
+    """The ``ap`` evidence; its fields and ``cmd_ap``'s provenance are the keys of ``ap/obstruction.json``."""
 
     max_level: int
     identity_trace: Tuple[IdentityTraceRow, ...]
@@ -570,7 +562,6 @@ class ObstructionReport:
     base_vector_norm: float
     compact_family: Tuple[CompactFamilyRow, ...]
     cross_constant: float
-    provenance: Dict[str, object] = field(default_factory=dict)
 
 
 def random_finite_rank_operator(
@@ -630,7 +621,6 @@ def ap_experiment(
     operator_count: int = 5,
     max_rank: int = 5,
     seed: int = 0,
-    provenance: Optional[Dict[str, object]] = None,
 ) -> ObstructionReport:
     """Assemble the obstruction evidence at one truncation N >= 1.
 
@@ -684,5 +674,4 @@ def ap_experiment(
         base_vector_norm=float(z_norms_rows(frame.schedule, {0: base_block})[0]),
         compact_family=tuple(compact_rows),
         cross_constant=cross_constant,
-        provenance=dict(provenance or {}),
     )

@@ -21,7 +21,9 @@ before it read each sign kernel once and read operators by their rows: one
 pair of kernel passes per level, dense functional products, and the
 column route (the k x d image of a forward FFT down T's columns, with its
 k x k coordinates).  ``identity_stage_oracle`` is the dense d x d identity
-that ``identity_stage`` no longer forms, read by the row kernel, and
+that ``identity_stage`` no longer forms, read by the row route with its own
+chunk sums, as aplab read it before one evaluator (``_telescope``) summed
+the terms of both routes, and
 ``rank_one_sum`` the dense d x d matrix that finite-rank operators no
 longer are.  ``numeric_distance_upper`` is the sampling oracle that
 upper-bounds the distance to Euclidean space of a span of up to four
@@ -60,8 +62,6 @@ from aplab.errors import AplabError, BadParameter
 from aplab.mixed_norm import ExponentSchedule, z_norms_rows
 from aplab.obstruction import (
     BasisFrame,
-    _band_pass,
-    _band_rows,
     _pair_slice,
     basis_index,
     level_trace,
@@ -295,8 +295,8 @@ def telescope_norms_oracle(
     """Level-n telescoping norms by g, from every row of ``lower_rows(n)`` and ``lower_rows(n + 1)``."""
     def power_sums(m: int, p: float, axis: int):
         eps = np.asarray(data.require(m).require_signs().signs, dtype=np.float64)
-        for _, spectrum in lower_rows(m, data, eps, data.require(m - 1).table.order):
-            yield ((2.0 ** (-m) * np.abs(spectrum)) ** p).sum(axis=axis)
+        for _, spectrum in lower_rows(m, data, eps[None], data.require(m - 1).table.order):
+            yield ((2.0 ** (-m) * np.abs(spectrum[:, 0])) ** p).sum(axis=axis)
 
     here, p = data.require(n), schedule.p(n)
     middle = ((2.0 ** (-n - 1) * np.abs(balance_values(here.table, here.split))) ** p).sum()
@@ -326,12 +326,30 @@ def identity_stage_oracle(
     frame: BasisFrame,
 ) -> Tuple[Tuple[complex, ...], Tuple[complex, ...], Tuple[float, ...]]:
     """The identity's level traces, coordinate traces and telescoping residuals
-    from the row kernel (``_band_pass``) run on the dense d x d identity."""
+    from the row route run on the dense d x d identity, as aplab took them
+    before one evaluator summed its terms: per chunk of band rows, the
+    diagonal by ``np.add.at``, the terms from the tele coefficients and the
+    band coordinates, their sum and the sum of the level-n rows' terms."""
     ident, top = np.eye(frame.dim, dtype=np.complex128), frame.max_level
-    rows = np.arange(frame.dim)
-    passes = [_band_pass(_band_rows(rows, ident, _pair_slice(n, top)), n, frame) for n in range(top + 1)]
-    traces, _, coordinates, residuals = zip(*passes)
-    return traces, coordinates, residuals[:-1]
+    traces, coordinates, residuals = [], [], []
+    for n in range(top + 1):
+        band, chunk = _pair_slice(n, top), discrepancy._SIGN_CHUNK_ROWS
+        k, half, width = block_size(n), 1 << n, band.stop - band.start
+        diagonal = np.zeros(width, dtype=np.complex128)
+        sums, own = [], []
+        for start in range(0, width, chunk):
+            b = np.arange(start, min(start + chunk, width))  # band positions of identity rows
+            block = ident[band.start + b, band]
+            np.add.at(diagonal, b, block[np.arange(b.size), b])
+            terms = (frame.tele_coeffs(n, b) * frame.band_coords(block, n)).sum(axis=1)
+            sums.append(terms.sum())
+            own.append(terms[b < half].sum())
+        here = complex(2.0 ** (-n) * diagonal[:half].sum())
+        above = complex(2.0 ** (-n - 1) * diagonal[half:].sum())
+        traces.append(here)
+        coordinates.append(complex(-np.sum(own) / k))
+        residuals.append(abs(above - here - complex(np.sum(sums) / k)))
+    return tuple(traces), tuple(coordinates), tuple(residuals[:-1])
 
 
 def lower_rows_oracle(

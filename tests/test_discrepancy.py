@@ -415,7 +415,7 @@ def test_lower_block_rows_mirror_by_conjugation(case):
         eps = np.asarray(data.require(n).require_signs().signs, dtype=np.float64)
         rows, k = data.require(n - 1).table.order, data.require(n).table.order
         with mock.patch.object(discrepancy, "_SIGN_CHUNK_ROWS", chunk):
-            spectra = [s for _, s in discrepancy.lower_rows(n, data, eps, rows)]
+            spectra = [s[:, 0] for _, s in discrepancy.lower_rows(n, data, eps[None], rows)]
         modulus = np.abs(np.concatenate(spectra))
         mirror = modulus[-np.arange(rows) % rows][:, -np.arange(k) % k]
         assert np.all(np.abs(modulus - mirror) <= bound * modulus.max(axis=1, keepdims=True))
@@ -431,7 +431,7 @@ def test_lower_rows_equal_the_reduced_exponent_gather_bit_for_bit(case):
         eps = data.require(n).require_signs().eps
         rows = data.require(n - 1).table.order
         with mock.patch.object(discrepancy, "_SIGN_CHUNK_ROWS", chunk):
-            fast = np.concatenate([s for _, s in discrepancy.lower_rows(n, data, eps, rows)])
+            fast = np.concatenate([s[:, 0] for _, s in discrepancy.lower_rows(n, data, eps[None], rows)])
             slow = np.concatenate([s for _, s in lower_rows_oracle(n, data, eps, rows)])
         assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
 

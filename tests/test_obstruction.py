@@ -544,28 +544,34 @@ def test_identity_stage_equals_the_dense_identity_bit_for_bit(case):
     # the band of level n is k = 3 * 2^n rows, 2^n of level n and then
     # those of level n+1: chunks of 3 rows straddle that boundary at
     # every level, chunks of 2 at level 0, and the default chunk of 32
-    # takes each band below level 4 in one piece.  The row kernel on the
-    # dense identity gives the same traces, coordinate traces and
-    # residuals; repr tells -0.0 from 0.0, so zeros keep their signs too
+    # takes each band below level 4 in one piece.  The row route on the
+    # dense identity, with its own chunk sums (identity_stage_oracle),
+    # gives the same traces, coordinate traces and residuals; repr tells
+    # -0.0 from 0.0, so zeros keep their signs too.  telescope_residual on
+    # the dense identity gives the oracle's residuals, whose largest
+    # verify_report.json holds
     top, data = case
     for schedule in (ExponentSchedule.log_rate(), ExponentSchedule.power(0.5)):
         frame = ob.BasisFrame(data, schedule, top)
+        ident = dense_rows(np.eye(frame.dim))
         for chunk in (discrepancy._SIGN_CHUNK_ROWS, 2, 3):
             with mock.patch.object(discrepancy, "_SIGN_CHUNK_ROWS", chunk):
                 stage, oracle = ob.identity_stage(frame), identity_stage_oracle(frame)
                 assert stage == oracle
                 assert repr(stage) == repr(oracle)
+                residuals = tuple(ob.telescope_residual(ident, n, frame) for n in range(top))
+                assert repr(residuals) == repr(oracle[2])
 
 
 def test_identity_stage_reads_no_tele_coefficients_and_no_band_rows(frame5, monkeypatch):
-    # one inner product per character: the row kernel and its gather of
+    # one inner product per character: the band rows and their gather of
     # tele coefficients are for operators given by their rows
     expected = ob.identity_stage(frame5)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("identity_stage called the row kernel")
+        raise AssertionError("identity_stage read the row route")
 
-    monkeypatch.setattr(ob, "_band_pass", refuse)
+    monkeypatch.setattr(ob, "_band_rows", refuse)
     monkeypatch.setattr(ob.BasisFrame, "tele_coeffs", refuse)
     assert ob.identity_stage(frame5) == expected
     with pytest.raises(AssertionError):

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -1066,6 +1067,14 @@ GOLDEN = {
 }
 
 
+def _digests(out: Path) -> dict:
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
 @pytest.mark.parametrize("schedule", sorted(GOLDEN))
 def test_golden_artifacts(tmp_path, schedule):
     """Every artifact keeps its bytes.
@@ -1081,12 +1090,39 @@ def test_golden_artifacts(tmp_path, schedule):
     for command in ("build", "verify", "ap"):
         assert _run(command, *args, "--out", str(out)) == 0
     assert _run("moduli", *args, "--out", str(out), *moduli_args) == 0
-    digests = {
-        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out.rglob("*"))
-        if path.is_file()
-    }
-    assert digests == golden
+    assert _digests(out) == golden
+
+
+def _avx2_dispatch_differs() -> bool:
+    # holding dispatch to AVX2 changes nothing without AVX-512, and numpy
+    # refuses the setting without AVX2
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+    return all(features.get(name) for name in ("AVX2", "FMA3", "AVX512F"))
+
+
+@pytest.mark.skipif(not _avx2_dispatch_differs(), reason="needs AVX2, FMA3 and AVX512F")
+@pytest.mark.parametrize("schedule", [
+    "log",
+    pytest.param("power", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 3: x ** 3.0 is dispatched, and rounds otherwise at AVX2",
+    )),
+])
+def test_golden_artifacts_with_numpy_held_to_avx2(tmp_path, schedule):
+    """The golden commands keep their bytes in child processes whose numpy
+    dispatches no kernel past AVX2 (``NPY_ENABLE_CPU_FEATURES=X86_V3``, set
+    on the children alone)."""
+    args, moduli_args, golden = GOLDEN[schedule]
+    out = tmp_path / "golden"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "NPY_ENABLE_CPU_FEATURES": "X86_V3", "PYTHONPATH": path}
+    for command, *extra in (("build",), ("verify",), ("ap",), ("moduli", *moduli_args)):
+        subprocess.run(
+            [sys.executable, "-m", "aplab.cli", command, *args, "--out", str(out), *extra],
+            env=env, capture_output=True, check=True, timeout=600,
+        )
+    assert _digests(out) == golden
 
 
 def test_tracer_targets_resolve():
