@@ -6,9 +6,10 @@ the block norms combine in l_2:
 
     norm(f) = ( sum_n ( sum_{g in level n} |f(g)|^{p_n} )^{2/p_n} )^{1/2}
 
-``z_norms_rows`` takes this norm of many vectors at once, each given by its
-rows of level blocks; the literal one-vector type and its norm are test
-oracles (``tests/oracles.py``).
+It is written once: ``block_powers`` and ``mixed_norms``, by multiplies and
+libm's pow, not numpy's SIMD-dispatched power.  ``z_norms_rows`` takes it of
+many vectors given by their rows of level blocks; the literal one-vector
+type and its norm are test oracles (``tests/oracles.py``).
 
 Schedules keep the block exponents p_n inside (2, 3] by clamping the gap
 delta_n = 1/2 - 1/p_n at 1/6 (p = 3); both built-in rate formulas leave the
@@ -160,19 +161,23 @@ def compactness_sequence(schedule: ExponentSchedule, n: int) -> float:
     return float((n + 1) ** 2.5 * 2.0 ** (-schedule.rate_exponent(n)))
 
 
-def z_norms_rows(
-    schedule: ExponentSchedule, blocks: Mapping[int, np.ndarray]
-) -> np.ndarray:
-    """Mixed norms of many vectors at once.
+def block_powers(moduli: np.ndarray, p: float) -> np.ndarray:
+    """``moduli`` ** p: two multiplies at p = 3, libm's pow (``np.float_power``) else."""
+    if p == 3.0:
+        return moduli * moduli * moduli
+    return np.float_power(moduli, p)
 
-    ``blocks[level]`` holds one row per vector; levels absent from the map
-    are zero.  Rows across levels must agree in count.
-    """
-    total: Optional[np.ndarray] = None
-    for level in sorted(blocks):
-        p = schedule.p(level)
-        contrib = (np.abs(blocks[level]) ** p).sum(axis=-1) ** (2.0 / p)
-        total = contrib if total is None else total + contrib
-    if total is None:
+
+def mixed_norms(schedule: ExponentSchedule, sums: Mapping[int, np.ndarray]) -> np.ndarray:
+    """sqrt(sum_n S_n^(2/p_n)) of each level's sums S_n of ``block_powers``,
+    the levels added in ascending order; levels absent from the map are zero."""
+    if not sums:
         raise BadParameter("no blocks supplied")
-    return np.sqrt(total)
+    return np.sqrt(sum(np.float_power(sums[level], 2.0 / schedule.p(level)) for level in sorted(sums)))
+
+
+def z_norms_rows(schedule: ExponentSchedule, blocks: Mapping[int, np.ndarray]) -> np.ndarray:
+    """Mixed norms of many vectors at once.  ``blocks[level]`` holds one row
+    per vector, the same count on every level; absent levels are zero."""
+    sums = {level: block_powers(np.abs(block), schedule.p(level)).sum(axis=-1) for level, block in blocks.items()}
+    return mixed_norms(schedule, sums)

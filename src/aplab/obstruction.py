@@ -35,12 +35,12 @@ n+1 from their coordinates, and ``identity_stage`` those of the identity,
 whose rows are each one character, one inner product per character
 (``_character_sums``).  ``trace_limit`` reads the family through the
 coordinates of T's values, so no d x d or k x d array is formed for an
-operator given by its rows.  ``trace_limit`` and ``ap``'s base vector
-norm take their mixed norms from ``mixed_norm.z_norms_rows``, and
-``telescope_norms`` sums the same powers inside its kernel pass.  The frame
-matrices and the deviations built on them are test references (see
-``cli.cmd_verify``); the literal one-vector sums, basis vectors and norm
-are in ``tests/oracles.py``.
+operator given by its rows.  Every mixed norm is ``mixed_norm``'s:
+``trace_limit`` and ``ap``'s base vector norm call ``z_norms_rows``, and
+``telescope_norms`` hands its kernel pass's power sums to ``mixed_norms``.
+The frame matrices and the deviations built on them are test references
+(see ``cli.cmd_verify``); the literal one-vector sums, basis vectors and
+norm are in ``tests/oracles.py``.
 
 Everything here is pure: no function writes to an array it is given.
 """
@@ -65,7 +65,7 @@ from .discrepancy import (
     split_discrepancy,  # unused here; kept so profilers can wrap it by this name
 )
 from .errors import BadParameter
-from .mixed_norm import ExponentSchedule, compactness_sequence, z_norms_rows
+from .mixed_norm import ExponentSchedule, block_powers, compactness_sequence, mixed_norms, z_norms_rows
 
 NORM_CHAIN_FACTOR = 3.0 * math.sqrt(2.0)
 # An operator's filled rows are rank x d complex128; refusing a rank whose rows
@@ -111,9 +111,7 @@ class TelescopeFamily:
     norms: Tuple[np.ndarray, ...]
 
 
-def telescope_norms(
-    data: ConstructionData, schedule: ExponentSchedule, top: int
-) -> TelescopeFamily:
+def telescope_norms(data: ConstructionData, schedule: ExponentSchedule, top: int) -> TelescopeFamily:
     """The compact family's norms below ``top`` and the sign objectives through it.
 
     The blocks of tele_{n,g} on levels n-1, n and n+1 are rows g of the
@@ -130,10 +128,11 @@ def telescope_norms(
     (2^{-m}|x|)^{p(m)} (level m-1's upper blocks; row K - h has row h's
     sum) and the largest |x|, bit for bit ``sign_objective``.  The top
     pass skips the column sums, which only level top's norms would read.
+    Its powers are ``block_powers`` and its roots ``mixed_norms``.
     """
     objectives: List[float] = [0.0]
     norms: List[np.ndarray] = []
-    lower = None  # column sums of the previous pass, for its level's norms
+    lower: Dict[int, np.ndarray] = {}  # column sums of the previous pass, for its level's norms
     for m in range(1, top + 1):
         eps = data.require(m).require_signs().eps
         rows, k = data.require(m - 1).table.order, data.require(m).table.order
@@ -145,11 +144,11 @@ def telescope_norms(
             del spectrum  # freed before the powers are formed
             worst = max(worst, float(modulus.max()))
             modulus *= 2.0 ** (-m)
-            powered = modulus ** p_upper
+            powered = block_powers(modulus, p_upper)
             upper.append(powered.sum(axis=1))
             if m < top:
                 if p_lower != p_upper:  # equal at every computed level of the log schedule
-                    powered = modulus ** p_lower
+                    powered = block_powers(modulus, p_lower)
                 columns += powered.sum(axis=0)
                 # rows h with 0 < h < rows/2 have a mirror row rows - h
                 mirrored += powered[max(1 - start, 0) : (rows + 1) // 2 - start].sum(axis=0)
@@ -159,13 +158,9 @@ def telescope_norms(
         upper = np.concatenate(upper)[np.minimum(h, rows - h)]  # row rows - h is row h's
 
         n, here = m - 1, data.require(m - 1)
-        p = schedule.p(n)
-        middle = ((2.0 ** (-n - 1) * np.abs(balance_values(here.table, here.split))) ** p).sum()
-        total = np.full(here.table.order, middle ** (2.0 / p))
-        if lower is not None:
-            total = lower ** (2.0 / schedule.p(n - 1)) + total
-        norms.append(np.sqrt(total + upper ** (2.0 / p_upper)))
-        lower = columns + mirrored[-np.arange(k) % k]
+        middle = block_powers(2.0 ** (-n - 1) * np.abs(balance_values(here.table, here.split)), schedule.p(n))
+        norms.append(mixed_norms(schedule, {**lower, n: middle.sum(), m: upper}))
+        lower = {m - 1: columns + mirrored[-np.arange(k) % k]}
     return TelescopeFamily(tuple(objectives), tuple(norms))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aplab.errors import BadParameter
-from aplab.mixed_norm import ExponentSchedule, compactness_sequence, z_norms_rows
+from aplab.mixed_norm import ExponentSchedule, block_powers, compactness_sequence, mixed_norms, z_norms_rows
 from oracles import MixedNormVector, z_norm
 
 
@@ -138,6 +138,31 @@ def test_batched_norms_match_scalar(power_schedule):
     for i in range(4):
         v = MixedNormVector(schedule=power_schedule, blocks={0: rows[0][i], 2: rows[2][i]})
         assert batched[i] == pytest.approx(z_norm(v), abs=1e-12)
+
+
+@pytest.mark.parametrize("ps", [(3.0, 3.0, 3.0), (3.0, 2.8, 2.5)], ids=["p3", "explicit"])
+def test_powers_and_roots_equal_libm_per_value_bit_for_bit(ps):
+    """``block_powers`` and ``mixed_norms`` against a per-value reference in
+    Python floats: x*x*x at p = 3, ``math.pow`` at any other p and for every
+    root, the levels added in ascending order.  numpy's array power, which
+    rounds by its SIMD dispatch, misses this on some CPUs."""
+    schedule = ExponentSchedule.explicit(ps)
+    rng, rows = np.random.default_rng(35), 1000  # enough that roots numpy rounds apart (5% at AVX-512) reach the norms
+    moduli = {level: np.abs(rng.standard_normal((rows, 3 << level))) for level in range(len(ps))}
+    sums = {}
+    for level, block in moduli.items():
+        p = schedule.p(level)
+        powers = block_powers(block, p)
+        assert powers.tolist() == [[x * x * x if p == 3.0 else math.pow(x, p) for x in row] for row in block.tolist()]
+        sums[level] = powers.sum(axis=1)
+    expected = []
+    for i in range(rows):
+        total = 0.0
+        for level in sorted(sums):
+            total += math.pow(float(sums[level][i]), 2.0 / schedule.p(level))
+        expected.append(math.sqrt(total))
+    assert mixed_norms(schedule, sums).tolist() == expected
+    assert z_norms_rows(schedule, moduli).tolist() == expected
 
 
 # ---------------------------------------------------------------- diagnostics

@@ -88,27 +88,19 @@ def test_level0_roots_have_modulus_exactly_one():
 
 @example(3.0, 0)  # p_0 of every built-in schedule
 @given(st.floats(2.0, 3.0, exclude_min=True), st.integers(0, 2**32 - 1))
-def test_base_vector_norm_is_the_oracle_norm_up_to_the_power_rounding(p0, seed):
+def test_base_vector_norm_is_the_oracle_norm_bit_for_bit(p0, seed):
     """``ap``'s base_vector_norm, from the one norm kernel, against z_norm of
     basis vector (0, 1), for every level-0 anchor and sign.  Both sum three
-    moduli of exactly 1.0 to 3.0, so they differ only where they raise 3.0
-    to 2/p0: numpy's array power there and libm's pow here may round apart,
-    by one ulp after the root (in about 3% of p0 on CPUs where numpy takes
-    its AVX-512 power), and are bit-equal wherever the two powers agree."""
+    moduli of exactly 1.0 to 3.0 and raise it to 2/p0 with libm's pow, so
+    they agree bit for bit at every p0."""
     schedule = ExponentSchedule.explicit([p0, p0])
-    power = np.full(1, 3.0) ** (2.0 / p0)
     data = random_construction(1, seed)
     for anchor, sign in itertools.product(range(3), (1, -1)):
         carriers = tuple(c for c in range(3) if c != anchor)
         split, signs = CharacterSplit(0, (anchor,), carriers, 0.0), SignPattern(0, (sign,), 0.0)
         data.put(replace(data.require(0), split=split, signs=signs))
         norm = ob.ap_experiment(ob.BasisFrame(data, schedule, 1), 1.0, operator_count=0).base_vector_norm
-        assert norm == float(np.sqrt(power)[0])
-        oracle = z_norm(basis_vector(0, 1, data, schedule))
-        if power[0] == 3.0 ** (2.0 / p0):
-            assert norm == oracle
-        else:
-            assert abs(norm - oracle) <= math.ulp(oracle)
+        assert norm == z_norm(basis_vector(0, 1, data, schedule))
 
 
 def test_flat_indexing():

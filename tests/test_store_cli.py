@@ -1041,10 +1041,10 @@ POWER_ARGS = (
 
 # the same for a POWER_ARGS run, which takes verify's power-only branches
 GOLDEN_POWER_SHA256 = {
-    "ap/compact_family.csv": "6960988c5d773970b7d46385ebb3efa96c05496006ffcbf5fe6215f028ad8524",
+    "ap/compact_family.csv": "f3849aeffd536c23e43f06148af1021a3bc4c23af84c35aa481e8d20356058f2",
     "ap/finite_rank.csv": "df558262839048651639ba1d213aff30a21e0e200b5a4a391736741fe443f558",
     "ap/identity_trace.csv": "302510cd24d40c5b9a876a0402959bee192077c6fe0e8b1c3cdab5f92d61a1f1",
-    "ap/obstruction.json": "e15e6f6a47ad1defce3dde91beb56ec032201d23a2c66015c7b00ff597ccf630",
+    "ap/obstruction.json": "caac1f18146247401374d1f5ee093b89937f636d380d8f46badb9c5380730ba4",
     "config.json": "4f0a17047962cedda7e42d0c5ce123dbcd1e87b7c251f59d0c11eac283c9c8af",
     "constants.json": "7bca43adc23ef4ecb3958f185591f5a8ccf07a36a72933ad929fdb63c2b090d3",
     "levels/level_00.json": "c0f6a657ee3ec73f3fa36ec51731c48e10c52b0435f5d9b299044a8fc9f68e5b",
@@ -1052,13 +1052,13 @@ GOLDEN_POWER_SHA256 = {
     "levels/level_02.json": "3f7f0e6c14cb8c85c2043827289ef1c7c104ffb5730176f90d2b87dd5b1e6c90",
     "levels/level_03.json": "bc950975ea4fdfdb468ff0bb5c0fb7ea90f9a32ba36cdfda929db63867badb17",
     "levels/level_04.json": "b40c04287fec51456eeec7cf0b0bb099f1303f9ce524723a4f3894538f794879",
-    "manifest.json": "99bb0baedbb86517605489e308da534634ab23fe1391b8109791aa0926d51eee",
+    "manifest.json": "3845f0ed3b6694f84a1e05aba830d0634a363d133db7e2def5060299f2e36f46",
     "moduli/envelope.json": "6342e3ac215e2603789d97650b0a5df92d08d5d32e30865736f06e7df7accacf",
     "moduli/split.csv": "0d13bf923590ee862e7cc36d166d7495299ec46f2c83a4067ff5c271cf2766a3",
     "moduli/split.json": "88b5c141a844b953408e79eb1fe1ed56e183e2d595cbe3f9162740b46eed7ff2",
     "moduli/witness.csv": "1c72ec144ff235d1827c9cc802b9aefecc920473875ad29179f8a713d6cf8654",
     "moduli/witness.json": "e21ec145dd575433534ef40f695714f8bae18cd329919a89f353f14a69040ae9",
-    "verify_report.json": "ea5d5b8e0f53b63d261e270428b5c588f0d10830e4a396345daa0f3b756306a6",
+    "verify_report.json": "438bf9839e22ee87ebcebe4be82021120696ab9b704a8a0746088e5eff8b10ed",
 }
 
 GOLDEN = {
@@ -1093,36 +1093,52 @@ def test_golden_artifacts(tmp_path, schedule):
     assert _digests(out) == golden
 
 
-def _avx2_dispatch_differs() -> bool:
-    # holding dispatch to AVX2 changes nothing without AVX-512, and numpy
-    # refuses the setting without AVX2
+def _held_dispatch_differs() -> bool:
+    # holding dispatch down changes nothing without AVX-512, and numpy
+    # refuses X86_V3 without AVX2
     from numpy._core._multiarray_umath import __cpu_features__ as features
     return all(features.get(name) for name in ("AVX2", "FMA3", "AVX512F"))
 
 
-@pytest.mark.skipif(not _avx2_dispatch_differs(), reason="needs AVX2, FMA3 and AVX512F")
-@pytest.mark.parametrize("schedule", [
-    "log",
-    pytest.param("power", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="ROADMAP item 3: x ** 3.0 is dispatched, and rounds otherwise at AVX2",
-    )),
-])
-def test_golden_artifacts_with_numpy_held_to_avx2(tmp_path, schedule):
-    """The golden commands keep their bytes in child processes whose numpy
-    dispatches no kernel past AVX2 (``NPY_ENABLE_CPU_FEATURES=X86_V3``, set
-    on the children alone)."""
-    args, moduli_args, golden = GOLDEN[schedule]
-    out = tmp_path / "golden"
+def _held_dispatch_digests(out: Path, schedule: str, held: dict) -> dict:
+    """Digests of the golden commands run in child processes with ``held``
+    in their environment alone."""
+    args, moduli_args, _ = GOLDEN[schedule]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "NPY_ENABLE_CPU_FEATURES": "X86_V3", "PYTHONPATH": path}
+    env = {**os.environ, **held, "PYTHONPATH": path}
     for command, *extra in (("build",), ("verify",), ("ap",), ("moduli", *moduli_args)):
         subprocess.run(
             [sys.executable, "-m", "aplab.cli", command, *args, "--out", str(out), *extra],
             env=env, capture_output=True, check=True, timeout=600,
         )
-    assert _digests(out) == golden
+    return _digests(out)
+
+
+@pytest.mark.skipif(not _held_dispatch_differs(), reason="needs AVX2, FMA3 and AVX512F")
+@pytest.mark.parametrize("schedule", sorted(GOLDEN))
+def test_golden_artifacts_with_numpy_held_to_avx2(tmp_path, schedule):
+    """The golden commands keep their bytes in child processes whose numpy
+    dispatches no kernel past AVX2 (``NPY_ENABLE_CPU_FEATURES=X86_V3``)."""
+    held = {"NPY_ENABLE_CPU_FEATURES": "X86_V3"}
+    assert _held_dispatch_digests(tmp_path / "golden", schedule, held) == GOLDEN[schedule][2]
+
+
+# At x86-64-v2 (no AVX2, no FMA) numpy's complex abs and complex multiply
+# round otherwise; the norm powers and roots do not move.
+V2_MOVED = {"ap/identity_trace.csv", "ap/obstruction.json", "manifest.json", "verify_report.json"}
+
+
+@pytest.mark.skipif(not _held_dispatch_differs(), reason="needs AVX2, FMA3 and AVX512F")
+@pytest.mark.parametrize("schedule", sorted(GOLDEN))
+def test_numpy_held_to_x86_64_v2_moves_the_known_golden_files(tmp_path, schedule):
+    """A known failure, kept visible: held to x86-64-v2, the golden commands
+    write other bytes in exactly the ``V2_MOVED`` files, and every other file
+    keeps its golden hash."""
+    held = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    digests, golden = _held_dispatch_digests(tmp_path / "golden", schedule, held), GOLDEN[schedule][2]
+    assert digests.keys() == golden.keys()
+    assert {path for path in golden if digests[path] != golden[path]} == V2_MOVED
 
 
 def test_tracer_targets_resolve():
